@@ -178,7 +178,8 @@ def approximate(x: "ComputableReal", depth: int) -> ApproximationReport:
     """
     if depth < 1:
         raise DepthZero(depth=depth)
-    prefix = x.prefix(depth)
+    bits = x.prefix(depth + 1)
+    prefix = bits[:depth]
     scaled = int(prefix, 2)
     exact = x.exact_dyadic()
     if exact is not None:
@@ -203,7 +204,7 @@ def approximate(x: "ComputableReal", depth: int) -> ApproximationReport:
         best = DyadicRational(scaled, depth)  # upper endpoint would be 1
         bound = Fraction(1, top)
     else:
-        lower_half = int(x.prefix(depth + 1), 2) == 2 * scaled
+        lower_half = bits[depth] == "0"
         best = DyadicRational(scaled if lower_half else scaled + 1, depth)
         bound = Fraction(1, 2 * top)
     index = locate_value(best)

@@ -1,27 +1,31 @@
 """Computable reals in (0, 1) as certified binary bit streams.
 
-Every stream emits the non-terminating-style binary expansion of its
-value x one bit at a time.  After d bits with numerator P (the emitted
-bits read as an integer), the kind-specific integer certificate
+A stream reads the depth-d prefix of its value x in one shot: it computes
+the numerator P = floor(x * 2**d) directly and then checks the
+kind-specific integer certificate
 
     P/2**d  <=  x  <  (P+1)/2**d
 
-is re-checked inline; for every non-dyadic value both inequalities are
-strict at every depth, which is what entitles `approximate` to report a
-certified non-membership.  Dyadic rationals follow the terminating
-convention (the expansion ends in repeating 0s); the depth at which the
-value meets the lower endpoint exactly is recorded in `boundary_depth`
-rather than raised, and emission simply continues.
+once, at that final depth.  One certificate covers every shorter prefix:
+the depth-k prefix of P is Q = P >> (d-k), and Q/2**k <= P/2**d and
+(P+1)/2**d <= (Q+1)/2**k, so the sandwich at depth d implies it at every
+k < d.  For every non-dyadic value both inequalities are strict at every
+depth, which is what entitles `approximate` to report a certified
+non-membership.  Dyadic rationals follow the terminating convention (the
+expansion ends in repeating 0s); the depth at which the value meets the
+lower endpoint exactly is recorded in `boundary_depth` rather than
+raised.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 from typing import Optional
 
 from .errors import DepthZero
 from .exactnum import DyadicRational
+from .series import e_enclosure, liouville_partial
 
 __all__ = [
     "ComputableReal",
@@ -34,39 +38,38 @@ __all__ = [
 
 
 class ComputableReal:
-    """Base class: bit bookkeeping, prefixes, and certificate plumbing."""
+    """Base class: the deepest certified prefix and its shorter views."""
 
     name = "real"
 
     def __init__(self):
-        self._bits: list[str] = []
-        self._scaled = 0  # the emitted prefix as an integer
+        self._depth = 0
+        self._scaled = 0  # the certified depth-_depth prefix as an integer
         self.boundary_depth: Optional[int] = None
 
     @property
     def depth(self) -> int:
-        return len(self._bits)
+        return self._depth
 
     @property
     def scaled_prefix(self) -> int:
         return self._scaled
 
-    def next_bit(self) -> int:
-        bit = self._emit()
-        self._bits.append(str(bit))
-        self._scaled = self._scaled * 2 + bit
-        if not self.sandwich_holds(self._scaled, self.depth):
-            raise AssertionError(
-                f"{self.name}: certificate failed at depth {self.depth}")
-        return bit
-
     def prefix(self, depth: int) -> str:
-        """The first `depth` bits after the point."""
+        """The first `depth` bits after the point.
+
+        A request deeper than any before computes and certifies the
+        prefix at exactly that depth; a shallower one reads the top bits
+        of the deepest certified prefix.
+        """
         if depth < 1:
             raise DepthZero(depth=depth)
-        while self.depth < depth:
-            self.next_bit()
-        return "".join(self._bits[:depth])
+        if depth > self._depth:
+            scaled = self._floor(depth)
+            if not self.sandwich_holds(scaled, depth):
+                raise AssertionError(f"{self.name}: certificate failed at depth {depth}")
+            self._depth, self._scaled = depth, scaled
+        return format(self._scaled >> (self._depth - depth), f"0{depth}b")
 
     def exact_dyadic(self) -> Optional[DyadicRational]:
         """The value as a dyadic rational, when it is one (else None)."""
@@ -80,12 +83,13 @@ class ComputableReal:
         """
         raise NotImplementedError
 
-    def _emit(self) -> int:
+    def _floor(self, depth: int) -> int:
+        """floor(x * 2**depth), before certification."""
         raise NotImplementedError
 
 
 class RationalStream(ComputableReal):
-    """Exact expansion of a rational p/q in (0, 1) by long division."""
+    """Exact expansion of a rational p/q in (0, 1) by integer division."""
 
     def __init__(self, numerator: int, denominator: int):
         super().__init__()
@@ -94,20 +98,13 @@ class RationalStream(ComputableReal):
             raise ValueError("rational streams live strictly inside (0, 1)")
         self.p = value.numerator
         self.q = value.denominator
-        self._rem = self.p
         self.name = f"rat:{self.p}/{self.q}"
 
-    def _emit(self) -> int:
-        doubled = self._rem * 2
-        if doubled >= self.q:
-            self._rem = doubled - self.q
-            bit = 1
-        else:
-            self._rem = doubled
-            bit = 0
-        if self._rem == 0 and self.boundary_depth is None:
-            self.boundary_depth = self.depth + 1  # value == lower endpoint here on
-        return bit
+    def _floor(self, depth: int) -> int:
+        exact = self.exact_dyadic()
+        if exact is not None and depth >= exact.exponent:
+            self.boundary_depth = exact.exponent  # value == lower endpoint from here on
+        return (self.p << depth) // self.q
 
     def exact_dyadic(self) -> Optional[DyadicRational]:
         if self.q & (self.q - 1):
@@ -122,10 +119,11 @@ class RationalStream(ComputableReal):
 class SqrtStream(ComputableReal):
     """Fractional part of sqrt(a/b) for a non-square ratio.
 
-    Bits come from the integer square sandwich: after d bits with
-    numerator P, (c*2**d + P)**2 * b < a * 4**d < (c*2**d + P + 1)**2 * b
-    where c is the integer part of the root; the next bit tests the
-    midpoint the same way.  Irrationality keeps every inequality strict.
+    The depth-d numerator is P = isqrt(floor(a * 4**d / b)) - c * 2**d,
+    where c is the integer part of the root (floor(sqrt(floor(y))) equals
+    floor(sqrt(y))).  It is certified by the integer square sandwich
+    (c*2**d + P)**2 * b < a * 4**d < (c*2**d + P + 1)**2 * b;
+    irrationality keeps every inequality strict.
     """
 
     def __init__(self, a: int, b: int):
@@ -141,51 +139,57 @@ class SqrtStream(ComputableReal):
         self.root_floor = s // self.b
         self.name = f"sqrt({self.a}/{self.b})" if self.b != 1 else f"sqrt{self.a}"
 
-    def _emit(self) -> int:
-        d1 = self.depth + 1
-        mid = (self.root_floor << d1) + 2 * self._scaled + 1
-        return 1 if self.a * (1 << (2 * d1)) > self.b * mid * mid else 0
+    def _floor(self, depth: int) -> int:
+        return isqrt((self.a << (2 * depth)) // self.b) - (self.root_floor << depth)
 
     def sandwich_holds(self, scaled: int, depth: int) -> bool:
         lo = (self.root_floor << depth) + scaled
         hi = lo + 1
-        target = self.a * (1 << (2 * depth))
+        target = self.a << (2 * depth)
         return self.b * lo * lo < target < self.b * hi * hi
 
 
 class _EnclosureStream(ComputableReal):
-    """Bits from a shrinking strict rational enclosure lo < x < hi.
+    """Bits from a strict rational enclosure lo < x < hi drawn from `series`.
 
-    Subclasses supply `_enclosure` and `_refine`; enclosures must be
-    nested and their widths must tend to zero.  Each bit is decided by
-    refining until the whole enclosure clears the midpoint, sound for
-    any irrational value (the midpoints are dyadic).
+    Subclasses supply `_enclosure(terms)`, nested and shrinking to zero
+    width as `terms` grows, and `_terms_for(bits)`, a term count at which
+    the width is below 2**-bits.  A depth-d prefix tightens until the
+    enclosure fits inside one cell of width 2**-d and reads the cell's
+    floor: sound for any irrational value, which lies strictly inside
+    some cell.
     """
 
-    def _enclosure(self) -> tuple[Fraction, Fraction]:
+    def __init__(self, terms: int):
+        super().__init__()
+        self._terms = terms
+        self._lo, self._hi = self._enclosure(terms)
+
+    def _enclosure(self, terms: int) -> tuple[Fraction, Fraction]:
         raise NotImplementedError
 
-    def _refine(self) -> None:
+    def _terms_for(self, bits: int) -> int:
         raise NotImplementedError
 
-    def _emit(self) -> int:
-        mid = Fraction(2 * self._scaled + 1, 1 << (self.depth + 1))
+    def _floor(self, depth: int) -> int:
+        guard = 8
         while True:
-            lo, hi = self._enclosure()
-            if hi <= mid:
-                return 0
-            if lo >= mid:
-                return 1
-            self._refine()
+            terms = self._terms_for(depth + guard)
+            if terms > self._terms:
+                self._terms = terms
+                self._lo, self._hi = self._enclosure(terms)
+            scaled = (self._lo.numerator << depth) // self._lo.denominator
+            if self._hi.numerator << depth <= (scaled + 1) * self._hi.denominator:
+                return scaled
+            guard *= 2  # x lies close to a cell edge
 
     def sandwich_holds(self, scaled: int, depth: int) -> bool:
-        lo, hi = self._enclosure()
         span = 1 << depth
-        return Fraction(scaled, span) <= lo and hi <= Fraction(scaled + 1, span)
+        return Fraction(scaled, span) <= self._lo and self._hi <= Fraction(scaled + 1, span)
 
 
 class EulerStream(_EnclosureStream):
-    """The fractional part of e: sum of 1/v! for v >= 2.
+    """The fractional part of e: `e_enclosure(n)` minus 2.
 
     After the term 1/n! the tail is strictly below 1/(n * n!), giving
     the strict enclosure (S_n, S_n + 1/(n*n!)).
@@ -194,42 +198,42 @@ class EulerStream(_EnclosureStream):
     name = "e"
 
     def __init__(self):
-        super().__init__()
-        self._n = 2
-        self._fact = 2
-        self._sum = Fraction(1, 2)
+        super().__init__(2)
 
-    def _enclosure(self):
-        return self._sum, self._sum + Fraction(1, self._n * self._fact)
+    def _enclosure(self, terms):
+        interval = e_enclosure(terms).interval
+        return interval.lo - 2, interval.hi - 2
 
-    def _refine(self):
-        self._n += 1
-        self._fact *= self._n
-        self._sum += Fraction(1, self._fact)
+    def _terms_for(self, bits):
+        n = self._terms
+        fact = factorial(n)
+        while (n * fact).bit_length() <= bits:
+            n += 1
+            fact *= n
+        return n
 
 
 class LiouvilleStream(_EnclosureStream):
     """The sum of 10**-(v!) over v >= 1: decimal 1s at 1, 2, 6, 24, ...
 
-    The tail past the v=m term is strictly below 2 * 10**-((m+1)!).
+    `liouville_partial(m)` bounds the tail past the v=m term strictly
+    below 2 * 10**-((m+1)!).
     """
 
     name = "tau"
 
     def __init__(self):
-        super().__init__()
-        self._m = 1
-        self._fact = 1
-        self._sum = Fraction(1, 10)
+        super().__init__(1)
 
-    def _enclosure(self):
-        next_fact = self._fact * (self._m + 1)
-        return self._sum, self._sum + Fraction(2, 10 ** next_fact)
+    def _enclosure(self, terms):
+        part = liouville_partial(terms, cap=None)
+        return part.value, part.value + part.tail_bound
 
-    def _refine(self):
-        self._m += 1
-        self._fact *= self._m
-        self._sum += Fraction(1, 10 ** self._fact)
+    def _terms_for(self, bits):
+        m = self._terms
+        while 3 * factorial(m + 1) < bits + 1:  # 10**k > 2**(3k)
+            m += 1
+        return m
 
 
 def parse_real(text: str) -> ComputableReal:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -161,6 +162,76 @@ class TestStreamInvariants:
                 make().prefix(0)
             with pytest.raises(DepthZero):
                 make().prefix(-3)
+
+
+class TestOneShotPrefixes:
+    KINDS = TestStreamInvariants.KINDS
+
+    def test_deep_square_roots_against_isqrt(self):
+        # floor(sqrt(a/b) * 2**d) = isqrt(a*b * 4**d) // b, a route the
+        # stream does not take
+        d = 20_000
+        for a, b in ((2, 1), (10, 3)):
+            x = SqrtStream(a, b)
+            whole = isqrt((a * b) << (2 * d)) // b
+            assert x.prefix(d) == format(whole - (x.root_floor << d), f"0{d}b")
+
+    def test_deep_third_against_integer_division(self):
+        d = 100_000
+        assert int(RationalStream(1, 3).prefix(d), 2) == (1 << d) // 3
+
+    def test_deep_series_streams_against_mpmath(self):
+        with mpmath.workprec(4100):
+            assert EulerStream().prefix(4000) == mp_bits(mpmath.e - 2, 4000)
+        with mpmath.workprec(5100):
+            tau = mpmath.mpf(0)
+            f = 1
+            for v in range(1, 8):
+                f *= v
+                tau += mpmath.power(10, -f)
+            assert LiouvilleStream().prefix(5000) == mp_bits(tau, 5000)
+
+    def test_prefix_next_to_a_cell_edge(self):
+        # 16 and 9 equal bits follow these depths of e, so the first
+        # enclosure tried straddles a cell edge and the prefix comes from
+        # the retry with a wider guard
+        for depth in (3624, 6030):
+            deep = EulerStream().prefix(depth + 64)
+            assert EulerStream().prefix(depth) == deep[:depth]
+
+    def test_one_deep_certificate_covers_every_shorter_depth(self):
+        for make in self.KINDS:
+            x = make()
+            bits = x.prefix(1000)
+            for depth in range(1, 1001):
+                assert x.sandwich_holds(int(bits[:depth], 2), depth)
+
+    def test_shallow_request_keeps_the_deep_prefix(self):
+        for make in self.KINDS:
+            x = make()
+            deep = x.prefix(40)
+            assert x.prefix(10) == deep[:10]
+            assert x.depth == 40
+            assert x.scaled_prefix == int(deep, 2)
+
+    def test_boundary_depth_appears_at_the_dyadic_exponent(self):
+        r = RationalStream(5, 16)
+        r.prefix(3)
+        assert r.boundary_depth is None
+        r.prefix(4)
+        assert r.boundary_depth == 4
+
+    def test_wrong_floor_fails_the_certificate(self):
+        for cls, args in ((RationalStream, (1, 3)), (SqrtStream, (2, 1)),
+                          (EulerStream, ()), (LiouvilleStream, ())):
+            class OffByOne(cls):
+                def _floor(self, depth):
+                    return super()._floor(depth) + 1
+
+            x = OffByOne(*args)
+            with pytest.raises(AssertionError, match="certificate failed at depth 20"):
+                x.prefix(20)
+            assert x.depth == 0
 
 
 class TestParseReal:

@@ -55,9 +55,13 @@ class TestHarmonic:
         for k in range(0, 11):
             assert harmonic_partial(1 << k) >= 1 + Fraction(k, 2)
 
-    def test_fold_and_tree_agree_across_the_threshold(self):
+    def test_tree_matches_a_left_fold(self):
+        # independent route: the plain left-to-right fold of 1/i
         for n in (1, 2, 37, 256, 1000):
-            assert harmonic_partial(n, naive_threshold=4) == harmonic_partial(n)
+            fold = Fraction(0)
+            for i in range(1, n + 1):
+                fold += Fraction(1, i)
+            assert harmonic_partial(n) == fold
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -71,8 +75,11 @@ class TestGeometric:
         assert geometric_partial(10) == Fraction(1023, 1024)
 
     def test_matches_closed_form_up_to_a_thousand(self):
+        # the closed form in the code against the term-by-term fold
+        fold = Fraction(0)
         for n in range(1, 1001):
-            assert geometric_partial(n) == 1 - Fraction(1, 1 << n)
+            fold += Fraction(1, 1 << n)
+            assert geometric_partial(n) == fold == 1 - Fraction(1, 1 << n)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -93,6 +100,16 @@ class TestEulerEnclosures:
             assert previous.strictly_encloses(current)
             assert current.width < previous.width
             previous = current
+
+    def test_binary_splitting_matches_a_left_fold(self):
+        # independent route: add 1/v! term by term
+        fold, fact = Fraction(1), 1
+        for n in range(1, 301):
+            fact *= n
+            fold += Fraction(1, fact)
+            iv = e_enclosure(n).interval
+            assert iv.lo == fold
+            assert iv.hi == fold + Fraction(1, n * fact)
 
     def test_width_at_twenty_five_terms(self):
         assert e_enclosure(25).interval.width < Fraction(1, 10 ** 26)
