@@ -25,7 +25,6 @@ from .exactnum import (
     DyadicRational,
     Exact,
     Magnitude,
-    Rational,
     RationalInterval,
     Reciprocal,
     Tower,
@@ -36,9 +35,6 @@ from .exactnum import (
     log2_interval,
     magnitude_cmp,
     pinned_decimals,
-    rat_add,
-    rat_cmp,
-    rat_mul,
     render_magnitude,
     render_reciprocal,
 )

@@ -27,13 +27,7 @@ from typing import Optional, Union
 
 from .errors import EmptyString, OutOfRange
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
-    "rat_add",
-    "rat_mul",
-    "rat_cmp",
     "DyadicRational",
     "dyadic_from_string",
     "RationalInterval",
@@ -55,29 +49,6 @@ __all__ = [
 
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
-
-
-# ---------------------------------------------------------------------------
-# rationals
-
-
-def rat_add(a: Rational, b: Rational) -> Rational:
-    """Exact sum; the result is in lowest terms like every Fraction."""
-    return a + b
-
-
-def rat_mul(a: Rational, b: Rational) -> Rational:
-    """Exact product in lowest terms."""
-    return a * b
-
-
-def rat_cmp(a: Rational, b: Rational) -> int:
-    """Three-way order: -1, 0 or +1.  Total on exact rationals."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +80,7 @@ class DyadicRational:
         raise AttributeError("DyadicRational is immutable")
 
     @classmethod
-    def from_fraction(cls, value: Rational) -> "DyadicRational":
+    def from_fraction(cls, value: Fraction) -> "DyadicRational":
         """Build from an exact rational; the denominator must be a power of 2."""
         den = value.denominator
         if den & (den - 1):
@@ -117,7 +88,7 @@ class DyadicRational:
         return cls(value.numerator, den.bit_length() - 1)
 
     @property
-    def value(self) -> Rational:
+    def value(self) -> Fraction:
         return Fraction(self.numerator, 1 << self.exponent)
 
     def bits(self) -> str:
@@ -167,22 +138,22 @@ def dyadic_from_string(bits: str) -> DyadicRational:
 class RationalInterval:
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Rational
-    hi: Rational
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
 
     @property
-    def width(self) -> Rational:
+    def width(self) -> Fraction:
         return self.hi - self.lo
 
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x: Rational) -> bool:
+    def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
     def encloses(self, other: "RationalInterval") -> bool:
@@ -203,9 +174,10 @@ def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
     Exact powers of two give a point interval.  Otherwise the fractional
     bits of log2(n) are extracted one at a time by squaring a dyadic
     enclosure of the normalized mantissa, rounding outward at a guard
-    precision of ``4p + 64`` bits; if rounding ever blurs a bit decision
-    the whole computation restarts with twice the guard.  Integer
-    arithmetic throughout.
+    precision of ``p + 2*bitlen(p) + 64`` bits (each squaring doubles the
+    enclosure's relative width, so the p squarings cost about p bits); if
+    rounding ever blurs a bit decision the whole computation restarts with
+    twice the guard.  Integer arithmetic throughout.
     """
     if n < 1:
         raise ValueError("log2 needs n >= 1")
@@ -216,7 +188,7 @@ def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
         point = Fraction(k)
         return RationalInterval(point, point)
     p = precision_bits
-    guard = 4 * p + 64
+    guard = p + 2 * p.bit_length() + 64
     while True:
         # enclosure of the mantissa n / 2**k in [1, 2), scaled by 2**guard
         if guard >= k:
@@ -479,7 +451,7 @@ def render_reciprocal(r: Reciprocal) -> str:
 # decimal rendering (always truncation, never rounding)
 
 
-def decimal_string(value: Rational, digits: int) -> str:
+def decimal_string(value: Fraction, digits: int) -> str:
     """Decimal expansion of a nonnegative rational, truncated to `digits`
     fractional places; a trailing ``...`` marks a nonzero cut remainder."""
     if value < 0:
@@ -494,7 +466,7 @@ def decimal_string(value: Rational, digits: int) -> str:
     return text + ("..." if tail else "")
 
 
-def decimal_digit(value: Rational, place: int) -> int:
+def decimal_digit(value: Fraction, place: int) -> int:
     """Digit at 10**-place (place >= 1) of the truncated expansion."""
     if place < 1:
         raise ValueError("place starts at 1")

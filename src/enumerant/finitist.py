@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 from math import factorial, isqrt
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     BudgetExceeded,
@@ -167,53 +167,48 @@ class UnionItem(NamedTuple):
     element: object
 
 
+_DRY = object()  # end-of-row marker: rows may yield any value, None included
+
+
 def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[UnionItem]:
     """First `total` elements of a union of countably many sequences.
 
     `family(k)` yields the k-th sequence (k = 0, 1, ...); pairs (row,
     position) are visited in pairing-code order, so element j of row i
-    appears by step (i+j)(i+j+1)/2 + j at the latest.  Exhausted rows
-    are skipped; a family with finitely many rows signals the end by
-    raising IndexError for out-of-range rows, and once every row has
-    run dry the union itself is exhausted.
+    appears by step (i+j)(i+j+1)/2 + j at the latest.  The walk goes
+    diagonal by diagonal: diagonal s opens row s and takes one element
+    from every live row, highest row first, which is pairing-code order
+    within the diagonal.  Exhausted rows are dropped; a family with
+    finitely many rows signals the end by raising IndexError for
+    out-of-range rows, and once every row has run dry the union itself
+    is exhausted.
     """
     if total < 0:
         raise ValueError("need a nonnegative count")
-    rows: dict[int, Iterable] = {}
-    row_len: dict[int, int] = {}  # lengths of rows that ran dry
-    row_bound: Optional[int] = None  # family size, once IndexError reveals it
-
-    def drained() -> bool:
-        # nothing can ever be emitted again: the family is known finite
-        # and every one of its rows has been consumed to its end
-        return row_bound is not None and all(k in row_len for k in range(row_bound))
-
     out: list[UnionItem] = []
-    for code in count(0):
-        if len(out) >= total:
-            return out
-        i, j = cantor_unpair(code)
-        if (row_bound is not None and i >= row_bound) or i in row_len:
-            continue  # visits of a row come in position order, so j is past its end
-        if i not in rows:
+    if total == 0:
+        return out
+    live: list[tuple[int, Iterator]] = []  # rows not yet run dry, ascending
+    bounded = False  # a family(k) raised IndexError: no row past k exists
+    for s in count(0):
+        if not bounded:
             try:
-                rows[i] = iter(family(i))
+                live.append((s, iter(family(s))))
             except IndexError:
-                row_bound = i if row_bound is None else min(row_bound, i)
-                if drained():
-                    raise EnumerationExhausted(
-                        requested=total, available=len(out)) from None
+                bounded = True
+        if bounded and not live:
+            raise EnumerationExhausted(requested=total, available=len(out))
+        kept = []
+        for i, row in reversed(live):
+            element = next(row, _DRY)
+            if element is _DRY:
                 continue
-        try:
-            element = next(rows[i])
-        except StopIteration:
-            row_len[i] = j
-            del rows[i]
-            if drained():
-                raise EnumerationExhausted(requested=total, available=len(out))
-            continue
-        out.append(UnionItem(i, j, element))
-    return out
+            kept.append((i, row))
+            out.append(UnionItem(i, s - i, element))
+            if len(out) == total:
+                return out
+        kept.reverse()
+        live = kept
 
 
 # ---------------------------------------------------------------------------

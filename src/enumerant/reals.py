@@ -157,7 +157,9 @@ class _EnclosureStream(ComputableReal):
     the width is below 2**-bits.  A depth-d prefix tightens until the
     enclosure fits inside one cell of width 2**-d and reads the cell's
     floor: sound for any irrational value, which lies strictly inside
-    some cell.
+    some cell.  `sandwich_holds` tightens the same way before it checks,
+    so it judges a recorded prefix of any depth whatever the stream's
+    own depth.
     """
 
     def __init__(self, terms: int):
@@ -172,18 +174,21 @@ class _EnclosureStream(ComputableReal):
         raise NotImplementedError
 
     def _floor(self, depth: int) -> int:
+        """Tighten until the enclosure fits one cell of width 2**-depth
+        and return that cell's floor."""
         guard = 8
         while True:
+            scaled = (self._lo.numerator << depth) // self._lo.denominator
+            if self._hi.numerator << depth <= (scaled + 1) * self._hi.denominator:
+                return scaled
             terms = self._terms_for(depth + guard)
             if terms > self._terms:
                 self._terms = terms
                 self._lo, self._hi = self._enclosure(terms)
-            scaled = (self._lo.numerator << depth) // self._lo.denominator
-            if self._hi.numerator << depth <= (scaled + 1) * self._hi.denominator:
-                return scaled
-            guard *= 2  # x lies close to a cell edge
+            guard *= 2  # if this still straddles, x lies close to a cell edge
 
     def sandwich_holds(self, scaled: int, depth: int) -> bool:
+        self._floor(depth)
         span = 1 << depth
         return Fraction(scaled, span) <= self._lo and self._hi <= Fraction(scaled + 1, span)
 

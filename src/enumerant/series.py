@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Optional
 
 from .errors import BudgetExceeded
@@ -52,15 +52,32 @@ class OresmeBlock:
         return self.total >= Fraction(1, 2)
 
 
-def _reciprocal_sum(lo: int, hi: int) -> Fraction:
-    """Sum of 1/i for lo <= i <= hi, split-and-merge to keep gcds cheap."""
-    if hi - lo < 8:
-        total = Fraction(0)
+def _reciprocal_pair(lo: int, hi: int) -> tuple[int, int]:
+    """Reduced (p, q) with p/q the sum of 1/i for lo <= i <= hi.
+
+    Leaves of up to 16 terms are summed unreduced and reduced once;
+    merges add two reduced pairs the way `Fraction` does, splitting the
+    denominators' gcd out first, so every node stays in lowest terms.
+    """
+    if hi - lo < 16:
+        p, q = 0, 1
         for i in range(lo, hi + 1):
-            total += Fraction(1, i)
-        return total
+            p, q = p * i + q, q * i
+        g = gcd(p, q)
+        return p // g, q // g
     mid = (lo + hi) // 2
-    return _reciprocal_sum(lo, mid) + _reciprocal_sum(mid + 1, hi)
+    n1, d1 = _reciprocal_pair(lo, mid)
+    n2, d2 = _reciprocal_pair(mid + 1, hi)
+    g = gcd(d1, d2)
+    s = d1 // g
+    t = n1 * (d2 // g) + n2 * s
+    g2 = gcd(t, g)  # the only factor t can share with s * d2
+    return t // g2, s * (d2 // g2)
+
+
+def _reciprocal_sum(lo: int, hi: int) -> Fraction:
+    """Sum of 1/i for lo <= i <= hi, by a balanced tree on integer pairs."""
+    return Fraction(*_reciprocal_pair(lo, hi))
 
 
 def oresme_block(k: int) -> OresmeBlock:

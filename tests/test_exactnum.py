@@ -1,5 +1,5 @@
-import math
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -22,50 +22,9 @@ from enumerant.exactnum import (
     log2_interval,
     magnitude_cmp,
     pinned_decimals,
-    rat_add,
-    rat_cmp,
-    rat_mul,
     render_magnitude,
     render_reciprocal,
 )
-
-fractions_st = st.fractions(
-    min_value=-10**9, max_value=10**9, max_denominator=10**9)
-
-
-class TestRationalOps:
-    @given(fractions_st, fractions_st)
-    def test_add_matches_cross_multiplication(self, a, b):
-        r = rat_add(a, b)
-        # oracle: the unreduced cross-multiplied sum, compared by cross products
-        num = a.numerator * b.denominator + b.numerator * a.denominator
-        den = a.denominator * b.denominator
-        assert r.numerator * den == num * r.denominator
-
-    @given(fractions_st, fractions_st)
-    def test_mul_matches_numerator_denominator_products(self, a, b):
-        r = rat_mul(a, b)
-        assert r.numerator * (a.denominator * b.denominator) == (
-            a.numerator * b.numerator) * r.denominator
-
-    @given(fractions_st, fractions_st)
-    def test_results_are_canonical(self, a, b):
-        for r in (rat_add(a, b), rat_mul(a, b)):
-            assert r.denominator > 0
-            assert math.gcd(r.numerator, r.denominator) == 1
-
-    @given(fractions_st, fractions_st)
-    def test_cmp_matches_difference_sign(self, a, b):
-        diff = a - b
-        expected = (diff > 0) - (diff < 0)
-        assert rat_cmp(a, b) == expected
-        assert rat_cmp(b, a) == -expected
-
-    def test_cmp_samples(self):
-        assert rat_cmp(Fraction(1, 3), Fraction(1, 2)) == -1
-        assert rat_cmp(Fraction(2, 4), Fraction(1, 2)) == 0
-        assert rat_cmp(Fraction(-1, 2), Fraction(-2, 3)) == 1
-
 
 class TestDyadicRational:
     def test_strips_to_odd_numerator(self):
@@ -184,6 +143,32 @@ class TestLog2Interval:
         hi_scaled = iv.hi * scale
         assert lo_scaled.denominator == 1 and hi_scaled.denominator == 1
         assert (1 << lo_scaled.numerator) <= n ** scale <= (1 << hi_scaled.numerator)
+
+    def test_restart_when_the_value_hugs_a_cell_edge(self):
+        # n = floor(sqrt(2) * 2**m) puts log2(n) about 2**-m below m + 1/2
+        # and log2(n + 1) just above it, so every guard below about m bits
+        # blurs the first bit decision
+        m = 600
+        n = isqrt(2 << (2 * m))
+        half = Fraction(2 * m + 1, 2)
+        with mpmath.workprec(2000):
+            for p in (32, 256):
+                below, above = log2_interval(n, p), log2_interval(n + 1, p)
+                assert below.hi == half == above.lo
+                assert below.width == above.width == Fraction(1, 1 << p)
+                assert _mp_contains(below, mpmath.log(n, 2))
+                assert _mp_contains(above, mpmath.log(n + 1, 2))
+
+    @given(st.integers(1, (1 << 64) - 1), st.integers(1, 1024))
+    def test_random_cells_against_mpmath(self, n, p):
+        iv = log2_interval(n, p)
+        if n & (n - 1) == 0:
+            assert iv.is_point and iv.lo == n.bit_length() - 1
+            return
+        assert iv.width == Fraction(1, 1 << p)
+        assert (iv.lo * (1 << p)).denominator == 1
+        with mpmath.workprec(p + 256):
+            assert _mp_contains(iv, mpmath.log(n, 2))
 
     def test_domain(self):
         with pytest.raises(ValueError):

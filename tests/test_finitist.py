@@ -202,6 +202,38 @@ class TestUnionEnumeration:
         with pytest.raises(ValueError):
             union_enumerate(column_family, -1)
 
+    @given(st.lists(st.integers(0, 12), max_size=10), st.booleans(), st.data())
+    def test_matches_sorted_pairing_codes(self, lengths, bounded, data):
+        # oracle: sort every available (code, row, position); rows past the
+        # list raise IndexError (bounded) or are empty (unbounded)
+        available = sorted((cantor_pair(i, j), i, j)
+                           for i, n in enumerate(lengths) for j in range(n))
+        top = len(available) + 3 if bounded else len(available)
+        total = data.draw(st.integers(0, top))
+        calls = []
+
+        def fam(k):
+            calls.append(k)
+            if k < len(lengths):
+                return iter([(k, j) for j in range(lengths[k])])
+            if bounded:
+                raise IndexError(k)
+            return iter(())
+
+        if total > len(available):
+            with pytest.raises(EnumerationExhausted) as exc:
+                union_enumerate(fam, total)
+            assert exc.value.payload == {"requested": total, "available": len(available)}
+            assert calls == list(range(len(lengths) + 1))
+            return
+        items = union_enumerate(fam, total)
+        assert [(it.row, it.position) for it in items] == [(i, j) for _, i, j in available[:total]]
+        assert all(it.element == (it.row, it.position) for it in items)
+        # each row is opened once, in order, and none past the last diagonal used
+        last = items[-1].row + items[-1].position if items else -1
+        opened = min(last, len(lengths)) if bounded else last
+        assert calls == list(range(opened + 1))
+
 
 class TestTableOne:
     def test_frozen_rows(self):

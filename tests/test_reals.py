@@ -28,6 +28,16 @@ def mp_bits(x, depth) -> str:
     return format(int(scaled), f"0{depth}b")
 
 
+def mp_tau():
+    """The Liouville-type sum through its v=7 term, at the working precision."""
+    tau = mpmath.mpf(0)
+    f = 1
+    for v in range(1, 8):
+        f *= v
+        tau += mpmath.power(10, -f)
+    return tau
+
+
 class TestRationalStream:
     def test_periodic_third(self):
         r = RationalStream(1, 3)
@@ -100,12 +110,7 @@ class TestSeriesStreams:
     def test_against_mpmath(self):
         mpmath.mp.prec = 400
         assert EulerStream().prefix(200) == mp_bits(mpmath.e - 2, 200)
-        tau = mpmath.mpf(0)
-        f = 1
-        for v in range(1, 8):
-            f *= v
-            tau += mpmath.power(10, -f)
-        assert LiouvilleStream().prefix(200) == mp_bits(tau, 200)
+        assert LiouvilleStream().prefix(200) == mp_bits(mp_tau(), 200)
 
     def test_euler_stream_agrees_with_series_enclosures(self):
         e = EulerStream()
@@ -184,12 +189,7 @@ class TestOneShotPrefixes:
         with mpmath.workprec(4100):
             assert EulerStream().prefix(4000) == mp_bits(mpmath.e - 2, 4000)
         with mpmath.workprec(5100):
-            tau = mpmath.mpf(0)
-            f = 1
-            for v in range(1, 8):
-                f *= v
-                tau += mpmath.power(10, -f)
-            assert LiouvilleStream().prefix(5000) == mp_bits(tau, 5000)
+            assert LiouvilleStream().prefix(5000) == mp_bits(mp_tau(), 5000)
 
     def test_prefix_next_to_a_cell_edge(self):
         # 16 and 9 equal bits follow these depths of e, so the first
@@ -232,6 +232,37 @@ class TestOneShotPrefixes:
             with pytest.raises(AssertionError, match="certificate failed at depth 20"):
                 x.prefix(20)
             assert x.depth == 0
+
+
+class TestOutsideVerification:
+    # sandwich_holds must judge a recorded prefix whatever the stream's state
+    SERIES = ((EulerStream, EULER_BITS, lambda: mpmath.e - 2),
+              (LiouvilleStream, TAU_BITS, mp_tau))
+
+    @staticmethod
+    def deep_bits(value):
+        with mpmath.workprec(4100):
+            return mp_bits(value(), 4000)
+
+    def test_fresh_streams_accept_correct_prefixes(self):
+        for cls, bits, value in self.SERIES:
+            assert cls().sandwich_holds(int(bits, 2), 64)
+            assert cls().sandwich_holds(int(self.deep_bits(value), 2), 4000)
+
+    def test_fresh_streams_reject_a_flipped_bit(self):
+        for cls, bits, value in self.SERIES:
+            for position in range(64):
+                assert not cls().sandwich_holds(int(bits, 2) ^ (1 << position), 64)
+            deep = int(self.deep_bits(value), 2)
+            for position in (0, 1, 1999, 3998, 3999):
+                assert not cls().sandwich_holds(deep ^ (1 << position), 4000)
+
+    def test_deep_stream_accepts_a_shallow_prefix(self):
+        for cls, bits, _ in self.SERIES:
+            x = cls()
+            x.prefix(4000)
+            assert x.sandwich_holds(int(bits, 2), 64)
+            assert not x.sandwich_holds(int(bits, 2) ^ 1, 64)
 
 
 class TestParseReal:

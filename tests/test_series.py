@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import mpmath
 import pytest
@@ -33,6 +33,16 @@ class TestOresmeBlocks:
             # and under 1: each of the 2**(k-1) terms is at most 1/(2**(k-1)+1)
             assert block.total < 1
 
+    def test_blocks_match_a_left_fold(self):
+        # independent route: the plain fold of 1/i over the block's range
+        for k in range(1, 13):
+            block = oresme_block(k)
+            fold = Fraction(0)
+            for i in range(block.first, block.last + 1):
+                fold += Fraction(1, i)
+            assert block.total == fold
+            assert gcd(block.total.numerator, block.total.denominator) == 1
+
     def test_blocks_partition_the_harmonic_sum(self):
         total = Fraction(1)
         for k in range(1, 9):
@@ -57,11 +67,13 @@ class TestHarmonic:
 
     def test_tree_matches_a_left_fold(self):
         # independent route: the plain left-to-right fold of 1/i
-        for n in (1, 2, 37, 256, 1000):
+        for n in (1, 2, 16, 17, 33, 37, 256, 1000):
             fold = Fraction(0)
             for i in range(1, n + 1):
                 fold += Fraction(1, i)
-            assert harmonic_partial(n) == fold
+            total = harmonic_partial(n)
+            assert total == fold
+            assert gcd(total.numerator, total.denominator) == 1
 
     def test_domain(self):
         with pytest.raises(ValueError):
