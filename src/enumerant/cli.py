@@ -8,46 +8,28 @@ per line; exact rationals appear as strings like "7/12").
 
 Exit codes: 0 success, 1 domain error (a typed one-line report on
 stderr, e.g. ``NotInImage equivalent=1``), 2 usage error.
+
+A CLI call is mostly process start and import, so each command imports
+its own library modules when it runs; the module level holds only what
+every command needs.  ``enum`` loads ``enumeration`` and ``table`` loads
+``finitist``, but neither loads the other, and only the csv and
+json-lines formats import ``csv`` and ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
-from math import factorial
 
-from .diagonal import (
-    certificate_from_text,
-    certificate_to_text,
-    certify_absence,
-    verify_certificate,
-)
-from .enumeration import all_strings, approximate, entries, locate_value, string_to_index
 from .errors import DomainError
 from .exactnum import (
-    DyadicRational,
     Magnitude,
     RationalInterval,
     Reciprocal,
-    decimal_string,
-    pinned_decimals,
     render_magnitude,
     render_reciprocal,
 )
-from .finitist import (
-    cantor_pair,
-    cantor_unpair,
-    check_even_set,
-    induction_trace,
-    table1_row,
-    table2_row,
-    TABLE2_DIGIT_BUDGET,
-)
-from .reals import parse_real
-from .series import e_enclosure, geometric_partial, liouville_partial, oresme_block
 
 # printing exact values is the point; undo the int->str safety cap
 PRINT_DIGIT_LIMIT = 50_000_000
@@ -80,11 +62,15 @@ def _emit_rows(fields, rows, fmt) -> None:
         for row in rows:
             print(" ".join(_text(row[f]) for f in fields))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
             writer.writerow([_text(row[f]) for f in fields])
     else:
+        import json
+
         for row in rows:
             print(json.dumps({f: _jsonable(row[f]) for f in fields}))
 
@@ -100,6 +86,8 @@ def _emit_report(fields, report, fmt) -> None:
 
 
 def _cmd_enum(args) -> int:
+    from .enumeration import entries
+
     rows = [{"index": e.index, "bits": e.bits, "value": e.value}
             for e in entries(args.count)]
     _emit_rows(["index", "bits", "value"], rows, args.format)
@@ -107,6 +95,9 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_locate(args) -> int:
+    from .enumeration import locate_value, string_to_index
+    from .exactnum import DyadicRational
+
     if args.bits is not None:
         index = string_to_index(args.bits)
     else:
@@ -116,6 +107,8 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from .enumeration import approximate
+
     report = approximate(args.real, args.depth)
     fields = ["target", "depth", "prefix", "verdict", "member_index",
               "reason", "best_index", "best_bits", "best_value", "error_bound"]
@@ -135,6 +128,14 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    from .diagonal import (
+        certificate_from_text,
+        certificate_to_text,
+        certify_absence,
+        verify_certificate,
+    )
+    from .enumeration import all_strings
+
     if args.verify is not None:
         try:
             with open(args.verify, "r", encoding="ascii") as fh:
@@ -155,6 +156,8 @@ def _cmd_diag(args) -> int:
     if args.format == "csv":
         _emit_rows(fields, rows, "csv")
     else:
+        import json
+
         print(json.dumps({
             "stage": cert.stage,
             "pad": cert.padding,
@@ -167,6 +170,8 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_harmonic(args) -> int:
+    from .series import oresme_block
+
     rows = []
     cumulative = Fraction(1)
     for k in range(1, args.blocks + 1):
@@ -188,6 +193,11 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from math import factorial
+
+    from .exactnum import decimal_string, pinned_decimals
+    from .series import e_enclosure, geometric_partial, liouville_partial
+
     if args.name == "e":
         enc = e_enclosure(args.terms)
         iv = enc.interval
@@ -222,6 +232,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
+    from .finitist import check_even_set, induction_trace
+
     if args.set is not None:
         report = check_even_set(args.set)
         _emit_report(
@@ -246,6 +258,8 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from .finitist import cantor_pair, cantor_unpair
+
     if args.unpair is not None:
         if args.i is not None or args.j is not None:
             args.parser.error("--unpair does not combine with --i/--j")
@@ -260,6 +274,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .finitist import TABLE2_DIGIT_BUDGET, table1_row, table2_row
+
     if args.id == 1:
         rows = []
         for n in range(1, args.rows + 1):
@@ -270,9 +286,10 @@ def _cmd_table(args) -> int:
         return 0
     fields = ["recip_two_pow_fact", "recip_fact", "log2_n", "n",
               "two_pow", "fact", "two_pow_fact", "tower"]
+    budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
     rows = []
     for n in range(1, args.rows + 1):
-        r = table2_row(n, args.digit_budget, args.log2_bits)
+        r = table2_row(n, budget, args.log2_bits)
         rows.append({
             "recip_two_pow_fact": r.recip_two_pow_fact,
             "recip_fact": r.recip_fact,
@@ -285,6 +302,13 @@ def _cmd_table(args) -> int:
         })
     _emit_rows(fields, rows, args.format)
     return 0
+
+
+def parse_real(text: str):
+    """``--real`` type; argparse names this function in its error message."""
+    from .reals import parse_real
+
+    return parse_real(text)
 
 
 def _positive(text: str) -> int:
@@ -378,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
     p.add_argument("--rows", type=_positive, required=True)
     p.add_argument("--digit-budget", type=_positive, dest="digit_budget",
-                   default=TABLE2_DIGIT_BUDGET,
                    help="decimal digits past which table-2 cells stay symbolic")
     p.add_argument("--log2-bits", type=_positive, dest="log2_bits", default=32,
                    help="fractional bits certified for the log2 column")
@@ -388,17 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    # the cap is process-wide; restore it on every exit, SystemExit included
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(PRINT_DIGIT_LIMIT)
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DomainError as err:
-        print(str(err), file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except DomainError as err:
+            print(str(err), file=sys.stderr)
+            return 1
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

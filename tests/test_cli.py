@@ -4,11 +4,15 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import enumerant
 from enumerant.cli import main
 
 
@@ -313,3 +317,111 @@ def test_installed_console_script():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "1 1 1/2\n"
+
+
+SRC = Path(enumerant.__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the package from the source tree."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+def run_module(*argv):
+    return run_python("-m", "enumerant.cli", *argv)
+
+
+class TestModuleRoute:
+    def test_readme_table_two(self):
+        proc = run_module("table", "--id", "2", "--rows", "3")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            "1/2 1 0 1 2 1 2 4\n"
+            "1/4 1/2 1 2 4 2 4 16\n"
+            "1/64 1/6 [6807362105/4294967296, 3403681053/2147483648] 3 8 6 64 2^(64)\n")
+
+    def test_domain_error_is_one_stderr_line(self):
+        proc = run_module("locate", "--bits", "010")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "NotInImage equivalent=2\n"
+
+    def test_unknown_real_names_parse_real(self):
+        proc = run_module("approx", "--real", "bogus", "--depth", "3")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[-1] == (
+            "enumerant approx: error: argument --real: invalid parse_real value: 'bogus'")
+
+
+# runs main(argv) in a fresh interpreter and prints the modules it loaded
+LOAD_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+from enumerant.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+FINITIST_ONLY = {"errors", "exactnum", "finitist"}
+ENUMERATION_ONLY = {"errors", "exactnum", "enumeration"}
+
+
+def loaded_modules(argv):
+    proc = run_python("-c", LOAD_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestLoadSets:
+    @pytest.mark.parametrize("argv, package", [
+        (["enum", "--count", "3"], ENUMERATION_ONLY),
+        (["locate", "--value", "3/8"], ENUMERATION_ONLY),
+        (["approx", "--real", "sqrt2", "--depth", "8"], ENUMERATION_ONLY | {"reals", "series"}),
+        (["diag", "--count", "4"], ENUMERATION_ONLY | {"diagonal"}),
+        (["harmonic", "--blocks", "3"], {"errors", "exactnum", "series"}),
+        (["series", "--name", "e", "--terms", "12"], {"errors", "exactnum", "series"}),
+        (["theorem", "--set", "2,4,6"], FINITIST_ONLY),
+        (["pair", "--i", "1", "--j", "2"], FINITIST_ONLY),
+        (["table", "--id", "2", "--rows", "3"], FINITIST_ONLY),
+    ])
+    def test_a_plain_command_loads_only_what_it_runs(self, argv, package):
+        loaded = loaded_modules(argv)
+        submodules = {m.split(".", 1)[1] for m in loaded if m.startswith("enumerant.")}
+        assert submodules == package | {"cli"}
+        assert not loaded & {"csv", "json"}
+
+    @pytest.mark.parametrize("fmt, writer", [("csv", "csv"), ("json-lines", "json")])
+    def test_only_the_chosen_format_loads_its_writer(self, fmt, writer):
+        loaded = loaded_modules(["enum", "--count", "3", "--format", fmt])
+        assert loaded & {"csv", "json"} == {writer}
+
+
+@pytest.fixture
+def default_cap():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int->str digit cap in this Python")
+class TestDigitCap:
+    @pytest.mark.parametrize("argv, code", [
+        (["pair", "--i", "1", "--j", "2"], 0),
+        (["locate", "--bits", "010"], 1),
+    ])
+    def test_main_restores_the_cap(self, capsys, default_cap, argv, code):
+        assert main(argv) == code
+        assert sys.get_int_max_str_digits() == default_cap
+
+    def test_usage_errors_restore_the_cap(self, capsys, default_cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["enum", "--count", "-1"])
+        assert exc.value.code == 2
+        assert sys.get_int_max_str_digits() == default_cap
+
+    def test_digits_past_the_default_cap_still_print(self, capsys, default_cap):
+        rc, out, _ = run(capsys, "series", "--name", "tau", "--terms", "7")
+        assert rc == 0
+        assert max(len(line) for line in out.splitlines()) > default_cap

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from enumerant.diagonal import (
     DiagonalCertificate,
@@ -79,9 +79,18 @@ class TestCertificates:
         cert = certify_absence(all_strings, 128)
         assert cert.diagonal not in [index_to_string(n) for n in range(1, 129)]
 
-    @given(st.integers(1, 300))
+    @given(st.integers(1, 2000))
+    @example(1)
+    @example(2)
+    @example(3)
     def test_random_stages_verify(self, stage):
+        # analytic oracle: entries 1 and 2 ("1", "01") carry a 1 at their
+        # diagonal position, and entry i is shorter than i from i = 3 on,
+        # so the diagonal flips to 0, 0 and then a padding 0 to 1 forever
+        expected = ("00" + "1" * (stage - 2))[:stage]
         cert = certify_absence(all_strings, stage)
+        assert cert.diagonal == expected
+        assert diagonal_prefix(all_strings, stage) == expected
         assert verify_certificate(cert, all_strings)
 
     def test_equality_is_over_the_core(self):

@@ -1,0 +1,54 @@
+"""The package namespace: every public name resolves from ``enumerant``,
+but ``import enumerant`` itself loads no submodule (PEP 562)."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import enumerant
+
+SRC = Path(enumerant.__file__).resolve().parent.parent
+PUBLIC = [name for name in enumerant.__all__ if name != "__version__"]
+
+
+def run_python(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_every_name_is_the_owning_modules_object():
+    for name in PUBLIC:
+        owner = importlib.import_module(f"enumerant.{enumerant._OWNER[name]}")
+        assert getattr(enumerant, name) is getattr(owner, name), name
+
+
+def test_every_public_name_is_listed_before_first_use():
+    listed = run_python("import enumerant; print(' '.join(dir(enumerant)))").split()
+    assert set(enumerant.__all__) <= set(listed)
+    assert set(enumerant.__all__) <= set(dir(enumerant))
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from enumerant import *", namespace)
+    assert set(enumerant.__all__) <= set(namespace)
+    assert namespace["__version__"] == enumerant.__version__
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        enumerant.no_such_name
+    assert not hasattr(enumerant, "no_such_name")
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = run_python(
+        "import sys, enumerant\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('enumerant.')))")
+    assert loaded.split() == []
