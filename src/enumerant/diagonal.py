@@ -11,6 +11,8 @@ with the construction.
 
 from __future__ import annotations
 
+from itertools import chain, compress, count, islice, repeat, takewhile, tee
+from operator import eq, itemgetter, sub, truth
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import EnumerationExhausted
@@ -58,7 +60,8 @@ class DiagonalCertificate:
         self.stage = stage
         self.records = records
         self.padding = padding
-        self.diagonal = "".join(str(r.diagonal_bit) for r in records)
+        # %s is str() of each bit, without a call through the str type
+        self.diagonal = "%s" * len(records) % tuple(map(itemgetter(3), records))
         self.ends_in_one = ends_in_one
         self.occurs_in_prefix = occurs_in_prefix
 
@@ -78,44 +81,35 @@ class DiagonalCertificate:
                 f"diagonal={self.diagonal!r}, padding={self.padding!r})")
 
 
-def _entry_bit(entry: str, position: int) -> int:
-    # zero padding: positions past the end of the entry read as 0
-    return int(entry[position - 1]) if position <= len(entry) else 0
-
-
 def diagonal_prefix(source: EnumerationSource, stage: int) -> str:
     """The stage-N diagonal string (flipped diagonal bits)."""
-    if stage < 1:
-        raise ValueError("stage must be at least 1")
-    out = []
-    feed = _fresh(source)
-    for i in range(1, stage + 1):
-        try:
-            entry = next(feed)
-        except StopIteration:
-            raise EnumerationExhausted(needed=stage, available=i - 1) from None
-        out.append("1" if _entry_bit(entry, i) == 0 else "0")
-    return "".join(out)
+    return certify_absence(source, stage).diagonal
 
 
 def certify_absence(source: EnumerationSource, stage: int) -> DiagonalCertificate:
-    """Build the stage-N diagonal plus one mismatch witness per entry."""
+    """Build the stage-N diagonal plus one mismatch witness per entry.
+
+    Reads the first N entries once; the records, the diagonal and both
+    flags all come from that one read, column by column.
+    """
     if stage < 1:
         raise ValueError("stage must be at least 1")
-    records = []
     feed = _fresh(source)
-    for i in range(1, stage + 1):
-        try:
-            entry = next(feed)
-        except StopIteration:
-            raise EnumerationExhausted(needed=stage, available=i - 1) from None
-        bit = _entry_bit(entry, i)
-        records.append(MismatchRecord(i, i, bit, 1 - bit))
-    cert = DiagonalCertificate(stage, tuple(records))
+    positions = range(1, stage + 1)
+    entries = list(islice(feed, stage))
+    # zero padding: positions past the end of an entry read as 0
+    bits = [int(entry[i - 1]) if i <= len(entry) else 0
+            for i, entry in zip(positions, entries)]
+    if len(entries) < stage:
+        raise EnumerationExhausted(needed=stage, available=len(entries))
+    index = list(positions)  # one int object serves as index and position
+    flipped = [1 - bit for bit in bits]
+    # tuple.__new__ is all that MismatchRecord.__new__ does, minus its frame
+    records = tuple(map(tuple.__new__, repeat(MismatchRecord),
+                        zip(index, index, bits, flipped)))
+    cert = DiagonalCertificate(stage, records)
     cert.ends_in_one = cert.diagonal.endswith("1")
-    scan = _fresh(source)
-    cert.occurs_in_prefix = any(
-        next(scan, None) == cert.diagonal for _ in range(stage))
+    cert.occurs_in_prefix = cert.diagonal in entries
     return cert
 
 
@@ -123,7 +117,7 @@ def verify_certificate(cert: DiagonalCertificate,
                        source: EnumerationSource) -> bool:
     """Re-check a certificate against the enumeration from scratch.
 
-    Walks the first N entries itself, confirms every record (position,
+    Reads the first N entries itself, confirms every record (position,
     recorded entry bit under zero padding, flipped diagonal bit, spelled
     diagonal), and rescans the prefix for the diagonal.  Returns False
     on any discrepancy, including an enumeration that runs dry.
@@ -132,47 +126,44 @@ def verify_certificate(cert: DiagonalCertificate,
     if cert.padding != "zero":
         return False
     n = cert.stage
-    if n < 1 or len(cert.records) != n or len(cert.diagonal) != n:
+    records, diagonal = cert.records, cert.diagonal
+    if n < 1 or len(records) != n or len(diagonal) != n:
         return False
     feed = _fresh(source)
-    seen = []
-    for i in range(1, n + 1):
-        try:
-            entry = next(feed)
-        except StopIteration:
-            return False
-        seen.append(entry)
-        rec = cert.records[i - 1]
-        if rec.index != i or rec.position != i:
-            return False
-        actual = int(entry[i - 1]) if i <= len(entry) else 0
-        if rec.entry_bit != actual:
-            return False
-        if rec.diagonal_bit != 1 - actual:
-            return False
-        if cert.diagonal[i - 1] != str(rec.diagonal_bit):
-            return False
-    if cert.diagonal in seen:
+    seen = list(islice(feed, n))
+    if len(seen) != n:
         return False
-    if cert.occurs_in_prefix not in (None, cert.diagonal in seen):
+    actual = [int(entry[k]) if len(entry) > k else 0
+              for k, entry in enumerate(seen)]
+    # record i must read (i, i, bit, 1 - bit) for entry i's padded bit
+    wanted = zip(count(1), count(1), actual, map(sub, repeat(1), actual))
+    if not all(map(eq, records, wanted)):
         return False
-    if cert.ends_in_one not in (None, cert.diagonal.endswith("1")):
+    if diagonal != "%s" * n % tuple(map(itemgetter(3), records)):
+        return False
+    if diagonal in seen:
+        return False
+    if cert.occurs_in_prefix not in (None, diagonal in seen):
+        return False
+    if cert.ends_in_one not in (None, diagonal.endswith("1")):
         return False
     return True
 
 
 def certificate_to_text(cert: DiagonalCertificate) -> str:
     """Line format: `N=<stage> pad=<rule>` then one record per line."""
-    lines = [f"N={cert.stage} pad={cert.padding}"]
-    lines.extend(
-        f"{r.index} {r.position} {r.entry_bit} {r.diagonal_bit}"
-        for r in cert.records)
-    return "\n".join(lines) + "\n"
+    fields = tuple(chain.from_iterable(cert.records))
+    body = "%s %s %s %s\n" * len(cert.records) % fields
+    return f"N={cert.stage} pad={cert.padding}\n" + body
 
 
 def certificate_from_text(text: str) -> DiagonalCertificate:
-    """Parse the text form; derived flags stay unset until verification."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the text form; derived flags stay unset until verification.
+
+    The first fault in text order is the one reported: a bad integer in
+    a well-formed record line ahead of a line without four fields wins.
+    """
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ValueError("empty certificate")
     head = lines[0].split()
@@ -180,13 +171,16 @@ def certificate_from_text(text: str) -> DiagonalCertificate:
         raise ValueError(f"malformed header: {lines[0]!r}")
     stage = int(head[0][2:])
     padding = head[1][4:]
-    records = []
-    for ln in lines[1:]:
-        fields = ln.split()
-        if len(fields) != 4:
-            raise ValueError(f"malformed record: {ln!r}")
-        idx, pos, ebit, dbit = map(int, fields)
-        records.append(MismatchRecord(idx, pos, ebit, dbit))
+    # each line is split once; the tee walks its field counts in step with
+    # the rows, so parsing stops at the first line without four fields
+    counted, rows = tee(map(str.split, islice(lines, 1, None)))
+    four = map(eq, map(len, counted), repeat(4))
+    wellformed = compress(rows, takewhile(truth, four))
+    values = map(int, chain.from_iterable(wellformed))
+    records = tuple(map(tuple.__new__, repeat(MismatchRecord),
+                        zip(values, values, values, values)))
+    if len(records) < len(lines) - 1:
+        raise ValueError(f"malformed record: {lines[len(records) + 1]!r}")
     if len(records) != stage:
         raise ValueError(f"expected {stage} records, found {len(records)}")
-    return DiagonalCertificate(stage, tuple(records), padding=padding)
+    return DiagonalCertificate(stage, records, padding=padding)

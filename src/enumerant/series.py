@@ -65,19 +65,32 @@ def _reciprocal_pair(lo: int, hi: int) -> tuple[int, int]:
             p, q = p * i + q, q * i
         g = gcd(p, q)
         return p // g, q // g
+    t, g, s, d2 = _merge(lo, hi)
+    g2 = gcd(t, g)  # the only factor t can share with s * d2
+    return t // g2, s * (d2 // g2)
+
+
+def _merge(lo: int, hi: int) -> tuple[int, int, int, int]:
+    """(t, g, s, d2): the sum of the two reduced halves of lo..hi is
+    t / (s * d2), not yet reduced, with g = gcd(d1, d2) and s = d1 // g."""
     mid = (lo + hi) // 2
     n1, d1 = _reciprocal_pair(lo, mid)
     n2, d2 = _reciprocal_pair(mid + 1, hi)
     g = gcd(d1, d2)
     s = d1 // g
-    t = n1 * (d2 // g) + n2 * s
-    g2 = gcd(t, g)  # the only factor t can share with s * d2
-    return t // g2, s * (d2 // g2)
+    return n1 * (d2 // g) + n2 * s, g, s, d2
 
 
 def _reciprocal_sum(lo: int, hi: int) -> Fraction:
-    """Sum of 1/i for lo <= i <= hi, by a balanced tree on integer pairs."""
-    return Fraction(*_reciprocal_pair(lo, hi))
+    """Sum of 1/i for lo <= i <= hi, by a balanced tree on integer pairs.
+
+    The top merge skips its own `gcd(t, g)` step: `Fraction` reduces the
+    pair in any case.
+    """
+    if hi - lo < 16:
+        return Fraction(*_reciprocal_pair(lo, hi))
+    t, _, s, d2 = _merge(lo, hi)
+    return Fraction(t, s * d2)
 
 
 def oresme_block(k: int) -> OresmeBlock:

@@ -151,6 +151,30 @@ class TestDiag:
         rc, out, _ = run(capsys, "diag", "--verify", str(path))
         assert (rc, out) == (1, "5 false\n")
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ("plain", "20 true\n"),
+        ("csv", "stage,valid\n20,true\n"),
+        ("json-lines", '{"stage": 20, "valid": true}\n'),
+    ])
+    def test_verify_in_each_format(self, capsys, tmp_path, fmt, expected):
+        rc, text, _ = run(capsys, "diag", "--count", "20")
+        path = tmp_path / "cert.txt"
+        path.write_text(text, encoding="ascii")
+        rc, out, err = run(capsys, "diag", "--verify", str(path), "--format", fmt)
+        assert (rc, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("text, message", [
+        ("N=3 pad=zero\n1 1 1 0\n2 x 1 0\n3 3 0\n",
+         "invalid literal for int() with base 10: 'x'"),
+        ("N=3 pad=zero\n1 1 1 0\n2 2 1\n3 x 0 1\n",
+         "malformed record: '2 2 1'"),
+    ])
+    def test_verify_reports_the_first_fault(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cert.txt"
+        path.write_text(text, encoding="ascii")
+        rc, out, err = run(capsys, "diag", "--verify", str(path))
+        assert (rc, out, err) == (1, "", f"unreadable certificate: {message}\n")
+
     def test_verify_unreadable_file(self, capsys, tmp_path):
         path = tmp_path / "cert.txt"
         path.write_text("not a certificate\n", encoding="ascii")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from enumerant.diagonal import (
     DiagonalCertificate,
@@ -12,6 +12,112 @@ from enumerant.diagonal import (
 )
 from enumerant.enumeration import all_strings, index_to_string
 from enumerant.errors import EnumerationExhausted
+
+
+# Per-record references: the builder, verifier and text codec as they
+# were before the columnar rewrite, one Python step per record.  The
+# differential tests below hold the module to them.
+
+def _ref_entry_bit(entry, position):
+    return int(entry[position - 1]) if position <= len(entry) else 0
+
+
+def ref_certify_absence(source, stage):
+    if stage < 1:
+        raise ValueError("stage must be at least 1")
+    records = []
+    feed = iter(source)
+    for i in range(1, stage + 1):
+        try:
+            entry = next(feed)
+        except StopIteration:
+            raise EnumerationExhausted(needed=stage, available=i - 1) from None
+        bit = _ref_entry_bit(entry, i)
+        records.append(MismatchRecord(i, i, bit, 1 - bit))
+    cert = DiagonalCertificate(stage, tuple(records))
+    cert.ends_in_one = cert.diagonal.endswith("1")
+    scan = iter(source)  # a second walk: sound for re-iterable sources only
+    cert.occurs_in_prefix = any(
+        next(scan, None) == cert.diagonal for _ in range(stage))
+    return cert
+
+
+def ref_verify_certificate(cert, source):
+    if cert.padding != "zero":
+        return False
+    n = cert.stage
+    if n < 1 or len(cert.records) != n or len(cert.diagonal) != n:
+        return False
+    feed = iter(source)
+    seen = []
+    for i in range(1, n + 1):
+        try:
+            entry = next(feed)
+        except StopIteration:
+            return False
+        seen.append(entry)
+        rec = cert.records[i - 1]
+        if rec.index != i or rec.position != i:
+            return False
+        actual = int(entry[i - 1]) if i <= len(entry) else 0
+        if rec.entry_bit != actual:
+            return False
+        if rec.diagonal_bit != 1 - actual:
+            return False
+        if cert.diagonal[i - 1] != str(rec.diagonal_bit):
+            return False
+    if cert.diagonal in seen:
+        return False
+    if cert.occurs_in_prefix not in (None, cert.diagonal in seen):
+        return False
+    if cert.ends_in_one not in (None, cert.diagonal.endswith("1")):
+        return False
+    return True
+
+
+def ref_certificate_to_text(cert):
+    lines = [f"N={cert.stage} pad={cert.padding}"]
+    lines.extend(
+        f"{r.index} {r.position} {r.entry_bit} {r.diagonal_bit}"
+        for r in cert.records)
+    return "\n".join(lines) + "\n"
+
+
+def ref_certificate_from_text(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty certificate")
+    head = lines[0].split()
+    if len(head) != 2 or not head[0].startswith("N=") or not head[1].startswith("pad="):
+        raise ValueError(f"malformed header: {lines[0]!r}")
+    stage = int(head[0][2:])
+    padding = head[1][4:]
+    records = []
+    for ln in lines[1:]:
+        fields = ln.split()
+        if len(fields) != 4:
+            raise ValueError(f"malformed record: {ln!r}")
+        idx, pos, ebit, dbit = map(int, fields)
+        records.append(MismatchRecord(idx, pos, ebit, dbit))
+    if len(records) != stage:
+        raise ValueError(f"expected {stage} records, found {len(records)}")
+    return DiagonalCertificate(stage, tuple(records), padding=padding)
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception as (type, message, payload)."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "payload", None)
+
+
+def certificate_fields(cert):
+    if not isinstance(cert, DiagonalCertificate):
+        return cert
+    return (cert.stage, cert.padding, cert.records, cert.diagonal,
+            cert.ends_in_one, cert.occurs_in_prefix,
+            [type(r) for r in cert.records])
 
 
 class TestDiagonalPrefix:
@@ -152,6 +258,13 @@ class TestTamperDetection:
         with pytest.raises(EnumerationExhausted):
             certify_absence(["1", "01"], 3)
 
+    def test_one_shot_source_is_scanned_within_its_prefix(self):
+        # entry 4 spells the stage-3 diagonal; a one-shot source must not
+        # count it as part of the prefix of three
+        listed = ["1", "01", "11", "001"]
+        assert certify_absence(listed, 3).occurs_in_prefix is False
+        assert certify_absence(iter(listed), 3).occurs_in_prefix is False
+
 
 class TestTextFormat:
     def test_layout(self):
@@ -182,3 +295,119 @@ class TestTextFormat:
         ):
             with pytest.raises(ValueError):
                 certificate_from_text(bad)
+
+
+entries = st.lists(st.text(alphabet="012", max_size=6), max_size=24)
+field_values = st.sampled_from([0, 1, 2, -1, True, False, 1.0, 0.0])
+tokens = st.sampled_from(
+    ["0", "1", "2", "3", "10", "x", "+1", "-1", "1_0", "\u0663", "1.0", ""])
+gaps = st.sampled_from([" ", "  ", "\t", " \t "])
+breaks = st.sampled_from(["\n", "\n", "\n", "\r\n", "\n \n", "\n\n", "\x0b"])
+
+
+@st.composite
+def certificate_texts(draw):
+    """Certificate-like texts: mostly four-field records of small
+    integers, with malformed headers, short and long lines, non-decimal
+    tokens, blank lines and odd whitespace mixed in."""
+    stage = draw(st.integers(0, 6))
+    header = draw(st.sampled_from(
+        [f"N={stage} pad=zero", f"N={stage} pad=ones", f"N={stage}",
+         f"pad=zero N={stage}", "N=x pad=zero", " N=2  pad=zero ", ""]))
+    lines = [header]
+    for i in range(1, draw(st.integers(0, 7)) + 1):
+        if draw(st.integers(0, 3)):
+            fields = [str(i), str(i)] + draw(st.sampled_from([["1", "0"], ["0", "1"]]))
+        else:
+            fields = draw(st.lists(tokens, min_size=2, max_size=5))
+        line = ""
+        for field in fields:
+            line += draw(gaps) + field if line else field
+        lines.append(line)
+    text = ""
+    for line in lines:
+        text += line + draw(breaks)
+    return text
+
+
+class TestAgainstTheReferences:
+    @given(entries, st.integers(1, 30))
+    @example(["1", "01", "11"], 3)
+    @example(["1", "01"], 3)
+    def test_builder_on_list_sources(self, source, stage):
+        got = outcome(certify_absence, source, stage)
+        want = outcome(ref_certify_absence, source, stage)
+        assert certificate_fields(got) == certificate_fields(want)
+        if isinstance(want, DiagonalCertificate):
+            assert diagonal_prefix(source, stage) == want.diagonal
+            assert (outcome(verify_certificate, got, source)
+                    == outcome(ref_verify_certificate, want, source))
+
+    @given(entries, st.integers(1, 24), st.data())
+    @settings(max_examples=300)
+    def test_verifier_on_edited_certificates(self, source, stage, data):
+        source = source + ["0"] * max(0, stage - len(source))
+        records = list(certify_absence(source, stage).records)
+        flags = {"ends_in_one": None, "occurs_in_prefix": None}
+        for _ in range(data.draw(st.integers(0, 3))):
+            edit = data.draw(st.sampled_from(
+                ["field", "drop", "repeat", "flag", "stage"]))
+            if edit == "field" and records:
+                k = data.draw(st.integers(0, len(records) - 1))
+                name = data.draw(st.sampled_from(MismatchRecord._fields))
+                value = data.draw(field_values | st.integers(-1, stage + 1))
+                records[k] = records[k]._replace(**{name: value})
+            elif edit == "drop" and records:
+                del records[data.draw(st.integers(0, len(records) - 1))]
+            elif edit == "repeat" and records:
+                records.append(records[-1])
+            elif edit == "flag":
+                name = data.draw(st.sampled_from(sorted(flags)))
+                flags[name] = data.draw(st.sampled_from([None, True, False, 0, 1]))
+            elif edit == "stage":
+                stage = data.draw(st.integers(0, stage + 2))
+        padding = data.draw(st.sampled_from(["zero", "zero", "ones"]))
+        against = data.draw(st.sampled_from(["same", "short", "shifted"]))
+        if against == "short":
+            source = source[:data.draw(st.integers(0, len(source)))]
+        elif against == "shifted":
+            source = source[1:]
+        cert = DiagonalCertificate(stage, tuple(records), padding, **flags)
+        assert cert.diagonal == "".join(str(r.diagonal_bit) for r in records)
+        if cert.diagonal and data.draw(st.booleans()):  # a diagonal that lies
+            k = data.draw(st.integers(0, len(cert.diagonal) - 1))
+            lie = "1" if cert.diagonal[k] == "0" else "0"
+            cert.diagonal = cert.diagonal[:k] + lie + cert.diagonal[k + 1:]
+        assert (outcome(verify_certificate, cert, source)
+                == outcome(ref_verify_certificate, cert, source))
+        assert certificate_to_text(cert) == ref_certificate_to_text(cert)
+
+    @given(st.integers(1, 60))
+    def test_text_of_built_certificates(self, stage):
+        cert = certify_absence(all_strings, stage)
+        text = certificate_to_text(cert)
+        assert text == ref_certificate_to_text(cert)
+        assert (certificate_fields(certificate_from_text(text))
+                == certificate_fields(ref_certificate_from_text(text)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("N=3 pad=zero\n1 1 1 0\n2 x 1 0\n3 3 0\n",
+         "invalid literal for int() with base 10: 'x'"),
+        ("N=3 pad=zero\n1 1 1 0\n2 2 1\n3 x 0 1\n",
+         "malformed record: '2 2 1'"),
+    ])
+    def test_parser_reports_the_first_fault_in_text_order(self, text, message):
+        want = (ValueError, message, None)
+        assert outcome(ref_certificate_from_text, text) == want
+        assert outcome(certificate_from_text, text) == want
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_parser_on_random_texts(self, data):
+        text = data.draw(certificate_texts())
+        got = outcome(certificate_from_text, text)
+        want = outcome(ref_certificate_from_text, text)
+        assert certificate_fields(got) == certificate_fields(want)
+        if isinstance(want, DiagonalCertificate):
+            assert certificate_to_text(got) == ref_certificate_to_text(want)
+
