@@ -325,6 +325,15 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    # Fraction("1/0") raises ZeroDivisionError, which argparse would let
+    # through as a traceback; both faults get argparse's own wording
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
+
+
 def _even_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="index of a bit string or of a dyadic value")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--bits")
-    g.add_argument("--value", type=Fraction, help="dyadic rational like 3/8")
+    g.add_argument("--value", type=_fraction, help="dyadic rational like 3/8")
     p.set_defaults(func=_cmd_locate, parser=p)
 
     p = sub.add_parser("approx", parents=[shared],

@@ -16,11 +16,14 @@ The hand-built types are the ones no stdlib type covers:
 * ``Magnitude``: an exact natural or a symbolic tower ``base ** exponent``
   for quantities such as 2**(2**720) that must be ordered without ever
   being written out.
+
+The value types are small immutable ``__slots__`` classes on one shared
+base, each with its own ``__init__``, equality and hash, so importing
+this module (and the package's CLI) never loads ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -51,11 +54,33 @@ def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
+class _Immutable:
+    """Base of the value types: fields are ``__slots__`` set once by
+    ``__init__``.  Copies and pickles rebuild an instance by calling the
+    class on its fields in slot order, so ``__init__`` must take them
+    positionally in that order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # dyadic rationals in (0, 1]
 
 
-class DyadicRational:
+class DyadicRational(_Immutable):
     """Canonical ``numerator / 2**exponent`` with odd numerator, in (0, 1].
 
     Trailing factors of two are stripped on construction, so equal values
@@ -75,9 +100,6 @@ class DyadicRational:
             raise OutOfRange(value=f"{numerator}/2^{exponent}")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadicRational is immutable")
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "DyadicRational":
@@ -134,16 +156,24 @@ def dyadic_from_string(bits: str) -> DyadicRational:
 # rational intervals and certified log2
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(_Immutable):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @property
     def width(self) -> Fraction:
@@ -221,25 +251,45 @@ def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
 # magnitudes: exact naturals and symbolic power towers
 
 
-class Magnitude:
+class Magnitude(_Immutable):
     """Marker base class; instances are Exact or Tower."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Exact(Magnitude):
     """A natural number held in full."""
 
-    value: int
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class Tower(Magnitude):
     """Symbolic ``base ** exponent`` with a natural base >= 2."""
 
-    base: int
-    exponent: Magnitude
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: int, exponent: Magnitude):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.exponent == other.exponent
+
+    def __hash__(self):
+        return hash((self.base, self.exponent))
 
 
 DEFAULT_DIGIT_BUDGET = 10_000
@@ -434,11 +484,21 @@ def render_magnitude(m: Magnitude) -> str:
     return f"{m.base}^({render_magnitude(m.exponent)})"
 
 
-@dataclass(frozen=True)
-class Reciprocal:
+class Reciprocal(_Immutable):
     """Exact ``1 / denominator`` where the denominator may stay symbolic."""
 
-    denominator: Magnitude
+    __slots__ = __match_args__ = ("denominator",)
+
+    def __init__(self, denominator: Magnitude):
+        object.__setattr__(self, "denominator", denominator)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.denominator == other.denominator
+
+    def __hash__(self):
+        return hash((self.denominator,))
 
 
 def render_reciprocal(r: Reciprocal) -> str:

@@ -1,0 +1,159 @@
+"""Golden CLI transcripts: the invocation list, the capture, and the writer.
+
+Each invocation runs in process through ``enumerant.cli.main(argv)`` with
+captured streams, ``COLUMNS`` pinned (argparse wraps help text to the
+terminal width) and ``inputs/`` as the working directory (``diag
+--verify`` reads certificates from there).  One JSON file per invocation
+under ``transcripts/`` holds argv, the exit code, stdout and stderr.
+
+Write the files that are missing:
+
+    PYTHONPATH=src python3 tests/golden/record.py
+
+Existing files are never overwritten: they are frozen values that
+``tests/test_golden.py`` replays.  To record one again, delete it first
+and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from enumerant.cli import main as cli_main
+
+HERE = Path(__file__).resolve().parent
+INPUTS = HERE / "inputs"
+TRANSCRIPTS = HERE / "transcripts"
+COLUMNS = "80"
+FORMATS = ("plain", "csv", "json-lines")
+
+# the README examples and the wider reports, each in every format
+EACH_FORMAT = [
+    ["enum", "--count", "3"],
+    ["locate", "--value", "3/8"],
+    ["approx", "--real", "sqrt2", "--depth", "8"],
+    ["diag", "--count", "4"],
+    ["diag", "--verify", "cert.txt"],
+    ["harmonic", "--blocks", "3"],
+    ["series", "--name", "e", "--terms", "12", "--digits", "9"],
+    ["theorem", "--set", "2,4,6"],
+    ["pair", "--i", "1", "--j", "2"],
+    ["table", "--id", "2", "--rows", "3"],
+    ["table", "--id", "2", "--rows", "6"],
+    ["table", "--id", "2", "--rows", "5", "--digit-budget", "25", "--log2-bits", "64"],
+    ["table", "--id", "1", "--rows", "6"],
+    ["series", "--name", "e", "--terms", "20"],
+    ["series", "--name", "e", "--terms", "3", "--digits", "4"],
+    ["series", "--name", "tau", "--terms", "4", "--digits", "40"],
+    ["series", "--name", "geometric", "--terms", "10"],
+    ["approx", "--real", "sqrt2", "--depth", "16"],
+    ["approx", "--real", "e", "--depth", "12"],
+    ["approx", "--real", "tau", "--depth", "12"],
+    ["approx", "--real", "rat:3/8", "--depth", "6"],
+    ["approx", "--real", "rat:1/3", "--depth", "10"],
+]
+
+PLAIN = [
+    ["enum", "--count", "0"],
+    ["enum", "--count", "15"],
+    ["locate", "--bits", "011"],
+    ["diag", "--count", "12"],
+    ["harmonic", "--blocks", "6"],
+    ["theorem", "--exhaustive", "4"],
+    ["pair", "--unpair", "8"],
+]
+
+# domain errors (exit 1) and usage errors (exit 2)
+FAILURE = [
+    ["locate", "--bits", "0110"],
+    ["locate", "--value", "1/3"],
+    ["series", "--name", "tau", "--terms", "9"],
+    ["theorem", "--set", "2,4,5"],
+    ["diag", "--verify", "tampered.txt"],
+    ["diag", "--verify", "malformed.txt"],
+    ["diag", "--verify", "missing.txt"],
+    [],
+    ["frobnicate"],
+    ["enum"],
+    ["enum", "--count", "-1"],
+    ["enum", "--count", "3", "--format", "xml"],
+    ["locate", "--value", "abc"],
+    ["locate", "--value", "1/0"],
+    ["locate", "--bits", "1", "--value", "1/2"],
+    ["locate", "--bits", "01x1"],
+    ["approx", "--real", "pi", "--depth", "3"],
+    ["approx", "--real", "sqrt2", "--depth", "0"],
+    ["series", "--name", "e", "--terms", "0"],
+    ["theorem", "--set", "2,x"],
+    ["pair", "--i", "1"],
+    ["pair", "--unpair", "3", "--i", "1"],
+    ["table", "--id", "3", "--rows", "1"],
+]
+
+HELP = [["--help"]] + [[command, "--help"] for command in (
+    "enum", "locate", "approx", "diag", "harmonic", "series", "theorem", "pair", "table")]
+
+INVOCATIONS = ([argv + ["--format", fmt] for argv in EACH_FORMAT for fmt in FORMATS]
+               + PLAIN + FAILURE + HELP)
+
+
+def name_of(argv) -> str:
+    """File stem of an invocation: its words joined by dashes."""
+    return re.sub(r"[^A-Za-z0-9.]+", "-", " ".join(argv)).strip("-") or "no-arguments"
+
+
+def transcribe(argv) -> dict:
+    """Run ``main(argv)`` once and return what a user would see."""
+    out, err = io.StringIO(), io.StringIO()
+    columns, cwd = os.environ.get("COLUMNS"), os.getcwd()
+    os.environ["COLUMNS"] = COLUMNS
+    os.chdir(INPUTS)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code, by_argparse = cli_main(list(argv)), False
+            except SystemExit as stop:
+                code, by_argparse = stop.code, True
+    finally:
+        os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return {
+        "argv": list(argv),
+        "python": "%d.%d" % sys.version_info[:2],
+        # argparse's own wording moves between Python versions
+        "by_argparse": by_argparse,
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
+    }
+
+
+def main() -> int:
+    names = [name_of(argv) for argv in INVOCATIONS]
+    if len(set(names)) != len(names):
+        raise SystemExit("two invocations share a file name")
+    TRANSCRIPTS.mkdir(exist_ok=True)
+    written = 0
+    for name, argv in zip(names, INVOCATIONS):
+        path = TRANSCRIPTS / f"{name}.json"
+        if path.exists():
+            continue
+        record = transcribe(argv)
+        path.write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+        written += 1
+    print(f"{written} written, {len(names) - written} kept", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,6 +72,14 @@ class TestLocate:
         assert rc == 1
         assert err == "OutOfRange value=1/3 denominator=3\n"
 
+    @pytest.mark.parametrize("value", ["abc", "1/0", "0/0"])
+    def test_unreadable_value_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["locate", "--value", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"enumerant locate: error: argument --value: invalid Fraction value: {value!r}")
+
     def test_bits_and_value_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["locate", "--bits", "1", "--value", "1/2"])
@@ -413,6 +421,12 @@ class TestLoadSets:
         submodules = {m.split(".", 1)[1] for m in loaded if m.startswith("enumerant.")}
         assert submodules == package | {"cli"}
         assert not loaded & {"csv", "json"}
+
+    @pytest.mark.parametrize("module", ["enumerant.cli", "enumerant.exactnum"])
+    def test_the_import_loads_no_dataclasses(self, module):
+        proc = run_python("-c", f"import sys, {module}; print(' '.join(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert not set(proc.stdout.split()) & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
     @pytest.mark.parametrize("fmt, writer", [("csv", "csv"), ("json-lines", "json")])
     def test_only_the_chosen_format_loads_its_writer(self, fmt, writer):

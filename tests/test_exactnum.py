@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import isqrt
 
@@ -87,7 +89,7 @@ class TestDyadicFromString:
 
 class TestRationalInterval:
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^interval endpoints out of order$"):
             RationalInterval(Fraction(1), Fraction(0))
 
     def test_predicates(self):
@@ -103,6 +105,55 @@ class TestRationalInterval:
     def test_render(self):
         assert RationalInterval(Fraction(2), Fraction(2)).render() == "2"
         assert RationalInterval(Fraction(1, 3), Fraction(1, 2)).render() == "[1/3, 1/2]"
+
+
+# (class, the fields of one instance in slot order, that instance's repr)
+VALUES = [
+    (DyadicRational, {"numerator": 3, "exponent": 2}, "DyadicRational(3, 2)"),
+    (RationalInterval, {"lo": Fraction(1, 2), "hi": Fraction(1)},
+     "RationalInterval(lo=Fraction(1, 2), hi=Fraction(1, 1))"),
+    (Exact, {"value": 64}, "Exact(value=64)"),
+    (Tower, {"base": 2, "exponent": Exact(64)}, "Tower(base=2, exponent=Exact(value=64))"),
+    (Reciprocal, {"denominator": Tower(2, Exact(64))},
+     "Reciprocal(denominator=Tower(base=2, exponent=Exact(value=64)))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=[c.__name__ for c, _, _ in VALUES])
+class TestValueSemantics:
+    def test_immutable(self, cls, fields, text):
+        value = cls(*fields.values())
+        for name in [*fields, "extra"]:
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert {name: getattr(value, name) for name in fields} == fields
+
+    def test_equal_only_to_its_own_class(self, cls, fields, text):
+        row = tuple(fields.values())
+        assert cls(*row) == cls(*row) and not cls(*row) != cls(*row)
+        assert cls(*row) != row and not cls(*row) == row
+        assert cls(*row).__eq__(row) is NotImplemented
+
+    def test_hash_is_the_hash_of_the_fields(self, cls, fields, text):
+        assert hash(cls(*fields.values())) == hash(tuple(fields.values()))
+
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(*fields.values())) == text
+
+    def test_match_args_follow_the_fields(self, cls, fields, text):
+        # the four former dataclasses keep positional patterns; DyadicRational never had them
+        if cls is not DyadicRational:
+            assert cls.__match_args__ == tuple(fields)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_round_trip(self, cls, fields, text, clone):
+        value = cls(*fields.values())
+        twin = clone(value)
+        assert type(twin) is cls and twin == value and repr(twin) == text
 
 
 def _mp_contains(iv, x):
