@@ -1,19 +1,24 @@
 """Command-line front end.
 
 Every subcommand is a pure function of its arguments: same invocation,
-byte-identical output.  Three output shapes are supported via
-``--format``: plain (space-separated values, or key=value lines for
-single reports), csv (with a header row), and json-lines (one object
-per line; exact rationals appear as strings like "7/12").
+byte-identical output.  Each command builds a header of column names
+and rows, each row a tuple in header order, most of them straight from
+the library's records; one emitter prints them in the ``--format``
+chosen: plain (space-separated values, or key=value lines for a single
+report), csv (with a header row), or json-lines (one object per row;
+ints and bools stay JSON numbers and booleans, a missing value is null,
+and everything else, exact rationals included, is its text, like
+"7/12").
 
 Exit codes: 0 success, 1 domain error (a typed one-line report on
 stderr, e.g. ``NotInImage equivalent=1``), 2 usage error.
 
 A CLI call is mostly process start and import, so each command imports
-its own library modules when it runs; the module level holds only what
-every command needs.  ``enum`` loads ``enumeration`` and ``table`` loads
-``finitist``, but neither loads the other, and only the csv and
-json-lines formats import ``csv`` and ``json``.
+its own library modules when it runs; the module level imports only
+``argparse``, ``sys``, ``fractions`` and the package's ``errors``.
+``enum`` loads ``enumeration`` and ``table`` loads ``finitist``, but
+neither loads the other, and only the csv and json-lines formats import
+``csv`` and ``json``.
 """
 
 from __future__ import annotations
@@ -23,13 +28,6 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import (
-    Magnitude,
-    RationalInterval,
-    Reciprocal,
-    render_magnitude,
-    render_reciprocal,
-)
 
 # printing exact values is the point; undo the int->str safety cap
 PRINT_DIGIT_LIMIT = 50_000_000
@@ -40,57 +38,45 @@ def _text(value) -> str:
         return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, RationalInterval):
-        return value.render()
-    if isinstance(value, Reciprocal):
-        return render_reciprocal(value)
-    if isinstance(value, Magnitude):
-        return render_magnitude(value)
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    return _text(value)
+def _emit(fields, rows, fmt, report=False) -> None:
+    """Print `rows`, tuples in `fields` order, in the format `fmt`.
 
-
-def _emit_rows(fields, rows, fmt) -> None:
+    In plain, a single `report` prints as key=value lines, because
+    reports carry free-text fields.
+    """
     if fmt == "plain":
         for row in rows:
-            print(" ".join(_text(row[f]) for f in fields))
+            if report:
+                print("\n".join(f"{f}={_text(v)}" for f, v in zip(fields, row)))
+            else:
+                print(" ".join(map(_text, row)))
     elif fmt == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_text(row[f]) for f in fields])
+        writer.writerows(map(_text, row) for row in rows)
     else:
         import json
 
         for row in rows:
-            print(json.dumps({f: _jsonable(row[f]) for f in fields}))
+            print(json.dumps({f: v if v is None or isinstance(v, int) else _text(v)
+                              for f, v in zip(fields, row)}))
 
 
-def _emit_report(fields, report, fmt) -> None:
-    # single logical record; plain switches to key=value lines because
-    # reports carry free-text fields
-    if fmt == "plain":
-        for f in fields:
-            print(f"{f}={_text(report[f])}")
-    else:
-        _emit_rows(fields, [report], fmt)
+def _attrs(record, fields) -> tuple:
+    return tuple(getattr(record, f) for f in fields)
 
 
 def _cmd_enum(args) -> int:
-    from .enumeration import entries
+    from .enumeration import Entry, entries
 
-    rows = [{"index": e.index, "bits": e.bits, "value": e.value}
-            for e in entries(args.count)]
-    _emit_rows(["index", "bits", "value"], rows, args.format)
+    _emit(Entry._fields, entries(args.count), args.format)
     return 0
 
 
@@ -102,33 +88,23 @@ def _cmd_locate(args) -> int:
         index = string_to_index(args.bits)
     else:
         index = locate_value(DyadicRational.from_fraction(args.value))
-    _emit_rows(["index"], [{"index": index}], args.format)
+    _emit(("index",), [(index,)], args.format)
     return 0
 
 
 def _cmd_approx(args) -> int:
     from .enumeration import approximate
 
+    fields = ("target", "depth", "prefix", "verdict", "member_index", "reason",
+              "best_index", "best_bits", "best_value", "error_bound")
     report = approximate(args.real, args.depth)
-    fields = ["target", "depth", "prefix", "verdict", "member_index",
-              "reason", "best_index", "best_bits", "best_value", "error_bound"]
-    _emit_report(fields, {
-        "target": report.target,
-        "depth": report.depth,
-        "prefix": report.prefix,
-        "verdict": report.verdict,
-        "member_index": report.member_index,
-        "reason": report.reason,
-        "best_index": report.best_index,
-        "best_bits": report.best_bits,
-        "best_value": report.best_value,
-        "error_bound": report.error_bound,
-    }, args.format)
+    _emit(fields, [_attrs(report, fields)], args.format, report=True)
     return 0
 
 
 def _cmd_diag(args) -> int:
     from .diagonal import (
+        MismatchRecord,
         certificate_from_text,
         certificate_to_text,
         certify_absence,
@@ -144,28 +120,17 @@ def _cmd_diag(args) -> int:
             print(f"unreadable certificate: {err}", file=sys.stderr)
             return 1
         ok = verify_certificate(cert, all_strings)
-        _emit_rows(["stage", "valid"],
-                   [{"stage": cert.stage, "valid": ok}], args.format)
+        _emit(("stage", "valid"), [(cert.stage, ok)], args.format)
         return 0 if ok else 1
     cert = certify_absence(all_strings, args.count)
     if args.format == "plain":
         sys.stdout.write(certificate_to_text(cert))
         return 0
-    fields = ["index", "position", "entry_bit", "diagonal_bit"]
-    rows = [dict(zip(fields, rec)) for rec in cert.records]
-    if args.format == "csv":
-        _emit_rows(fields, rows, "csv")
-    else:
-        import json
-
-        print(json.dumps({
-            "stage": cert.stage,
-            "pad": cert.padding,
-            "diagonal": cert.diagonal,
-            "ends_in_one": cert.ends_in_one,
-            "occurs_in_prefix": cert.occurs_in_prefix,
-        }))
-        _emit_rows(fields, rows, "json-lines")
+    if args.format == "json-lines":
+        _emit(("stage", "pad", "diagonal", "ends_in_one", "occurs_in_prefix"),
+              [(cert.stage, cert.padding, cert.diagonal, cert.ends_in_one,
+                cert.occurs_in_prefix)], args.format)
+    _emit(MismatchRecord._fields, cert.records, args.format)
     return 0
 
 
@@ -177,18 +142,10 @@ def _cmd_harmonic(args) -> int:
     for k in range(1, args.blocks + 1):
         block = oresme_block(k)
         cumulative += block.total
-        rows.append({
-            "k": k,
-            "first": block.first,
-            "last": block.last,
-            "terms": block.terms,
-            "block": block.total,
-            "cumulative": cumulative,
-            "at_least_half": block.at_least_half,
-            "meets_bound": cumulative >= 1 + Fraction(k, 2),
-        })
-    _emit_rows(["k", "first", "last", "terms", "block", "cumulative",
-                "at_least_half", "meets_bound"], rows, args.format)
+        rows.append((k, block.first, block.last, block.terms, block.total, cumulative,
+                     block.at_least_half, cumulative >= 1 + Fraction(k, 2)))
+    _emit(("k", "first", "last", "terms", "block", "cumulative", "at_least_half",
+           "meets_bound"), rows, args.format)
     return 0
 
 
@@ -201,33 +158,19 @@ def _cmd_series(args) -> int:
     if args.name == "e":
         enc = e_enclosure(args.terms)
         iv = enc.interval
-        _emit_report(
-            ["terms", "lo", "hi", "lo_decimal", "hi_decimal", "pinned"],
-            {
-                "terms": enc.n,
-                "lo": iv.lo,
-                "hi": iv.hi,
-                "lo_decimal": decimal_string(iv.lo, args.digits),
-                "hi_decimal": decimal_string(iv.hi, args.digits),
-                "pinned": pinned_decimals(iv, args.digits) or "",
-            }, args.format)
+        fields = ("terms", "lo", "hi", "lo_decimal", "hi_decimal", "pinned")
+        # an enclosure too wide to pin a digit prints "", in json too
+        row = (enc.n, iv.lo, iv.hi, decimal_string(iv.lo, args.digits),
+               decimal_string(iv.hi, args.digits), pinned_decimals(iv, args.digits) or "")
     elif args.name == "tau":
         part = liouville_partial(args.terms)
-        _emit_report(
-            ["terms", "value", "decimal", "one_places", "tail_bound"],
-            {
-                "terms": part.m,
-                "value": part.value,
-                "decimal": decimal_string(part.value, args.digits),
-                "one_places": ",".join(str(p) for p in part.one_places),
-                "tail_bound": f"2/10^{factorial(part.m + 1)}",
-            }, args.format)
+        fields = ("terms", "value", "decimal", "one_places", "tail_bound")
+        row = (part.m, part.value, decimal_string(part.value, args.digits),
+               part.one_places, f"2/10^{factorial(part.m + 1)}")
     else:
-        value = geometric_partial(args.terms)
-        _emit_report(
-            ["terms", "value", "matches_closed_form"],
-            {"terms": args.terms, "value": value, "matches_closed_form": True},
-            args.format)
+        fields = ("terms", "value", "matches_closed_form")
+        row = (args.terms, geometric_partial(args.terms), True)
+    _emit(fields, [row], args.format, report=True)
     return 0
 
 
@@ -235,25 +178,14 @@ def _cmd_theorem(args) -> int:
     from .finitist import check_even_set, induction_trace
 
     if args.set is not None:
+        fields = ("elements", "cardinality", "witnesses", "witness_count", "required",
+                  "holds")
         report = check_even_set(args.set)
-        _emit_report(
-            ["elements", "cardinality", "witnesses", "witness_count",
-             "required", "holds"],
-            {
-                "elements": ",".join(str(e) for e in report.elements),
-                "cardinality": report.cardinality,
-                "witnesses": ",".join(str(w) for w in report.witnesses),
-                "witness_count": report.witness_count,
-                "required": report.required,
-                "holds": report.holds,
-            }, args.format)
+        _emit(fields, [_attrs(report, fields)], args.format, report=True)
         return 0
     trace = induction_trace(args.exhaustive)
-    rows = [{"size": lv.size, "checked": lv.subsets_checked,
-             "failures": lv.failures} for lv in trace.levels]
-    rows.append({"size": "total", "checked": trace.total_checked,
-                 "failures": sum(lv.failures for lv in trace.levels)})
-    _emit_rows(["size", "checked", "failures"], rows, args.format)
+    total = ("total", trace.total_checked, sum(lv.failures for lv in trace.levels))
+    _emit(("size", "checked", "failures"), [*trace.levels, total], args.format)
     return 0 if trace.all_hold else 1
 
 
@@ -263,44 +195,26 @@ def _cmd_pair(args) -> int:
     if args.unpair is not None:
         if args.i is not None or args.j is not None:
             args.parser.error("--unpair does not combine with --i/--j")
-        i, j = cantor_unpair(args.unpair)
-        _emit_rows(["i", "j"], [{"i": i, "j": j}], args.format)
+        _emit(("i", "j"), [cantor_unpair(args.unpair)], args.format)
         return 0
     if args.i is None or args.j is None:
         args.parser.error("pair needs either --unpair N or both --i and --j")
-    code = cantor_pair(args.i, args.j)
-    _emit_rows(["code"], [{"code": code}], args.format)
+    _emit(("code",), [(cantor_pair(args.i, args.j),)], args.format)
     return 0
 
 
 def _cmd_table(args) -> int:
     from .finitist import TABLE2_DIGIT_BUDGET, table1_row, table2_row
 
+    span = range(1, args.rows + 1)
     if args.id == 1:
-        rows = []
-        for n in range(1, args.rows + 1):
-            r = table1_row(n)
-            rows.append({"n": r.n, "double": r.double, "square": r.square,
-                         "reciprocal": r.reciprocal})
-        _emit_rows(["n", "double", "square", "reciprocal"], rows, args.format)
+        fields = ("n", "double", "square", "reciprocal")
+        _emit(fields, [_attrs(table1_row(n), fields) for n in span], args.format)
         return 0
-    fields = ["recip_two_pow_fact", "recip_fact", "log2_n", "n",
-              "two_pow", "fact", "two_pow_fact", "tower"]
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
-    rows = []
-    for n in range(1, args.rows + 1):
-        r = table2_row(n, budget, args.log2_bits)
-        rows.append({
-            "recip_two_pow_fact": r.recip_two_pow_fact,
-            "recip_fact": r.recip_fact,
-            "log2_n": r.log2_n,
-            "n": r.n_value,
-            "two_pow": r.two_pow,
-            "fact": r.fact,
-            "two_pow_fact": r.two_pow_fact,
-            "tower": r.tower,
-        })
-    _emit_rows(fields, rows, args.format)
+    _emit(("recip_two_pow_fact", "recip_fact", "log2_n", "n", "two_pow", "fact",
+           "two_pow_fact", "tower"),
+          [table2_row(n, budget, args.log2_bits).cells() for n in span], args.format)
     return 0
 
 

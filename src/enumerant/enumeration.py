@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, TYPE_CHECKING
 
-from .errors import DepthZero, EmptyString, NotInImage, ZeroIndex
-from .exactnum import DyadicRational, dyadic_from_string
+from .errors import DepthZero, NotInImage, ZeroIndex
+from .exactnum import DyadicRational, _check_bits, dyadic_from_string
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reals import ComputableReal
@@ -39,13 +39,6 @@ __all__ = [
     "ApproximationReport",
     "approximate",
 ]
-
-
-def _check_bits(bits: str) -> None:
-    if not bits:
-        raise EmptyString()
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"not a bit string: {bits!r}")
 
 
 def index_to_string(n: int) -> str:

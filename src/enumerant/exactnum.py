@@ -93,9 +93,10 @@ class DyadicRational(_Immutable):
     def __init__(self, numerator: int, exponent: int):
         if numerator <= 0:
             raise OutOfRange(value=f"{numerator}/2^{exponent}")
-        while numerator % 2 == 0:  # strip to the odd canonical form
-            numerator //= 2
-            exponent -= 1
+        if not numerator & 1:  # strip to the odd canonical form in one shift
+            zeros = (numerator & -numerator).bit_length() - 1
+            numerator >>= zeros
+            exponent -= zeros
         if exponent < 0 or numerator > (1 << exponent):
             raise OutOfRange(value=f"{numerator}/2^{exponent}")
         object.__setattr__(self, "numerator", numerator)
@@ -137,16 +138,21 @@ class DyadicRational(_Immutable):
         return f"DyadicRational({self.numerator}, {self.exponent})"
 
 
+def _check_bits(bits: str) -> None:
+    """Reject the empty string and anything but ``0`` and ``1``."""
+    if not bits:
+        raise EmptyString()
+    if set(bits) - {"0", "1"}:
+        raise ValueError(f"not a bit string: {bits!r}")
+
+
 def dyadic_from_string(bits: str) -> DyadicRational:
     """Value of a finite bit string read as a binary fraction.
 
     Bit i (1-based, left to right) contributes ``2**-i``; the empty string
     is rejected rather than mapped to 0.
     """
-    if not bits:
-        raise EmptyString()
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"not a bit string: {bits!r}")
+    _check_bits(bits)
     if "1" not in bits:
         raise OutOfRange(value=bits, note="all-zero strings denote 0, outside (0, 1]")
     return DyadicRational(int(bits, 2), len(bits))

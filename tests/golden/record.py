@@ -69,6 +69,16 @@ PLAIN = [
     ["pair", "--unpair", "8"],
 ]
 
+# the row-producing PLAIN invocations again in csv and json-lines; their
+# plain files keep the names above
+EACH_TABULAR = [
+    ["enum", "--count", "15"],
+    ["diag", "--count", "12"],
+    ["harmonic", "--blocks", "6"],
+    ["theorem", "--exhaustive", "4"],
+    ["pair", "--unpair", "8"],
+]
+
 # domain errors (exit 1) and usage errors (exit 2)
 FAILURE = [
     ["locate", "--bits", "0110"],
@@ -100,7 +110,9 @@ HELP = [["--help"]] + [[command, "--help"] for command in (
     "enum", "locate", "approx", "diag", "harmonic", "series", "theorem", "pair", "table")]
 
 INVOCATIONS = ([argv + ["--format", fmt] for argv in EACH_FORMAT for fmt in FORMATS]
-               + PLAIN + FAILURE + HELP)
+               + PLAIN
+               + [argv + ["--format", fmt] for argv in EACH_TABULAR for fmt in FORMATS[1:]]
+               + FAILURE + HELP)
 
 
 def name_of(argv) -> str:

@@ -433,6 +433,12 @@ class TestLoadSets:
         loaded = loaded_modules(["enum", "--count", "3", "--format", fmt])
         assert loaded & {"csv", "json"} == {writer}
 
+    def test_the_cli_import_loads_only_the_errors_module(self):
+        proc = run_python("-c", "import sys, enumerant.cli; print(' '.join(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m for m in proc.stdout.split() if m.startswith("enumerant.")}
+        assert loaded == {"enumerant.cli", "enumerant.errors"}
+
 
 @pytest.fixture
 def default_cap():
@@ -463,3 +469,10 @@ class TestDigitCap:
         rc, out, _ = run(capsys, "series", "--name", "tau", "--terms", "7")
         assert rc == 0
         assert max(len(line) for line in out.splitlines()) > default_cap
+
+    def test_a_huge_integer_value_is_one_stderr_line(self, capsys, default_cap):
+        # 10**50000 strips to 5**50000 / 2**-50000 before the range check
+        rc, out, err = run(capsys, "locate", "--value", "1e50000")
+        sys.set_int_max_str_digits(0)
+        want = f"OutOfRange value={5 ** 50000}/2^-50000\n"
+        assert (rc, out, err) == (1, "", want)

@@ -33,6 +33,7 @@ class TestDyadicRational:
         assert DyadicRational(6, 4) == DyadicRational(3, 3)
         assert DyadicRational(4, 4) == DyadicRational(1, 2)
         assert DyadicRational(6, 4).numerator == 3
+        assert DyadicRational(3 << 200000, 200002) == DyadicRational(3, 2)
 
     def test_bounds(self):
         assert DyadicRational(1, 0).value == 1  # the closed right end
