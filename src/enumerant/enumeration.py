@@ -118,13 +118,17 @@ class Entry(NamedTuple):
     value: DyadicRational
 
 
+# tuple.__new__ is all that Entry.__new__ does, minus its frame
+_new_tuple = tuple.__new__
+
+
 def entries(count: int) -> Iterator[Entry]:
     """The first `count` entries with their dyadic values."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     for n in range(1, count + 1):
         bits = index_to_string(n)
-        yield Entry(n, bits, dyadic_from_string(bits))
+        yield _new_tuple(Entry, (n, bits, dyadic_from_string(bits)))
 
 
 def all_strings() -> Iterator[str]:

@@ -142,7 +142,7 @@ def _check_bits(bits: str) -> None:
     """Reject the empty string and anything but ``0`` and ``1``."""
     if not bits:
         raise EmptyString()
-    if set(bits) - {"0", "1"}:
+    if bits.count("0") + bits.count("1") != len(bits):
         raise ValueError(f"not a bit string: {bits!r}")
 
 

@@ -57,6 +57,32 @@ EACH_FORMAT = [
     ["approx", "--real", "tau", "--depth", "12"],
     ["approx", "--real", "rat:3/8", "--depth", "6"],
     ["approx", "--real", "rat:1/3", "--depth", "10"],
+    ["theorem", "--exhaustive", "1"],
+    ["theorem", "--exhaustive", "5"],
+    ["theorem", "--exhaustive", "6"],
+    ["theorem", "--exhaustive", "10"],
+    ["theorem", "--exhaustive", "14"],
+    ["theorem", "--set", "8,2,12,10"],
+    ["enum", "--count", "1"],
+    ["enum", "--count", "7"],
+    ["enum", "--count", "40"],
+    ["locate", "--bits", "1"],
+    ["locate", "--bits", "0111"],
+    ["locate", "--value", "5/16"],
+    ["approx", "--real", "e", "--depth", "20"],
+    ["approx", "--real", "rat:1/2", "--depth", "3"],
+    ["diag", "--count", "1"],
+    ["diag", "--count", "20"],
+    ["harmonic", "--blocks", "1"],
+    ["harmonic", "--blocks", "7"],
+    ["series", "--name", "geometric", "--terms", "5"],
+    ["pair", "--i", "0", "--j", "0"],
+    ["pair", "--i", "3", "--j", "9"],
+    ["pair", "--unpair", "0"],
+    ["pair", "--unpair", "100"],
+    ["table", "--id", "1", "--rows", "9"],
+    ["table", "--id", "2", "--rows", "4"],
+    ["table", "--id", "2", "--rows", "7", "--digit-budget", "40", "--log2-bits", "16"],
 ]
 
 PLAIN = [
@@ -77,6 +103,7 @@ EACH_TABULAR = [
     ["harmonic", "--blocks", "6"],
     ["theorem", "--exhaustive", "4"],
     ["pair", "--unpair", "8"],
+    ["enum", "--count", "0"],
 ]
 
 # domain errors (exit 1) and usage errors (exit 2)
@@ -104,6 +131,29 @@ FAILURE = [
     ["pair", "--i", "1"],
     ["pair", "--unpair", "3", "--i", "1"],
     ["table", "--id", "3", "--rows", "1"],
+    # a repeated element: the offender is the first element, in input
+    # order, that occurs twice (4 here, not the first repeat seen, 2)
+    ["theorem", "--set", "4,2,2,4"],
+    ["theorem", "--exhaustive", "25"],
+    ["locate", "--bits", ""],
+    ["locate", "--bits", "0\u06611"],  # an Arabic-Indic digit one
+    ["locate", "--value", "1"],
+    ["locate", "--value", "1e20000"],
+    ["locate", "--value", "1e50000"],
+]
+
+# the first domain errors again in json-lines
+FAILURE_JSON = [
+    ["locate", "--bits", "0110"],
+    ["locate", "--value", "1/3"],
+    ["locate", "--value", "1"],
+    ["locate", "--value", "1e20000"],
+    ["locate", "--value", "1e50000"],
+    ["locate", "--bits", ""],
+    ["series", "--name", "tau", "--terms", "9"],
+    ["theorem", "--set", "2,4,5"],
+    ["theorem", "--exhaustive", "25"],
+    ["diag", "--verify", "tampered.txt"],
 ]
 
 HELP = [["--help"]] + [[command, "--help"] for command in (
@@ -112,7 +162,8 @@ HELP = [["--help"]] + [[command, "--help"] for command in (
 INVOCATIONS = ([argv + ["--format", fmt] for argv in EACH_FORMAT for fmt in FORMATS]
                + PLAIN
                + [argv + ["--format", fmt] for argv in EACH_TABULAR for fmt in FORMATS[1:]]
-               + FAILURE + HELP)
+               + FAILURE + [argv + ["--format", "json-lines"] for argv in FAILURE_JSON]
+               + HELP)
 
 
 def name_of(argv) -> str:

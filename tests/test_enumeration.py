@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from enumerant.enumeration import (
     ColumnPosition,
+    Entry,
     approximate,
     column_entries,
     column_index,
@@ -132,6 +133,13 @@ class TestEntries:
 
     def test_count_zero_is_empty(self):
         assert list(entries(0)) == []
+
+    def test_rows_are_entries(self):
+        for row in entries(64):
+            assert type(row) is Entry
+            bits = index_to_string(row.index)
+            assert row == Entry(row.index, bits, dyadic_from_string(bits))
+            assert row._replace(index=0) == Entry(0, bits, dyadic_from_string(bits))
 
 
 class TestLocateValue:

@@ -15,6 +15,7 @@ from enumerant.exactnum import (
     RationalInterval,
     Reciprocal,
     Tower,
+    _check_bits,
     _iroot,
     _primitive_base,
     canonicalize,
@@ -86,6 +87,32 @@ class TestDyadicFromString:
             dyadic_from_string("012")
         with pytest.raises(OutOfRange):
             dyadic_from_string("000")
+
+
+def _set_check_bits(bits):
+    """The bit-string check as a set difference: the reference for `_check_bits`."""
+    if not bits:
+        raise EmptyString()
+    if set(bits) - {"0", "1"}:
+        raise ValueError(f"not a bit string: {bits!r}")
+
+
+def _outcome(check, bits):
+    try:
+        check(bits)
+    except (EmptyString, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestCheckBits:
+    @given(st.one_of(st.text(), st.text("01"), st.text("01 \t\n\u0660\u0661\uff10\uff11\u2070")))
+    def test_agrees_with_the_set_difference(self, bits):
+        assert _outcome(_check_bits, bits) == _outcome(_set_check_bits, bits)
+
+    def test_the_empty_string_comes_first(self):
+        assert _outcome(_check_bits, "") == (EmptyString, "EmptyString")
+        assert _outcome(_check_bits, "0\u06611") == (ValueError, "not a bit string: '0\u06611'")
 
 
 class TestRationalInterval:

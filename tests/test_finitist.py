@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations, count
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from enumerant import finitist
 from enumerant.enumeration import column_entries, column_index, index_to_string
 from enumerant.errors import (
     BudgetExceeded,
@@ -16,6 +18,7 @@ from enumerant.exactnum import Exact, Tower, magnitude_cmp
 from enumerant.finitist import (
     TABLE2_DIGIT_BUDGET,
     UnionItem,
+    _witnesses,
     cantor_pair,
     cantor_unpair,
     check_even_set,
@@ -82,6 +85,23 @@ class TestEvenSetTheorem:
             check_even_set([2, 7, 4])
         assert str(exc.value) == "NotEvenPositiveDistinct offender=7"
 
+    def test_repeat_offender_is_the_first_repeated_element_in_input_order(self):
+        # 2 is the first element seen twice, but 4 comes first in the input
+        with pytest.raises(NotEvenPositiveDistinct) as exc:
+            check_even_set([4, 2, 2, 4])
+        assert exc.value.payload == {"offender": 4, "repeated": True}
+
+    def test_repeat_at_the_end_of_a_long_input(self):
+        n = 10 ** 5
+        with pytest.raises(NotEvenPositiveDistinct) as exc:
+            check_even_set(list(range(2, 2 * n + 1, 2)) + [2 * n])
+        assert exc.value.payload == {"offender": 2 * n, "repeated": True}
+
+    @given(st.lists(st.integers(0, 40), max_size=30).map(sorted), st.integers(-2, 45))
+    def test_witness_kernel_is_the_elements_above_m(self, ordered, m):
+        ordered = tuple(ordered)
+        assert _witnesses(ordered, m) == tuple(e for e in ordered if e > m)
+
 
 class TestInductionTrace:
     def test_exhaustive_over_four(self):
@@ -96,6 +116,30 @@ class TestInductionTrace:
         trace = induction_trace(8)
         assert trace.total_checked == 2 ** 8 - 1
         assert trace.all_hold
+
+    def test_levels_match_the_checker_on_every_subset(self):
+        for m in range(1, 13):
+            universe = range(2, 2 * m + 1, 2)
+            oracle = [(size, len(subsets), sum(not check_even_set(s).holds for s in subsets))
+                      for size in range(1, m + 1)
+                      for subsets in [list(combinations(universe, size))]]
+            trace = induction_trace(m)
+            assert [tuple(lv) for lv in trace.levels] == oracle
+            assert trace.total_checked == 2 ** m - 1
+
+    def test_a_subset_short_of_one_witness_is_a_failure(self, monkeypatch):
+        # with one witness dropped, exactly the subsets that meet the bound
+        # with equality must fail
+        m = 8
+        universe = range(2, 2 * m + 1, 2)
+        tight = [sum(r.witness_count == r.required
+                     for r in map(check_even_set, combinations(universe, size)))
+                 for size in range(1, m + 1)]
+        kernel = finitist._witnesses
+        monkeypatch.setattr(finitist, "_witnesses", lambda ordered, m: kernel(ordered, m)[1:])
+        trace = induction_trace(m)
+        assert [lv.failures for lv in trace.levels] == tight
+        assert not trace.all_hold
 
     def test_cap(self):
         with pytest.raises(BudgetExceeded) as exc:
@@ -201,6 +245,28 @@ class TestUnionEnumeration:
     def test_domain(self):
         with pytest.raises(ValueError):
             union_enumerate(column_family, -1)
+
+    def test_items_are_union_items(self):
+        def bounded(k):
+            if k > 2:
+                raise IndexError(k)
+            return iter(range(k + 1))
+
+        def sparse(k):
+            return count(k << 32) if k in (1, 3) else iter(())
+
+        cases = [
+            (lambda k: count(k << 32), 40, lambda i, j: (i << 32) + j),
+            (sparse, 40, lambda i, j: (i << 32) + j),
+            (bounded, 6, lambda i, j: j),
+        ]
+        for family, total, element in cases:
+            items = union_enumerate(family, total)
+            assert len(items) == total
+            for it in items:
+                assert type(it) is UnionItem
+                assert it == UnionItem(it.row, it.position, element(it.row, it.position))
+                assert it._replace(element=None) == UnionItem(it.row, it.position, None)
 
     @given(st.lists(st.integers(0, 12), max_size=10), st.booleans(), st.data())
     def test_matches_sorted_pairing_codes(self, lengths, bounded, data):
