@@ -15,6 +15,7 @@ runs, so a CLI call pays for what it uses.
 
 from importlib import import_module as _import_module
 
+# the one list of public names; each submodule's ``__all__`` is its entry
 _EXPORTS = {
     "errors": (
         "BudgetExceeded",
@@ -71,6 +72,7 @@ _EXPORTS = {
     ),
     "diagonal": (
         "DiagonalCertificate",
+        "EnumerationSource",
         "MismatchRecord",
         "certificate_from_text",
         "certificate_to_text",
@@ -90,7 +92,9 @@ _EXPORTS = {
     ),
     "finitist": (
         "EvenSetReport",
+        "InductionLevel",
         "InductionTrace",
+        "TABLE2_DIGIT_BUDGET",
         "Table1Row",
         "Table2Row",
         "UnionItem",

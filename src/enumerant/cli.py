@@ -69,8 +69,9 @@ def _emit(fields, rows, fmt, report=False) -> None:
                               for f, v in zip(fields, row)}))
 
 
-def _attrs(record, fields) -> tuple:
-    return tuple(getattr(record, f) for f in fields)
+def _attrs(record) -> tuple:
+    """A record's fields in column order: its ``__match_args__``."""
+    return tuple(getattr(record, f) for f in record.__match_args__)
 
 
 def _cmd_enum(args) -> int:
@@ -95,10 +96,8 @@ def _cmd_locate(args) -> int:
 def _cmd_approx(args) -> int:
     from .enumeration import approximate
 
-    fields = ("target", "depth", "prefix", "verdict", "member_index", "reason",
-              "best_index", "best_bits", "best_value", "error_bound")
     report = approximate(args.real, args.depth)
-    _emit(fields, [_attrs(report, fields)], args.format, report=True)
+    _emit(report.__match_args__, [_attrs(report)], args.format, report=True)
     return 0
 
 
@@ -178,10 +177,8 @@ def _cmd_theorem(args) -> int:
     from .finitist import check_even_set, induction_trace
 
     if args.set is not None:
-        fields = ("elements", "cardinality", "witnesses", "witness_count", "required",
-                  "holds")
         report = check_even_set(args.set)
-        _emit(fields, [_attrs(report, fields)], args.format, report=True)
+        _emit(report.__match_args__, [_attrs(report)], args.format, report=True)
         return 0
     trace = induction_trace(args.exhaustive)
     total = ("total", trace.total_checked, sum(lv.failures for lv in trace.levels))
@@ -204,12 +201,11 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .finitist import TABLE2_DIGIT_BUDGET, table1_row, table2_row
+    from .finitist import TABLE2_DIGIT_BUDGET, Table1Row, table1_row, table2_row
 
     span = range(1, args.rows + 1)
     if args.id == 1:
-        fields = ("n", "double", "square", "reciprocal")
-        _emit(fields, [_attrs(table1_row(n), fields) for n in span], args.format)
+        _emit(Table1Row.__match_args__, [_attrs(table1_row(n)) for n in span], args.format)
         return 0
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
     _emit(("recip_two_pow_fact", "recip_fact", "log2_n", "n", "two_pow", "fact",

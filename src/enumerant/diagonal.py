@@ -15,18 +15,10 @@ from itertools import chain, compress, count, islice, repeat, takewhile, tee
 from operator import eq, itemgetter, sub, truth
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
+from . import _EXPORTS
 from .errors import EnumerationExhausted
 
-__all__ = [
-    "EnumerationSource",
-    "MismatchRecord",
-    "DiagonalCertificate",
-    "diagonal_prefix",
-    "certify_absence",
-    "verify_certificate",
-    "certificate_to_text",
-    "certificate_from_text",
-]
+__all__ = _EXPORTS["diagonal"]
 
 # a re-iterable collection, or a zero-argument callable yielding a fresh
 # iterator per call (generators are one-shot; wrap them in a callable)

@@ -18,27 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, TYPE_CHECKING
 
+from . import _EXPORTS
 from .errors import DepthZero, NotInImage, ZeroIndex
 from .exactnum import DyadicRational, _check_bits, dyadic_from_string
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reals import ComputableReal
 
-__all__ = [
-    "index_to_string",
-    "index_to_string_recursive",
-    "string_to_index",
-    "ColumnPosition",
-    "column_of",
-    "column_index",
-    "column_entries",
-    "Entry",
-    "entries",
-    "all_strings",
-    "locate_value",
-    "ApproximationReport",
-    "approximate",
-]
+__all__ = _EXPORTS["enumeration"]
 
 
 def index_to_string(n: int) -> str:
@@ -179,22 +166,12 @@ def approximate(x: "ComputableReal", depth: int) -> ApproximationReport:
     prefix = bits[:depth]
     scaled = int(prefix, 2)
     exact = x.exact_dyadic()
-    if exact is not None:
-        index = locate_value(exact)
-        return ApproximationReport(
-            target=x.name,
-            depth=depth,
-            prefix=prefix,
-            verdict="exact-member",
-            member_index=index,
-            reason=None,
-            best_index=index,
-            best_bits=index_to_string(index),
-            best_value=exact,
-            error_bound=Fraction(0),
-        )
+    member = exact is not None
     top = 1 << depth
-    if scaled == 0:
+    if member:
+        best = exact
+        bound = Fraction(0)
+    elif scaled == 0:
         best = DyadicRational(1, depth)  # upper endpoint; 0 is not enumerated
         bound = Fraction(1, top)
     elif scaled == top - 1:
@@ -205,17 +182,15 @@ def approximate(x: "ComputableReal", depth: int) -> ApproximationReport:
         best = DyadicRational(scaled if lower_half else scaled + 1, depth)
         bound = Fraction(1, 2 * top)
     index = locate_value(best)
-    reason = (
-        "every enumerated entry is a terminating binary fraction; "
-        f"the target is certified distinct from every dyadic of exponent <= {depth}"
-    )
     return ApproximationReport(
         target=x.name,
         depth=depth,
         prefix=prefix,
-        verdict="no-finite-index",
-        member_index=None,
-        reason=reason,
+        verdict="exact-member" if member else "no-finite-index",
+        member_index=index if member else None,
+        reason=None if member else (
+            "every enumerated entry is a terminating binary fraction; "
+            f"the target is certified distinct from every dyadic of exponent <= {depth}"),
         best_index=index,
         best_bits=index_to_string(index),
         best_value=best,

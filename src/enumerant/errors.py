@@ -8,6 +8,10 @@ flags, malformed numbers) are not domain errors and exit with status 2.
 
 from __future__ import annotations
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
+
 
 class DomainError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -28,26 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
+from . import _EXPORTS
 from .errors import EmptyString, OutOfRange
 
-__all__ = [
-    "DyadicRational",
-    "dyadic_from_string",
-    "RationalInterval",
-    "log2_interval",
-    "Magnitude",
-    "Exact",
-    "Tower",
-    "Reciprocal",
-    "DEFAULT_DIGIT_BUDGET",
-    "canonicalize",
-    "magnitude_cmp",
-    "render_magnitude",
-    "render_reciprocal",
-    "decimal_string",
-    "decimal_digit",
-    "pinned_decimals",
-]
+__all__ = _EXPORTS["exactnum"]
 
 
 def _sign(n: int) -> int:
@@ -378,14 +362,8 @@ def _cmp_tower_int(t: Tower, n: int, digit_budget: int) -> int:
     if n < 2:
         return 1
     if isinstance(t.exponent, Exact):
-        bl = t.base.bit_length()
-        e = t.exponent.value
-        if (bl - 1) * e >= n.bit_length():
-            return 1
-        if bl * e < n.bit_length():
-            return -1
-        # gray zone: t has at most ~2x n's bits, safe to materialize
-        return _sign(t.base ** e - n)
+        value = _pow_vs_limit(t.base, t.exponent.value, n + 1)
+        return 1 if value is None else _sign(value - n)
     # canonical sub-tower exponent: value(exponent) > 10**budget, so
     # t >= 2**(10**budget); any int that fits in that many bits loses
     if n.bit_length() <= _limit(digit_budget):

@@ -18,6 +18,7 @@ from itertools import combinations, count
 from math import factorial, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+from . import _EXPORTS
 from .errors import (
     BudgetExceeded,
     EmptySet,
@@ -34,22 +35,7 @@ from .exactnum import (
     log2_interval,
 )
 
-__all__ = [
-    "EvenSetReport",
-    "check_even_set",
-    "InductionLevel",
-    "InductionTrace",
-    "induction_trace",
-    "cantor_pair",
-    "cantor_unpair",
-    "UnionItem",
-    "union_enumerate",
-    "Table1Row",
-    "table1_row",
-    "Table2Row",
-    "table2_row",
-    "TABLE2_DIGIT_BUDGET",
-]
+__all__ = _EXPORTS["finitist"]
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,12 @@ from fractions import Fraction
 from math import factorial, isqrt
 from typing import Optional
 
+from . import _EXPORTS
 from .errors import DepthZero
 from .exactnum import DyadicRational
 from .series import e_enclosure, liouville_partial
 
-__all__ = [
-    "ComputableReal",
-    "RationalStream",
-    "SqrtStream",
-    "EulerStream",
-    "LiouvilleStream",
-    "parse_real",
-]
+__all__ = _EXPORTS["reals"]
 
 
 class ComputableReal:

@@ -14,19 +14,11 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Optional
 
+from . import _EXPORTS
 from .errors import BudgetExceeded
 from .exactnum import RationalInterval
 
-__all__ = [
-    "OresmeBlock",
-    "oresme_block",
-    "harmonic_partial",
-    "geometric_partial",
-    "EulerEnclosure",
-    "e_enclosure",
-    "LiouvillePartial",
-    "liouville_partial",
-]
+__all__ = _EXPORTS["series"]
 
 
 @dataclass(frozen=True)

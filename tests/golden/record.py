@@ -83,6 +83,12 @@ EACH_FORMAT = [
     ["table", "--id", "1", "--rows", "9"],
     ["table", "--id", "2", "--rows", "4"],
     ["table", "--id", "2", "--rows", "7", "--digit-budget", "40", "--log2-bits", "16"],
+    # approximate's edge branches: prefix all zeros, prefix all ones, an
+    # irrational at the bottom edge, an exact member deeper than --depth
+    ["approx", "--real", "rat:1/1000", "--depth", "3"],
+    ["approx", "--real", "rat:999/1000", "--depth", "3"],
+    ["approx", "--real", "tau", "--depth", "3"],
+    ["approx", "--real", "rat:5/16", "--depth", "2"],
 ]
 
 PLAIN = [

@@ -312,14 +312,19 @@ class TestCanonicalize:
 class TestMagnitudeCmp:
     def test_small_towers_against_int_oracle(self):
         # budget 1 keeps every 2+ digit power symbolic, so this walks the
-        # tower-vs-exact and tower-vs-tower paths with checkable values
-        for b1 in range(2, 8):
-            for e1 in range(2, 9):
-                v1 = b1 ** e1
-                for probe in (v1 - 1, v1, v1 + 1):
-                    want = (v1 > probe) - (v1 < probe)
-                    got = magnitude_cmp(Tower(b1, Exact(e1)), Exact(probe), 1)
-                    assert got == want, (b1, e1, probe)
+        # tower-vs-exact and tower-vs-tower paths with checkable values;
+        # exponents into the thousands land the probes in the gray zone of
+        # the bit-length sandwich, and for base 2 the probe 2**e - 1 sits
+        # one below a bit-length boundary
+        cases = [(b, e) for b in range(2, 8) for e in range(2, 9)]
+        cases += [(b, e) for b in (2, 3, 10) for e in (
+            *range(9, 70), 127, 128, 255, 256, 1000, 1023, 1024, 2047, 2048, 3001, 4095, 4096)]
+        for b1, e1 in cases:
+            v1 = b1 ** e1
+            for probe in (v1 - 1, v1, v1 + 1):
+                want = (v1 > probe) - (v1 < probe)
+                got = magnitude_cmp(Tower(b1, Exact(e1)), Exact(probe), 1)
+                assert got == want, (b1, e1, probe)
 
     def test_tower_pairs_against_int_oracle(self):
         for b1 in range(2, 8):

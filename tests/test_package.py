@@ -28,6 +28,20 @@ def test_every_name_is_the_owning_modules_object():
         assert getattr(enumerant, name) is getattr(owner, name), name
 
 
+@pytest.mark.parametrize("module", sorted(enumerant._EXPORTS))
+def test_submodule_all_is_its_exports_entry(module):
+    owner = importlib.import_module(f"enumerant.{module}")
+    assert owner.__all__ == enumerant._EXPORTS[module]
+
+
+def test_names_once_left_out_of_the_package_resolve():
+    from enumerant import diagonal, finitist
+
+    assert enumerant.InductionLevel is finitist.InductionLevel
+    assert enumerant.TABLE2_DIGIT_BUDGET is finitist.TABLE2_DIGIT_BUDGET
+    assert enumerant.EnumerationSource is diagonal.EnumerationSource
+
+
 def test_every_public_name_is_listed_before_first_use():
     listed = run_python("import enumerant; print(' '.join(dir(enumerant)))").split()
     assert set(enumerant.__all__) <= set(listed)
