@@ -11,8 +11,9 @@ The hand-built types are the ones no stdlib type covers:
 * ``DyadicRational``: canonical ``m / 2**k`` with odd numerator, restricted
   to (0, 1], the value domain of the binary-string enumeration;
 * ``RationalInterval``: closed interval with exact rational endpoints;
-* ``log2_interval``: a certified dyadic enclosure of log2(n), computed by
-  interval squaring with outward rounding, exact width ``2**-p``;
+* ``log2_interval``: a certified dyadic enclosure of log2(n), exact width
+  ``2**-p``, from two atanh series summed with floors and proven error
+  bounds;
 * ``Magnitude``: an exact natural or a symbolic tower ``base ** exponent``
   for quantities such as 2**(2**720) that must be ordered without ever
   being written out.
@@ -188,16 +189,63 @@ class RationalInterval(_Immutable):
         return f"[{self.lo}, {self.hi}]"
 
 
+def _atanh_sum(a: int, b: int, w: int) -> tuple[int, int]:
+    """(S, E) with S <= 2**w * atanh(a/b) < S + E, for 0 <= a/b <= 1/3.
+
+    S is the sum of floor(P_j / (2j+1)) with P_0 = floor(a * 2**w / b)
+    and P_{j+1} = floor(P_j * a**2 / b**2), stopped at the first P_J = 0;
+    E = 2J + 2.
+
+    Proof.  With x = a/b, 2**w * atanh(x) is the sum over j of
+    T_j / (2j+1), where T_j = 2**w * x**(2j+1).  Every floor rounds down,
+    so P_j <= T_j, no summand exceeds its term and the dropped tail is
+    positive: S <= 2**w * atanh(x).  For the other side let
+    e_j = T_j - P_j.  Then e_0 < 1 and e_{j+1} < x**2 * e_j + 1
+    <= e_j / 9 + 1, so every e_j < 9/8.  Summand j loses at most
+    e_j / (2j+1) + 1 < 2 against its term (e_0 < 1 at j = 0, and
+    9/8 / 3 + 1 after).  The tail from J on is at most
+    T_J / (2J+1) / (1 - x**2) <= 9/8 * e_J / (2J+1), since T_J = e_J:
+    below 9/8 at J = 0 and below 1/2 after.  So
+    2**w * atanh(x) - S < 2J + 9/8 < 2J + 2.
+    """
+    aa, bb = a * a, b * b
+    term = (a << w) // b
+    total, j = 0, 1
+    while term:
+        total += term // j
+        term = term * aa // bb
+        j += 2
+    return total, j + 1  # j = 2J + 1 on exit
+
+
+@lru_cache(maxsize=8)
+def _atanh_third(w: int) -> tuple[int, int]:
+    """`_atanh_sum(1, 3, w)`: ln 2 / 2, shared by every log2 at width w."""
+    return _atanh_sum(1, 3, w)
+
+
 def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
     """Certified enclosure of log2(n) with width exactly ``2**-precision_bits``.
 
-    Exact powers of two give a point interval.  Otherwise the fractional
-    bits of log2(n) are extracted one at a time by squaring a dyadic
-    enclosure of the normalized mantissa, rounding outward at a guard
-    precision of ``p + 2*bitlen(p) + 64`` bits (each squaring doubles the
-    enclosure's relative width, so the p squarings cost about p bits); if
-    rounding ever blurs a bit decision the whole computation restarts with
-    twice the guard.  Integer arithmetic throughout.
+    Exact powers of two give a point interval.  Otherwise, with
+    2**k < n < 2**(k+1) and p = precision_bits,
+
+        log2 n = k + atanh(x) / atanh(1/3),  x = (n - 2**k) / (n + 2**k) < 1/3,
+
+    since ln(n / 2**k) = 2 atanh(x) and ln 2 = 2 atanh(1/3).  Both series
+    are summed in w-bit fixed point by `_atanh_sum`, which brackets
+    2**w * atanh(x) in [A, A + E_A) and 2**w * atanh(1/3) in [L, L + E_L),
+    so log2(n) - k lies strictly between A / (L + E_L) and
+    (A + E_A) / L.  When both ends have the same floor f at 2**-p, the
+    cell [k + f/2**p, k + (f+1)/2**p] holds log2 n; it is the only such
+    cell, since log2 n is irrational.  When the floors differ, w doubles
+    and both sums are redone.
+
+    For a long n (k > w + 2), x is taken at m = n >> (k - w), the top
+    w + 1 bits: with n' = n / 2**(k - w), m <= n' < m + 1 and x depends
+    on n' alone.  atanh is monotone, x grows by at most 2**-(w+1) from
+    m to m + 1 and atanh' <= 9/8 below 1/3, so 2**w * atanh(x) lies in
+    [A, A + E_A + 1).  Integer arithmetic throughout.
     """
     if n < 1:
         raise ValueError("log2 needs n >= 1")
@@ -208,33 +256,20 @@ def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
         point = Fraction(k)
         return RationalInterval(point, point)
     p = precision_bits
-    guard = p + 2 * p.bit_length() + 64
+    w = p + 2 * p.bit_length() + 8
     while True:
-        # enclosure of the mantissa n / 2**k in [1, 2), scaled by 2**guard
-        if guard >= k:
-            lo = hi = n << (guard - k)
+        if k > w + 2:
+            m, e, cut = n >> (k - w), w, 1  # cutting n costs one unit
         else:
-            lo = n >> (k - guard)
-            hi = lo + 1
-        frac = 0
-        blurred = False
-        for _ in range(p):
-            lo = (lo * lo) >> guard
-            hi = -((-(hi * hi)) >> guard)  # round up
-            threshold = 1 << (guard + 1)
-            if hi < threshold:
-                frac = frac * 2
-            elif lo >= threshold:
-                frac = frac * 2 + 1
-                lo >>= 1
-                hi = -((-hi) >> 1)
-            else:
-                blurred = True
-                break
-        if not blurred:
-            low = Fraction(k * (1 << p) + frac, 1 << p)
-            return RationalInterval(low, low + Fraction(1, 1 << p))
-        guard *= 2
+            m, e, cut = n, k, 0
+        low, err = _atanh_sum(m - (1 << e), m + (1 << e), w)
+        third, third_err = _atanh_third(w)
+        frac = (low << p) // (third + third_err)
+        if frac == ((low + err + cut) << p) // third:
+            scale = 1 << p
+            lo = (k << p) + frac
+            return RationalInterval(Fraction(lo, scale), Fraction(lo + 1, scale))
+        w *= 2
 
 
 # ---------------------------------------------------------------------------

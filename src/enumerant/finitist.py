@@ -242,6 +242,11 @@ def table1_row(n: int) -> Table1Row:
 # the u64 scale: row cells up to 19 digits print in full, 2**64 stays symbolic
 TABLE2_DIGIT_BUDGET = 19
 
+# table --log2-bits: one log2 cell at this precision takes up to about
+# 0.3 s (CPython 3.11, one Xeon core), and over three times that for each
+# doubling past it
+_LOG2_BITS_CAP = 1 << 15
+
 
 @dataclass(frozen=True)
 class Table2Row:
@@ -282,6 +287,8 @@ def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
                log2_precision_bits: int = 32) -> Table2Row:
     if n < 1:
         raise ValueError("rows start at n=1")
+    if log2_precision_bits > _LOG2_BITS_CAP:
+        raise BudgetExceeded(requested=log2_precision_bits, cap=_LOG2_BITS_CAP)
     f = factorial(n)
     two_pow_fact = canonicalize(Tower(2, Exact(f)), digit_budget)
     return Table2Row(

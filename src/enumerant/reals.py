@@ -26,7 +26,7 @@ from typing import Optional
 from . import _EXPORTS
 from .errors import DepthZero
 from .exactnum import DyadicRational
-from .series import e_enclosure, liouville_partial
+from .series import _factorial_series, _liouville_series
 
 __all__ = _EXPORTS["reals"]
 
@@ -144,24 +144,26 @@ class SqrtStream(ComputableReal):
 
 
 class _EnclosureStream(ComputableReal):
-    """Bits from a strict rational enclosure lo < x < hi drawn from `series`.
+    """Bits from a strict enclosure lo/den < x < hi/den on plain integers.
 
-    Subclasses supply `_enclosure(terms)`, nested and shrinking to zero
-    width as `terms` grows, and `_terms_for(bits)`, a term count at which
-    the width is below 2**-bits.  A depth-d prefix tightens until the
-    enclosure fits inside one cell of width 2**-d and reads the cell's
-    floor: sound for any irrational value, which lies strictly inside
-    some cell.  `sandwich_holds` tightens the same way before it checks,
-    so it judges a recorded prefix of any depth whatever the stream's
-    own depth.
+    Subclasses supply `_enclosure(terms)`, the triple (lo, hi, den) built
+    from the integer partial sums in `series`, nested and shrinking to
+    zero width as `terms` grows, and `_terms_for(bits)`, a term count at
+    which the width is below 2**-bits.  A depth-d prefix tightens until
+    the enclosure fits inside one cell of width 2**-d and reads the
+    cell's floor: sound for any irrational value, which lies strictly
+    inside some cell.  Both decisions are integer cross-multiplications.
+    `sandwich_holds` tightens the same way before it checks, so it
+    judges a recorded prefix of any depth whatever the stream's own
+    depth.
     """
 
     def __init__(self, terms: int):
         super().__init__()
         self._terms = terms
-        self._lo, self._hi = self._enclosure(terms)
+        self._lo, self._hi, self._den = self._enclosure(terms)
 
-    def _enclosure(self, terms: int) -> tuple[Fraction, Fraction]:
+    def _enclosure(self, terms: int) -> tuple[int, int, int]:
         raise NotImplementedError
 
     def _terms_for(self, bits: int) -> int:
@@ -172,26 +174,27 @@ class _EnclosureStream(ComputableReal):
         and return that cell's floor."""
         guard = 8
         while True:
-            scaled = (self._lo.numerator << depth) // self._lo.denominator
-            if self._hi.numerator << depth <= (scaled + 1) * self._hi.denominator:
+            scaled = (self._lo << depth) // self._den
+            if self._hi << depth <= (scaled + 1) * self._den:
                 return scaled
             terms = self._terms_for(depth + guard)
             if terms > self._terms:
                 self._terms = terms
-                self._lo, self._hi = self._enclosure(terms)
+                self._lo, self._hi, self._den = self._enclosure(terms)
             guard *= 2  # if this still straddles, x lies close to a cell edge
 
     def sandwich_holds(self, scaled: int, depth: int) -> bool:
         self._floor(depth)
-        span = 1 << depth
-        return Fraction(scaled, span) <= self._lo and self._hi <= Fraction(scaled + 1, span)
+        return (scaled * self._den <= self._lo << depth
+                and self._hi << depth <= (scaled + 1) * self._den)
 
 
 class EulerStream(_EnclosureStream):
-    """The fractional part of e: `e_enclosure(n)` minus 2.
+    """The fractional part of e, from the factorial series S_n of `series`.
 
     After the term 1/n! the tail is strictly below 1/(n * n!), giving
-    the strict enclosure (S_n, S_n + 1/(n*n!)).
+    the strict enclosure (S_n - 2, S_n - 2 + 1/(n*n!)); with
+    S_n = 1 + p/n!, both ends share the denominator n * n!.
     """
 
     name = "e"
@@ -200,8 +203,9 @@ class EulerStream(_EnclosureStream):
         super().__init__(2)
 
     def _enclosure(self, terms):
-        interval = e_enclosure(terms).interval
-        return interval.lo - 2, interval.hi - 2
+        p, fact = _factorial_series(0, terms)
+        lo = terms * (p - fact)
+        return lo, lo + 1, terms * fact
 
     def _terms_for(self, bits):
         n = self._terms
@@ -215,8 +219,9 @@ class EulerStream(_EnclosureStream):
 class LiouvilleStream(_EnclosureStream):
     """The sum of 10**-(v!) over v >= 1: decimal 1s at 1, 2, 6, 24, ...
 
-    `liouville_partial(m)` bounds the tail past the v=m term strictly
-    below 2 * 10**-((m+1)!).
+    The tail past the v=m term is strictly below 2 * 10**-((m+1)!), so
+    the m-term sum p / 10**(m!) of `series` gives an enclosure over the
+    denominator 10**((m+1)!).
     """
 
     name = "tau"
@@ -225,8 +230,10 @@ class LiouvilleStream(_EnclosureStream):
         super().__init__(1)
 
     def _enclosure(self, terms):
-        part = liouville_partial(terms, cap=None)
-        return part.value, part.value + part.tail_bound
+        p, q = _liouville_series(terms)
+        scale = 10 ** (factorial(terms + 1) - factorial(terms))
+        lo = p * scale
+        return lo, lo + 2, q * scale
 
     def _terms_for(self, bits):
         m = self._terms

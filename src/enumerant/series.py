@@ -118,9 +118,16 @@ class EulerEnclosure:
 
 def _factorial_series(a: int, b: int) -> tuple[int, int]:
     """Binary splitting: (p, q) with q = (a+1)(a+2)...b and p/q the sum
-    of a!/v! over a < v <= b."""
-    if b - a == 1:
-        return 1, b
+    of a!/v! over a < v <= b.
+
+    Leaves of up to 16 terms use Horner's rule from the last term back:
+    the sum is (1 + (1 + ... (1 + 1/b) ... ) / (a+2)) / (a+1).
+    """
+    if b - a <= 16:
+        p, q = 1, b
+        for v in range(b - 1, a, -1):
+            p, q = p + q, q * v
+        return p, q
     mid = (a + b) // 2
     p_left, q_left = _factorial_series(a, mid)
     p_right, q_right = _factorial_series(mid, b)
@@ -147,6 +154,13 @@ class LiouvillePartial:
     tail_bound: Fraction
 
 
+def _liouville_series(m: int) -> tuple[int, int]:
+    """(p, q) with q = 10**(m!) and p/q the sum of 10**-(v!) over
+    1 <= v <= m."""
+    top = factorial(m)
+    return sum(10 ** (top - factorial(v)) for v in range(1, m + 1)), 10 ** top
+
+
 DEFAULT_LIOUVILLE_CAP = 7
 
 
@@ -159,6 +173,5 @@ def liouville_partial(m: int, cap: Optional[int] = DEFAULT_LIOUVILLE_CAP) -> Lio
     if cap is not None and m > cap:
         raise BudgetExceeded(requested=m, cap=cap)
     places = tuple(factorial(v) for v in range(1, m + 1))
-    value = sum((Fraction(1, 10 ** p) for p in places), Fraction(0))
     tail = Fraction(2, 10 ** factorial(m + 1))
-    return LiouvillePartial(m, value, places, tail)
+    return LiouvillePartial(m, Fraction(*_liouville_series(m)), places, tail)

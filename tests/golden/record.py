@@ -89,6 +89,10 @@ EACH_FORMAT = [
     ["approx", "--real", "rat:999/1000", "--depth", "3"],
     ["approx", "--real", "tau", "--depth", "3"],
     ["approx", "--real", "rat:5/16", "--depth", "2"],
+    # the certified e and tau streams from one bit to past several
+    # tightenings of their enclosures
+    *(["approx", "--real", real, "--depth", depth]
+      for real in ("e", "tau") for depth in ("1", "2", "5", "33", "64", "200")),
 ]
 
 PLAIN = [
@@ -99,6 +103,9 @@ PLAIN = [
     ["harmonic", "--blocks", "6"],
     ["theorem", "--exhaustive", "4"],
     ["pair", "--unpair", "8"],
+    # table 2's log2 column from one bit to deep precision
+    *(["table", "--id", "2", "--rows", "9", "--log2-bits", bits]
+      for bits in ("1", "5", "100", "1024", "4096")),
 ]
 
 # the row-producing PLAIN invocations again in csv and json-lines; their
@@ -110,6 +117,7 @@ EACH_TABULAR = [
     ["theorem", "--exhaustive", "4"],
     ["pair", "--unpair", "8"],
     ["enum", "--count", "0"],
+    ["table", "--id", "2", "--rows", "9", "--log2-bits", "1024"],
 ]
 
 # domain errors (exit 1) and usage errors (exit 2)
@@ -146,6 +154,8 @@ FAILURE = [
     ["locate", "--value", "1"],
     ["locate", "--value", "1e20000"],
     ["locate", "--value", "1e50000"],
+    # one past the log2 precision cap: refused before the first row
+    ["table", "--id", "2", "--rows", "9", "--log2-bits", "32769"],
 ]
 
 # the first domain errors again in json-lines

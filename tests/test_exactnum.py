@@ -184,6 +184,40 @@ class TestValueSemantics:
         assert type(twin) is cls and twin == value and repr(twin) == text
 
 
+def log2_by_squaring(n: int, p: int) -> RationalInterval:
+    """Independent oracle: the fractional bits of log2(n) one at a time,
+    by squaring a dyadic enclosure of the mantissa n / 2**k with outward
+    rounding at a guard precision; a blurred bit decision restarts with
+    twice the guard."""
+    k = n.bit_length() - 1
+    if n == 1 << k:
+        return RationalInterval(Fraction(k), Fraction(k))
+    guard = p + 2 * p.bit_length() + 64
+    while True:
+        if guard >= k:
+            lo = hi = n << (guard - k)
+        else:
+            lo = n >> (k - guard)
+            hi = lo + 1
+        frac = 0
+        for _ in range(p):
+            lo = (lo * lo) >> guard
+            hi = -((-(hi * hi)) >> guard)  # round up
+            threshold = 1 << (guard + 1)
+            if hi < threshold:
+                frac = frac * 2
+            elif lo >= threshold:
+                frac = frac * 2 + 1
+                lo >>= 1
+                hi = -((-hi) >> 1)
+            else:
+                break
+        else:
+            low = Fraction(k * (1 << p) + frac, 1 << p)
+            return RationalInterval(low, low + Fraction(1, 1 << p))
+        guard *= 2
+
+
 def _mp_contains(iv, x):
     lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
     hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
@@ -248,6 +282,21 @@ class TestLog2Interval:
         assert (iv.lo * (1 << p)).denominator == 1
         with mpmath.workprec(p + 256):
             assert _mp_contains(iv, mpmath.log(n, 2))
+
+    @given(st.integers(1, (1 << 70) - 1), st.integers(1, 1024))
+    def test_same_cell_as_squaring(self, n, p):
+        assert log2_interval(n, p) == log2_by_squaring(n, p)
+
+    @given(st.integers(100, 5000).flatmap(
+        lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)), st.integers(1, 1024))
+    def test_long_n_is_cut_outward(self, n, p):
+        # n longer than the working width plus two bits is cut to its top bits
+        assert log2_interval(n, p) == log2_by_squaring(n, p)
+
+    @pytest.mark.parametrize("n", [3, 0x2B3C_4D5E_6F70_8192_A3])
+    @pytest.mark.parametrize("p", [2048, 4096])
+    def test_same_cell_as_squaring_deep(self, n, p):
+        assert log2_interval(n, p) == log2_by_squaring(n, p)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -389,6 +389,14 @@ class TestTableTwo:
         with pytest.raises(ValueError):
             table2_row(0)
 
+    def test_log2_precision_cap(self):
+        at_cap = table2_row(3, log2_precision_bits=1 << 15)
+        assert at_cap.log2_n.width == Fraction(1, 1 << (1 << 15))
+        for n in (1, 3):
+            with pytest.raises(BudgetExceeded) as exc:
+                table2_row(n, log2_precision_bits=(1 << 15) + 1)
+            assert str(exc.value) == "BudgetExceeded requested=32769 cap=32768"
+
 
 class TestRandomizedEvenSets:
     def test_seeded_sample(self):

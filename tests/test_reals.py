@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 import mpmath
 import pytest
@@ -119,6 +119,43 @@ class TestSeriesStreams:
         # both brackets contain e - 2, so they must overlap
         assert Fraction(scaled, 1 << 40) < iv.hi - 2
         assert iv.lo - 2 < Fraction(scaled + 1, 1 << 40)
+
+
+def fraction_e_enclosures(last):
+    """Independent oracle: (n, lo, hi) with S_n = the sum of 1/v! over
+    0 <= v <= n as a reduced Fraction and (lo, hi) = (S_n - 2,
+    S_n - 2 + 1/(n*n!)), for n = 1..last."""
+    total, fact = Fraction(1), 1
+    for n in range(1, last + 1):
+        fact *= n
+        total += Fraction(1, fact)
+        yield n, total - 2, total - 2 + Fraction(1, n * fact)
+
+
+def fraction_tau_enclosures(last):
+    """Independent oracle: (m, lo, hi) with lo the sum of 10**-(v!) over
+    1 <= v <= m as a reduced Fraction and hi = lo + 2 * 10**-((m+1)!)."""
+    total = Fraction(0)
+    for m in range(1, last + 1):
+        total += Fraction(1, 10 ** factorial(m))
+        yield m, total, total + Fraction(2, 10 ** factorial(m + 1))
+
+
+class TestIntegerEnclosures:
+    # the streams hold lo/den < x < hi/den as integers; each triple must
+    # be the Fraction enclosure the series define
+    def test_euler(self):
+        stream = EulerStream()
+        for n, lo, hi in fraction_e_enclosures(300):
+            if n >= 2:
+                num_lo, num_hi, den = stream._enclosure(n)
+                assert (Fraction(num_lo, den), Fraction(num_hi, den)) == (lo, hi), n
+
+    def test_tau(self):
+        stream = LiouvilleStream()
+        for m, lo, hi in fraction_tau_enclosures(7):
+            num_lo, num_hi, den = stream._enclosure(m)
+            assert (Fraction(num_lo, den), Fraction(num_hi, den)) == (lo, hi), m
 
 
 class TestStreamInvariants:
