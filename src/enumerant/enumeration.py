@@ -181,7 +181,8 @@ def approximate(x: "ComputableReal", depth: int) -> ApproximationReport:
         lower_half = bits[depth] == "0"
         best = DyadicRational(scaled if lower_half else scaled + 1, depth)
         bound = Fraction(1, 2 * top)
-    index = locate_value(best)
+    best_bits = best.bits()
+    index = string_to_index(best_bits)
     return ApproximationReport(
         target=x.name,
         depth=depth,
@@ -192,7 +193,7 @@ def approximate(x: "ComputableReal", depth: int) -> ApproximationReport:
             "every enumerated entry is a terminating binary fraction; "
             f"the target is certified distinct from every dyadic of exponent <= {depth}"),
         best_index=index,
-        best_bits=index_to_string(index),
+        best_bits=best_bits,
         best_value=best,
         error_bound=bound,
     )

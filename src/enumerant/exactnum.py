@@ -18,9 +18,10 @@ The hand-built types are the ones no stdlib type covers:
   for quantities such as 2**(2**720) that must be ordered without ever
   being written out.
 
-The value types are small immutable ``__slots__`` classes on one shared
-base, each with its own ``__init__``, equality and hash, so importing
-this module (and the package's CLI) never loads ``dataclasses``.
+The value types are small immutable ``__slots__`` classes, each with its
+own ``__init__``, on one base that states equality, hashing, copying and
+repr once from the fields; importing this module (and the package's CLI)
+never loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ def _sign(n: int) -> int:
 
 class _Immutable:
     """Base of the value types: fields are ``__slots__`` set once by
-    ``__init__``.  Copies and pickles rebuild an instance by calling the
-    class on its fields in slot order, so ``__init__`` must take them
-    positionally in that order."""
+    ``__init__``, equal only within one class and hashed as a tuple.
+    Copies and pickles call the class on its fields in slot order, so
+    ``__init__`` must take them positionally in that order."""
 
     __slots__ = ()
 
@@ -53,11 +54,25 @@ class _Immutable:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self.__slots__:  # magnitude_cmp is slower on a built tuple
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(self._fields())
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._fields()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._fields()))
         return f"{type(self).__name__}({fields})"
 
 
@@ -105,16 +120,8 @@ class DyadicRational(_Immutable):
             raise OutOfRange(value="1", note="1 has no fractional expansion")
         return format(self.numerator, f"0{self.exponent}b")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self.numerator == other.numerator and self.exponent == other.exponent
-
     def __lt__(self, other: "DyadicRational") -> bool:
         return self.value < other.value
-
-    def __hash__(self):
-        return hash((self.numerator, self.exponent))
 
     def __str__(self) -> str:
         return f"{self.numerator}/{1 << self.exponent}" if self.exponent else "1"
@@ -157,14 +164,6 @@ class RationalInterval(_Immutable):
             raise ValueError("interval endpoints out of order")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     @property
     def width(self) -> Fraction:
@@ -290,14 +289,6 @@ class Exact(Magnitude):
     def __init__(self, value: int):
         object.__setattr__(self, "value", value)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class Tower(Magnitude):
     """Symbolic ``base ** exponent`` with a natural base >= 2."""
@@ -307,14 +298,6 @@ class Tower(Magnitude):
     def __init__(self, base: int, exponent: Magnitude):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.base == other.base and self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash((self.base, self.exponent))
 
 
 DEFAULT_DIGIT_BUDGET = 10_000
@@ -510,14 +493,6 @@ class Reciprocal(_Immutable):
 
     def __init__(self, denominator: Magnitude):
         object.__setattr__(self, "denominator", denominator)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.denominator == other.denominator
-
-    def __hash__(self):
-        return hash((self.denominator,))
 
 
 def render_reciprocal(r: Reciprocal) -> str:

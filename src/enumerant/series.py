@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Optional
 
 from . import _EXPORTS
 from .errors import BudgetExceeded
@@ -161,17 +160,16 @@ def _liouville_series(m: int) -> tuple[int, int]:
     return sum(10 ** (top - factorial(v)) for v in range(1, m + 1)), 10 ** top
 
 
-DEFAULT_LIOUVILLE_CAP = 7
+# a growth guard: the m-th sum's denominator 10**(m!) has 40321 digits at m = 8
+_LIOUVILLE_CAP = 7
 
 
-def liouville_partial(m: int, cap: Optional[int] = DEFAULT_LIOUVILLE_CAP) -> LiouvillePartial:
-    """Exact m-term partial sum.  The cap is a growth guard (the m-th term
-    already has 10**(m!) in the denominator), not a domain boundary; pass
-    a bigger cap or None to go past it deliberately."""
+def liouville_partial(m: int) -> LiouvillePartial:
+    """Exact m-term partial sum; m past `_LIOUVILLE_CAP` raises `BudgetExceeded`."""
     if m < 1:
         raise ValueError("need m >= 1")
-    if cap is not None and m > cap:
-        raise BudgetExceeded(requested=m, cap=cap)
+    if m > _LIOUVILLE_CAP:
+        raise BudgetExceeded(requested=m, cap=_LIOUVILLE_CAP)
     places = tuple(factorial(v) for v in range(1, m + 1))
     tail = Fraction(2, 10 ** factorial(m + 1))
     return LiouvillePartial(m, Fraction(*_liouville_series(m)), places, tail)

@@ -156,6 +156,14 @@ FAILURE = [
     ["locate", "--value", "1e50000"],
     # one past the log2 precision cap: refused before the first row
     ["table", "--id", "2", "--rows", "9", "--log2-bits", "32769"],
+    # one past the Liouville term cap
+    ["series", "--name", "tau", "--terms", "8"],
+    # an unknown real, refused by argparse
+    ["approx", "--real", "bogus", "--depth", "3"],
+    # certificates with the wrong padding rule, no text, and too few records
+    ["diag", "--verify", "pad-ones.txt"],
+    ["diag", "--verify", "empty.txt"],
+    ["diag", "--verify", "short.txt"],
 ]
 
 # the first domain errors again in json-lines
@@ -170,6 +178,7 @@ FAILURE_JSON = [
     ["theorem", "--set", "2,4,5"],
     ["theorem", "--exhaustive", "25"],
     ["diag", "--verify", "tampered.txt"],
+    ["series", "--name", "tau", "--terms", "8"],
 ]
 
 HELP = [["--help"]] + [[command, "--help"] for command in (

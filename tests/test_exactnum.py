@@ -147,6 +147,16 @@ VALUES = [
 ]
 
 
+# for each class, one other valid value of each field
+OTHER = {
+    DyadicRational: {"numerator": 1, "exponent": 3},
+    RationalInterval: {"lo": Fraction(0), "hi": Fraction(3, 4)},
+    Exact: {"value": 65},
+    Tower: {"base": 3, "exponent": Exact(65)},
+    Reciprocal: {"denominator": Exact(7)},
+}
+
+
 @pytest.mark.parametrize("cls, fields, text", VALUES, ids=[c.__name__ for c, _, _ in VALUES])
 class TestValueSemantics:
     def test_immutable(self, cls, fields, text):
@@ -163,6 +173,13 @@ class TestValueSemantics:
         assert cls(*row) == cls(*row) and not cls(*row) != cls(*row)
         assert cls(*row) != row and not cls(*row) == row
         assert cls(*row).__eq__(row) is NotImplemented
+
+    def test_unequal_when_one_field_differs(self, cls, fields, text):
+        value = cls(*fields.values())
+        for name, other in OTHER[cls].items():
+            changed = cls(*{**fields, name: other}.values())
+            assert changed != value and not changed == value, name
+            assert value != changed and not value == changed, name
 
     def test_hash_is_the_hash_of_the_fields(self, cls, fields, text):
         assert hash(cls(*fields.values())) == hash(tuple(fields.values()))

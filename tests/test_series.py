@@ -166,14 +166,12 @@ class TestLiouvillePartials:
     def test_tail_bound_brackets_the_next_partial(self):
         for m in range(1, 6):
             part = liouville_partial(m)
-            richer = liouville_partial(m + 1, cap=None)
+            richer = liouville_partial(m + 1)
             assert part.value < richer.value < part.value + part.tail_bound
 
     def test_growth_guard(self):
         with pytest.raises(BudgetExceeded):
             liouville_partial(8)
-        assert liouville_partial(8, cap=None).one_places[-1] == 40320
-        assert liouville_partial(8, cap=8).m == 8
 
     def test_digit_probe_helper(self):
         part = liouville_partial(4)
