@@ -70,4 +70,4 @@ class NotEvenPositiveDistinct(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """A growth guard tripped; raise the cap explicitly to go further."""
+    """A growth guard tripped: the work asked for is past a fixed budget."""

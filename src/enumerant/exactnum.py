@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from . import _EXPORTS
-from .errors import EmptyString, OutOfRange
+from .errors import BudgetExceeded, EmptyString, OutOfRange
 
 __all__ = _EXPORTS["exactnum"]
 
@@ -223,6 +223,11 @@ def _atanh_third(w: int) -> tuple[int, int]:
     return _atanh_sum(1, 3, w)
 
 
+# one log2 enclosure of a short n at this precision: about 0.13 s (CPython
+# 3.11, one Xeon core), and about four times that for each doubling past it
+_LOG2_BITS_CAP = 1 << 15
+
+
 def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
     """Certified enclosure of log2(n) with width exactly ``2**-precision_bits``.
 
@@ -244,12 +249,15 @@ def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
     w + 1 bits: with n' = n / 2**(k - w), m <= n' < m + 1 and x depends
     on n' alone.  atanh is monotone, x grows by at most 2**-(w+1) from
     m to m + 1 and atanh' <= 9/8 below 1/3, so 2**w * atanh(x) lies in
-    [A, A + E_A + 1).  Integer arithmetic throughout.
+    [A, A + E_A + 1).  Integer arithmetic throughout.  A precision past
+    ``_LOG2_BITS_CAP`` raises `BudgetExceeded` before any work.
     """
     if n < 1:
         raise ValueError("log2 needs n >= 1")
     if precision_bits < 1:
         raise ValueError("precision must be at least one bit")
+    if precision_bits > _LOG2_BITS_CAP:
+        raise BudgetExceeded(requested=precision_bits, cap=_LOG2_BITS_CAP)
     k = n.bit_length() - 1
     if n == 1 << k:
         point = Fraction(k)
@@ -335,18 +343,19 @@ def canonicalize(m: Magnitude, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Magn
     if not isinstance(m, Tower):
         raise TypeError(f"not a magnitude: {m!r}")
     exp = canonicalize(m.exponent, digit_budget)
+    e = exp.value if isinstance(exp, Exact) else None
     if m.base == 0:
-        return Exact(1) if exp == Exact(0) else Exact(0)
+        return Exact(1) if e == 0 else Exact(0)
     if m.base == 1:
         return Exact(1)
     if m.base < 0:
         raise ValueError("magnitudes are naturals")
-    if exp == Exact(0):
+    if e == 0:
         return Exact(1)
-    if exp == Exact(1):
+    if e == 1:
         return Exact(m.base)
-    if isinstance(exp, Exact):
-        value = _pow_vs_limit(m.base, exp.value, _limit(digit_budget))
+    if e is not None:
+        value = _pow_vs_limit(m.base, e, _limit(digit_budget))
         if value is not None:
             return Exact(value)
     return Tower(m.base, exp)
@@ -377,8 +386,6 @@ def _primitive_base(b: int) -> tuple[int, int]:
 
 def _cmp_tower_int(t: Tower, n: int, digit_budget: int) -> int:
     """Sign of (value of canonical tower t) - n."""
-    if n < 2:
-        return 1
     if isinstance(t.exponent, Exact):
         value = _pow_vs_limit(t.base, t.exponent.value, n + 1)
         return 1 if value is None else _sign(value - n)
@@ -394,20 +401,12 @@ def _cmp_scaled(k1: int, e1: Magnitude, k2: int, e2: Magnitude,
     """Sign of k1*value(e1) - k2*value(e2) for positive int scales."""
     if isinstance(e1, Exact) and isinstance(e2, Exact):
         return _sign(k1 * e1.value - k2 * e2.value)
-    if e1 == e2:
-        return _sign(k1 - k2)
     if isinstance(e1, Exact):
         return -_cmp_scaled(k2, e2, k1, e1, digit_budget)
     if isinstance(e2, Exact):
         # k1*V1 vs m: compare V1 against m // k1 and settle by remainder
-        m = k2 * e2.value
-        q, r = divmod(m, k1)
-        c = _cmp_tower_int(e1, q, digit_budget)
-        if c > 0:
-            return 1
-        if c < 0:
-            return -1
-        return _sign(0 - r)
+        q, r = divmod(k2 * e2.value, k1)
+        return _cmp_tower_int(e1, q, digit_budget) or -_sign(r)
     c = magnitude_cmp(e1, e2, digit_budget)
     if c == 0:
         return _sign(k1 - k2)
@@ -418,16 +417,11 @@ def _cmp_scaled(k1: int, e1: Magnitude, k2: int, e2: Magnitude,
     raise ValueError("comparison would exceed the digit budget")
 
 
-def _cmp_pow_pow(c1: int, m1: int, c2: int, m2: int) -> int:
+def _cmp_log2(c1: int, m1: int, c2: int, m2: int) -> int:
     """Order c1**m1 vs c2**m2 for distinct primitive bases (so never equal),
-    by refining certified log2 enclosures until they separate."""
-    bl1, bl2 = c1.bit_length(), c2.bit_length()
-    if (bl1 - 1) * m1 >= bl2 * m2:
-        return 1
-    if (bl2 - 1) * m2 >= bl1 * m1:
-        return -1
+    doubling certified log2 precision up to `log2_interval`'s budget."""
     precision = 32
-    while precision <= (1 << 20):
+    while True:
         i1 = log2_interval(c1, precision)
         i2 = log2_interval(c2, precision)
         if i1.lo * m1 > i2.hi * m2:
@@ -435,7 +429,6 @@ def _cmp_pow_pow(c1: int, m1: int, c2: int, m2: int) -> int:
         if i1.hi * m1 < i2.lo * m2:
             return -1
         precision *= 2
-    raise ValueError("log2 refinement failed to separate the towers")
 
 
 def _cmp_tower_tower(s: Tower, t: Tower, digit_budget: int) -> int:
@@ -446,15 +439,15 @@ def _cmp_tower_tower(s: Tower, t: Tower, digit_budget: int) -> int:
     e1, e2 = s.exponent, t.exponent
     if c1 == c2:
         return _cmp_scaled(k1, e1, k2, e2, digit_budget)
-    if isinstance(e1, Exact) and isinstance(e2, Exact):
-        return _cmp_pow_pow(c1, k1 * e1.value, c2, k2 * e2.value)
-    # distinct bases, at least one symbolic exponent: settle by the
-    # 2-power sandwich 2**((bl-1)*e) <= c**e < 2**(bl*e)
+    # distinct bases: the 2-power sandwich 2**((bl-1)*e) <= c**e < 2**(bl*e),
+    # then log2 refinement when both exponents are exact
     bl1, bl2 = c1.bit_length(), c2.bit_length()
     if _cmp_scaled(k1 * (bl1 - 1), e1, k2 * bl2, e2, digit_budget) >= 0:
         return 1
     if _cmp_scaled(k2 * (bl2 - 1), e2, k1 * bl1, e1, digit_budget) >= 0:
         return -1
+    if isinstance(e1, Exact) and isinstance(e2, Exact):
+        return _cmp_log2(c1, k1 * e1.value, c2, k2 * e2.value)
     raise ValueError("comparison would exceed the digit budget")
 
 
@@ -466,7 +459,8 @@ def magnitude_cmp(a: Magnitude, b: Magnitude,
     Every comparison the package itself produces is decidable here.  A
     handful of adversarial cross-base pairs whose exponents both exceed
     the budget and whose bit-length sandwiches interleave raise
-    ValueError rather than return a guess.
+    ValueError rather than return a guess, and a log2 refinement past
+    ``_LOG2_BITS_CAP`` bits raises BudgetExceeded.
     """
     a = canonicalize(a, digit_budget)
     b = canonicalize(b, digit_budget)
@@ -496,7 +490,7 @@ class Reciprocal(_Immutable):
 
 
 def render_reciprocal(r: Reciprocal) -> str:
-    if r.denominator == Exact(1):
+    if isinstance(r.denominator, Exact) and r.denominator.value == 1:
         return "1"
     return f"1/{render_magnitude(r.denominator)}"
 

@@ -243,12 +243,6 @@ def table1_row(n: int) -> Table1Row:
 # the u64 scale: row cells up to 19 digits print in full, 2**64 stays symbolic
 TABLE2_DIGIT_BUDGET = 19
 
-# table --log2-bits: one log2 cell at this precision takes up to about
-# 0.3 s (CPython 3.11, one Xeon core), and over three times that for each
-# doubling past it
-_LOG2_BITS_CAP = 1 << 15
-
-
 @dataclass(frozen=True)
 class Table2Row:
     """Row n of the fast-growth table, slowest column first:
@@ -288,15 +282,14 @@ def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
                log2_precision_bits: int = 32) -> Table2Row:
     if n < 1:
         raise ValueError("rows start at n=1")
-    if log2_precision_bits > _LOG2_BITS_CAP:
-        raise BudgetExceeded(requested=log2_precision_bits, cap=_LOG2_BITS_CAP)
+    log2_n = log2_interval(n, log2_precision_bits)  # checks its budget first
     f = factorial(n)
     two_pow_fact = canonicalize(Tower(2, Exact(f)), digit_budget)
     return Table2Row(
         n=n,
         recip_two_pow_fact=Reciprocal(two_pow_fact),
         recip_fact=Fraction(1, f),
-        log2_n=log2_interval(n, log2_precision_bits),
+        log2_n=log2_n,
         n_value=Exact(n),
         two_pow=canonicalize(Tower(2, Exact(n)), digit_budget),
         fact=Exact(f),

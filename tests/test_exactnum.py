@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from enumerant.errors import EmptyString, OutOfRange
+from enumerant.errors import BudgetExceeded, EmptyString, OutOfRange
 from enumerant.exactnum import (
     DEFAULT_DIGIT_BUDGET,
     DyadicRational,
@@ -320,6 +320,9 @@ class TestLog2Interval:
             log2_interval(0)
         with pytest.raises(ValueError):
             log2_interval(3, 0)
+        with pytest.raises(BudgetExceeded) as exc:
+            log2_interval(3, (1 << 15) + 1)
+        assert str(exc.value) == "BudgetExceeded requested=32769 cap=32768"
 
 
 class TestIntegerRoots:
@@ -349,6 +352,7 @@ class TestCanonicalize:
     def test_degenerate_towers(self):
         assert canonicalize(Tower(0, Exact(0))) == Exact(1)
         assert canonicalize(Tower(0, Exact(5))) == Exact(0)
+        assert canonicalize(Tower(0, Tower(2, Exact(40000)))) == Exact(0)
         assert canonicalize(Tower(1, Tower(9, Exact(9)))) == Exact(1)
         assert canonicalize(Tower(7, Exact(0))) == Exact(1)
         assert canonicalize(Tower(7, Exact(1))) == Exact(7)
@@ -411,6 +415,12 @@ class TestMagnitudeCmp:
         assert magnitude_cmp(Tower(2, Exact(80040)), Tower(3, Exact(50500))) == -1
         assert magnitude_cmp(Tower(2, Exact(80041)), Tower(3, Exact(50500))) == 1
         assert magnitude_cmp(Tower(2, Exact(80000)), Tower(3, Exact(50500))) == -1
+        # 190537/301994 is a continued-fraction convergent of 1/log2(3):
+        # the 32-bit enclosures overlap and the precision doubles once
+        edge = mpmath.log(3, 2) * 190537
+        assert 301993 < edge < 301994
+        assert magnitude_cmp(Tower(2, Exact(301994)), Tower(3, Exact(190537))) == 1
+        assert magnitude_cmp(Tower(2, Exact(301993)), Tower(3, Exact(190537))) == -1
 
     def test_equal_values_in_different_shapes(self):
         big = 10 ** 50
@@ -419,6 +429,10 @@ class TestMagnitudeCmp:
         assert magnitude_cmp(Tower(9, Exact(big)), Tower(3, Exact(2 * big))) == 0
         assert magnitude_cmp(Tower(8, Exact(big)), Tower(2, Exact(3 * big + 1))) == -1
         assert magnitude_cmp(Tower(8, Exact(big)), Tower(2, Exact(3 * big - 1))) == 1
+        # 4**(2**10) against 2**e: 2 * 2**10 vs e, settled on the remainder
+        # when the quotient ties
+        for e, want in ((2047, 1), (2048, 0), (2049, -1)):
+            assert magnitude_cmp(Tower(4, Tower(2, Exact(10))), Tower(2, Exact(e)), 1) == want
 
     def test_same_exponent_compares_bases(self):
         deep = Tower(7, Exact(50000))
@@ -451,6 +465,10 @@ class TestMagnitudeCmp:
         b = Tower(2, Tower(2, Exact(40002)))
         with pytest.raises(ValueError):
             magnitude_cmp(a, b)
+        # 2**40000 == 4**20000: equal exponents of unequal shape leave the
+        # distinct-base sandwich open, so the comparator refuses
+        with pytest.raises(ValueError):
+            magnitude_cmp(Tower(3, Tower(2, Exact(40000))), Tower(2, Tower(4, Exact(20000))))
 
     def test_total_order_on_a_mixed_bag(self):
         import functools
