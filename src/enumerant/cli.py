@@ -205,7 +205,7 @@ def _cmd_table(args) -> int:
 
     span = range(1, args.rows + 1)
     if args.id == 1:
-        _emit(Table1Row.__match_args__, [_attrs(table1_row(n)) for n in span], args.format)
+        _emit(Table1Row.__match_args__, (_attrs(table1_row(n)) for n in span), args.format)
         return 0
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
     _emit(("recip_two_pow_fact", "recip_fact", "log2_n", "n", "two_pow", "fact",

@@ -361,27 +361,25 @@ def canonicalize(m: Magnitude, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Magn
     return Tower(m.base, exp)
 
 
-def _iroot(n: int, k: int) -> int:
-    """Largest r with r**k <= n (n >= 0, k >= 1).  Integer Newton from above."""
-    if k == 1 or n < 2:
-        return n
-    if k >= n.bit_length():
-        return 1
-    r = 1 << -(-n.bit_length() // k)  # guaranteed >= the true root
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _primitive_base(b: int) -> tuple[int, int]:
-    """Write b >= 2 as c**k with k maximal; c is then not a perfect power."""
-    for j in range(b.bit_length(), 1, -1):
-        r = _iroot(b, j)
-        if r ** j == b:
-            return r, j
-    return b, 1
+def _common_base(b1: int, b2: int) -> Optional[tuple[int, int]]:
+    """(k1, k2) with b1 = c**k1 and b2 = c**k2 for one c, or None when no
+    power of b1 equals a power of b2 (b1, b2 >= 2).  Euclid on the unknown
+    exponents by exact division: if a > b are c**j and c**k, then
+    q = (bitlen(a) - 1) // bitlen(b) <= j/k, as 2**(bitlen(a) - 1) <= a and
+    b < 2**bitlen(b), so b**q divides a and a // b**q > 1 is again a power
+    of c; a nonzero remainder proves that no common base exists.  Reading q
+    from bit lengths keeps the steps O(log) where dividing by b would not.
+    """
+    a, b, p1, q1, p2, q2 = b1, b2, 1, 0, 0, 1  # b1 = a**p1 * b**q1, b2 = a**p2 * b**q2
+    while a != b:
+        if a < b:
+            a, b, p1, q1, p2, q2 = b, a, q1, p1, q2, p2
+        q = max(1, (a.bit_length() - 1) // b.bit_length())
+        a, r = divmod(a, b ** q)
+        if r:
+            return None
+        q1, q2 = q1 + q * p1, q2 + q * p2
+    return p1 + q1, p2 + q2
 
 
 def _cmp_tower_int(t: Tower, n: int, digit_budget: int) -> int:
@@ -417,13 +415,13 @@ def _cmp_scaled(k1: int, e1: Magnitude, k2: int, e2: Magnitude,
     raise ValueError("comparison would exceed the digit budget")
 
 
-def _cmp_log2(c1: int, m1: int, c2: int, m2: int) -> int:
-    """Order c1**m1 vs c2**m2 for distinct primitive bases (so never equal),
+def _cmp_log2(b1: int, m1: int, b2: int, m2: int) -> int:
+    """Order b1**m1 vs b2**m2 for bases with no common power (so never equal),
     doubling certified log2 precision up to `log2_interval`'s budget."""
     precision = 32
     while True:
-        i1 = log2_interval(c1, precision)
-        i2 = log2_interval(c2, precision)
+        i1 = log2_interval(b1, precision)
+        i2 = log2_interval(b2, precision)
         if i1.lo * m1 > i2.hi * m2:
             return 1
         if i1.hi * m1 < i2.lo * m2:
@@ -432,22 +430,24 @@ def _cmp_log2(c1: int, m1: int, c2: int, m2: int) -> int:
 
 
 def _cmp_tower_tower(s: Tower, t: Tower, digit_budget: int) -> int:
-    if s.exponent == t.exponent:
-        return _sign(s.base - t.base)
-    c1, k1 = _primitive_base(s.base)
-    c2, k2 = _primitive_base(t.base)
     e1, e2 = s.exponent, t.exponent
-    if c1 == c2:
-        return _cmp_scaled(k1, e1, k2, e2, digit_budget)
-    # distinct bases: the 2-power sandwich 2**((bl-1)*e) <= c**e < 2**(bl*e),
+    if e1 == e2:
+        return _sign(s.base - t.base)
+    shared = _common_base(s.base, t.base)
+    if shared is not None:
+        return _cmp_scaled(shared[0], e1, shared[1], e2, digit_budget)
+    # no common base: the sandwich 2**((bl-1)*e) <= b**e < 2**(bl*e), on b = c**k
+    # at least as tight as on c (bl - 1 >= k*(bitlen(c) - 1), bl <= k*bitlen(c)),
     # then log2 refinement when both exponents are exact
-    bl1, bl2 = c1.bit_length(), c2.bit_length()
-    if _cmp_scaled(k1 * (bl1 - 1), e1, k2 * bl2, e2, digit_budget) >= 0:
+    bl1, bl2 = s.base.bit_length(), t.base.bit_length()
+    if _cmp_scaled(bl1 - 1, e1, bl2, e2, digit_budget) >= 0:
         return 1
-    if _cmp_scaled(k2 * (bl2 - 1), e2, k1 * bl1, e1, digit_budget) >= 0:
+    if _cmp_scaled(bl2 - 1, e2, bl1, e1, digit_budget) >= 0:
         return -1
     if isinstance(e1, Exact) and isinstance(e2, Exact):
-        return _cmp_log2(c1, k1 * e1.value, c2, k2 * e2.value)
+        return _cmp_log2(s.base, e1.value, t.base, e2.value)
+    if magnitude_cmp(e1, e2, digit_budget) == 0:
+        return _sign(s.base - t.base)
     raise ValueError("comparison would exceed the digit budget")
 
 
@@ -456,11 +456,11 @@ def magnitude_cmp(a: Magnitude, b: Magnitude,
     """Three-way order on magnitudes, decided exactly and without ever
     materializing a value past the digit budget.
 
-    Every comparison the package itself produces is decidable here.  A
-    handful of adversarial cross-base pairs whose exponents both exceed
-    the budget and whose bit-length sandwiches interleave raise
-    ValueError rather than return a guess, and a log2 refinement past
-    ``_LOG2_BITS_CAP`` bits raises BudgetExceeded.
+    Towers go by exact division into a common base, else by bit-length
+    bounds, then certified log2 or, for equal exponents, the bases.  Folds of
+    unequal symbolic exponents against their scales raise ValueError, not a
+    guess: 16^(2^40000) vs 2^(2^40002), or 2^(2^720) vs 3^(2^719) (bases with
+    no common power).  A log2 past ``_LOG2_BITS_CAP`` bits raises BudgetExceeded.
     """
     a = canonicalize(a, digit_budget)
     b = canonicalize(b, digit_budget)

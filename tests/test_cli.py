@@ -1,6 +1,7 @@
 """End-to-end command tests: every invocation runs in process through
 ``main(argv)`` and asserts on captured stdout/stderr plus the exit code."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -303,6 +305,21 @@ class TestTable:
         rc, out, _ = run(capsys, "table", "--id", "1", "--rows", "3")
         assert rc == 0
         assert out.splitlines() == ["1 2 1 1", "2 4 4 1/2", "3 6 9 1/3"]
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+    def test_table_one_streams_its_rows(self, fmt):
+        # rows go out as they are built, as enum's do: 20000 rows held
+        # at once would take about 5 MB
+        argv = ["table", "--id", "1", "--format", fmt, "--rows"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(argv + ["1"])  # first-use imports stay out of the peak
+            tracemalloc.start()
+            try:
+                assert main(argv + ["20000"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_table_two_keeps_the_u64_cell_symbolic(self, capsys):
         rc, out, _ = run(capsys, "table", "--id", "2", "--rows", "3")

@@ -1,7 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, log2
 
 import mpmath
 import pytest
@@ -16,8 +16,7 @@ from enumerant.exactnum import (
     Reciprocal,
     Tower,
     _check_bits,
-    _iroot,
-    _primitive_base,
+    _common_base,
     canonicalize,
     decimal_digit,
     decimal_string,
@@ -325,27 +324,49 @@ class TestLog2Interval:
         assert str(exc.value) == "BudgetExceeded requested=32769 cap=32768"
 
 
-class TestIntegerRoots:
-    @given(st.integers(0, 10**36), st.integers(1, 64))
-    def test_iroot_is_the_floor_root(self, n, k):
-        r = _iroot(n, k)
-        assert r ** k <= n < (r + 1) ** k
+def _prime_exponents(n: int) -> dict:
+    """Trial-division oracle: {prime: exponent} for n >= 2."""
+    found, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        found[n] = found.get(n, 0) + 1
+    return found
 
-    def test_primitive_base_samples(self):
-        assert _primitive_base(64) == (2, 6)
-        assert _primitive_base(81) == (3, 4)
-        assert _primitive_base(36) == (6, 2)
-        assert _primitive_base(72) == (72, 1)
-        assert _primitive_base(2) == (2, 1)
 
-    @given(st.integers(2, 10**9))
-    def test_primitive_base_reconstructs(self, b):
-        c, k = _primitive_base(b)
-        assert c ** k == b
-        # c itself must not be a perfect power
-        for j in range(2, c.bit_length() + 1):
-            r = _iroot(c, j)
-            assert r ** j != c or r == c
+def _powers_of_one_base(c):
+    top = 1
+    while c ** (top + 1) <= 10**6:
+        top += 1
+    exponent = st.integers(1, top)
+    return st.tuples(exponent, exponent).map(lambda ks: (c ** ks[0], c ** ks[1]))
+
+
+class TestCommonBase:
+    def test_samples(self):
+        assert _common_base(8, 4) == (3, 2)
+        assert _common_base(16, 256) == (1, 2)
+        assert _common_base(2, 2) == (1, 1)
+        assert _common_base(72, 6) is None
+        assert _common_base(12, 18) is None
+        assert _common_base(2**120000, 2) == (120000, 1)
+
+    @given(st.one_of(st.integers(2, 1000).flatmap(_powers_of_one_base),
+                     st.tuples(st.integers(2, 10**6), st.integers(2, 10**6))))
+    def test_none_exactly_when_exponent_vectors_are_not_proportional(self, pair):
+        b1, b2 = pair
+        v1, v2 = _prime_exponents(b1), _prime_exponents(b2)
+        p0 = min(v1)
+        proportional = v1.keys() == v2.keys() and all(
+            v1[p] * v2[p0] == v2[p] * v1[p0] for p in v1)
+        shared = _common_base(b1, b2)
+        assert (shared is None) == (not proportional)
+        if shared is not None:
+            k1, k2 = shared
+            assert b1 ** k2 == b2 ** k1 and gcd(k1, k2) == 1
 
 
 class TestCanonicalize:
@@ -377,6 +398,53 @@ class TestCanonicalize:
             canonicalize(Exact(-1))
         with pytest.raises(ValueError):
             canonicalize(Tower(-2, Exact(3)))
+
+
+def _mp_log2(m):
+    """log2 of a magnitude's value, in mpmath."""
+    if isinstance(m, Exact):
+        return mpmath.log(m.value, 2)
+    e = m.exponent
+    value = mpmath.mpf(e.value) if isinstance(e, Exact) else mpmath.power(2, _mp_log2(e))
+    return value * mpmath.log(m.base, 2)
+
+
+def _mp_log2_log2(m):
+    """log2(log2(value)) in mpmath, as log2(value(exponent)) plus
+    log2(log2(base)): at depth 3 the one power taken is 2**(n*log2(c)), so
+    the result keeps its full relative precision."""
+    if isinstance(m, Exact):
+        return mpmath.log(mpmath.log(m.value, 2), 2)
+    return _mp_log2(m.exponent) + mpmath.log(mpmath.log(m.base, 2), 2)
+
+
+_TOWER_BASES = st.one_of(st.integers(2, 13), st.sampled_from(
+    [4, 8, 9, 16, 25, 27, 32, 36, 64, 81, 100, 125, 128, 243, 256, 1024]))
+
+
+def _towers(depth):
+    if depth == 0:
+        return st.builds(Exact, st.integers(2, 5000))
+    return st.builds(Tower, _TOWER_BASES, _towers(depth - 1))
+
+
+@st.composite
+def _tower_pairs(draw):
+    """Two random towers, or a tower and a neighbour of the same shape whose
+    exponent is within a step of a tie, so the sandwich and log2 get work."""
+    def neighbour(m):
+        step = draw(st.integers(-1, 1))
+        if isinstance(m, Exact):
+            return Exact(max(2, m.value + step))
+        base = draw(_TOWER_BASES)
+        if isinstance(m.exponent, Exact):
+            n = m.exponent.value * log2(m.base) // log2(base)
+            return Tower(base, Exact(max(2, int(n) + step)))
+        return Tower(base, neighbour(m.exponent))
+
+    a = draw(st.integers(0, 3).flatmap(_towers))
+    b = draw(st.one_of(st.integers(0, 3).flatmap(_towers), st.just(None)))
+    return a, neighbour(a) if b is None else b
 
 
 class TestMagnitudeCmp:
@@ -438,6 +506,18 @@ class TestMagnitudeCmp:
         deep = Tower(7, Exact(50000))
         assert magnitude_cmp(Tower(3, deep), Tower(2, deep)) == 1
         assert magnitude_cmp(Tower(2, deep), Tower(3, deep)) == -1
+        # 2**40000 == 4**20000: equal exponents of unequal shape
+        a = Tower(3, Tower(2, Exact(40000)))
+        b = Tower(2, Tower(4, Exact(20000)))
+        assert magnitude_cmp(a, b) == 1
+        assert magnitude_cmp(b, a) == -1
+        # a long base whose log2 the comparator never needs
+        base = 2**40000 + 12345
+        assert magnitude_cmp(Tower(base, Exact(5)), Tower(base + 1, Exact(5)), 30) == -1
+
+    def test_long_base_without_a_common_power(self):
+        base = (1 << 19999) | 12345
+        assert magnitude_cmp(Tower(3, Exact(1000)), Tower(base, Exact(2)), 30) == -1
 
     def test_exact_against_deep_tower(self):
         deep = Tower(2, Tower(2, Exact(40000)))
@@ -465,10 +545,20 @@ class TestMagnitudeCmp:
         b = Tower(2, Tower(2, Exact(40002)))
         with pytest.raises(ValueError):
             magnitude_cmp(a, b)
-        # 2**40000 == 4**20000: equal exponents of unequal shape leave the
-        # distinct-base sandwich open, so the comparator refuses
-        with pytest.raises(ValueError):
-            magnitude_cmp(Tower(3, Tower(2, Exact(40000))), Tower(2, Tower(4, Exact(20000))))
+
+    @given(_tower_pairs(), st.integers(1, 30))
+    def test_random_towers_against_mpmath(self, pair, budget):
+        a, b = pair
+        try:
+            got = magnitude_cmp(a, b, budget)
+        except (ValueError, BudgetExceeded):
+            return  # a refusal is not a wrong answer
+        # separated relative to the size of log2(log2(value)), which at
+        # depth 3 runs to thousands of bits before the binary point
+        with mpmath.workprec(400):
+            x, y = _mp_log2_log2(a), _mp_log2_log2(b)
+            if abs(x - y) > mpmath.mpf(2) ** -300 * (1 + max(abs(x), abs(y))):
+                assert got == (1 if x > y else -1)
 
     def test_total_order_on_a_mixed_bag(self):
         import functools
