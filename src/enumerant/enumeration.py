@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
+from operator import add
 from typing import Iterator, NamedTuple, Optional, TYPE_CHECKING
 
 from . import _EXPORTS
 from .errors import DepthZero, NotInImage, ZeroIndex
-from .exactnum import DyadicRational, _check_bits, dyadic_from_string
+from .exactnum import DyadicRational, _check_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reals import ComputableReal
@@ -113,17 +115,21 @@ def entries(count: int) -> Iterator[Entry]:
     """The first `count` entries with their dyadic values."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    for n in range(1, count + 1):
-        bits = index_to_string(n)
-        yield _new_tuple(Entry, (n, bits, dyadic_from_string(bits)))
+    odd = DyadicRational._odd  # an entry ends in 1: its value is already odd
+    for n, bits in zip(range(1, count + 1), all_strings()):
+        yield _new_tuple(Entry, (n, bits, odd(int(bits, 2), len(bits))))
+
+
+# the 8-bit reversals: entry 256*h + j is _LOW_BYTE[j] followed by entry h
+_LOW_BYTE = tuple(format(j, "08b")[::-1] for j in range(256))
 
 
 def all_strings() -> Iterator[str]:
-    """Endless iterator over the whole enumeration (index 1, 2, ...)."""
-    n = 1
-    while True:
-        yield index_to_string(n)
-        n += 1
+    """Endless iterator over the whole enumeration (index 1, 2, ...),
+    256 entries per C-level pass from index 256 on."""
+    yield from map(index_to_string, range(1, 256))
+    for head in map(index_to_string, count(1)):
+        yield from map(add, _LOW_BYTE, repeat(head))
 
 
 def locate_value(value: DyadicRational) -> int:

@@ -103,6 +103,14 @@ class DyadicRational(_Immutable):
         object.__setattr__(self, "exponent", exponent)
 
     @classmethod
+    def _odd(cls, numerator: int, exponent: int) -> "DyadicRational":
+        """Trusted: an odd numerator below ``2**exponent``, nothing checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "exponent", exponent)
+        return self
+
+    @classmethod
     def from_fraction(cls, value: Fraction) -> "DyadicRational":
         """Build from an exact rational; the denominator must be a power of 2."""
         den = value.denominator
@@ -311,7 +319,7 @@ class Tower(Magnitude):
 DEFAULT_DIGIT_BUDGET = 10_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _limit(digit_budget: int) -> int:
     return 10 ** digit_budget
 
@@ -333,8 +341,8 @@ def canonicalize(m: Magnitude, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Magn
     """Canonical form: a power is written out if and only if its value has
     at most ``digit_budget`` decimal digits; degenerate towers collapse.
 
-    Invariant used by the comparator: every canonical Tower denotes a value
-    of more than ``digit_budget`` digits.
+    Invariant: every canonical Tower denotes a value of more than
+    ``digit_budget`` digits.
     """
     if isinstance(m, Exact):
         if m.value < 0:
@@ -382,14 +390,13 @@ def _common_base(b1: int, b2: int) -> Optional[tuple[int, int]]:
     return p1 + q1, p2 + q2
 
 
-def _cmp_tower_int(t: Tower, n: int, digit_budget: int) -> int:
+def _cmp_tower_int(t: Tower, n: int) -> int:
     """Sign of (value of canonical tower t) - n."""
     if isinstance(t.exponent, Exact):
         value = _pow_vs_limit(t.base, t.exponent.value, n + 1)
         return 1 if value is None else _sign(value - n)
-    # canonical sub-tower exponent: value(exponent) > 10**budget, so
-    # t >= 2**(10**budget); any int that fits in that many bits loses
-    if n.bit_length() <= _limit(digit_budget):
+    # symbolic exponent E: t >= 2**E > n once E >= bitlen(n)
+    if _cmp_tower_int(t.exponent, n.bit_length()) >= 0:
         return 1
     raise ValueError("comparison would exceed the digit budget")
 
@@ -404,7 +411,7 @@ def _cmp_scaled(k1: int, e1: Magnitude, k2: int, e2: Magnitude,
     if isinstance(e2, Exact):
         # k1*V1 vs m: compare V1 against m // k1 and settle by remainder
         q, r = divmod(k2 * e2.value, k1)
-        return _cmp_tower_int(e1, q, digit_budget) or -_sign(r)
+        return _cmp_tower_int(e1, q) or -_sign(r)
     c = magnitude_cmp(e1, e2, digit_budget)
     if c == 0:
         return _sign(k1 - k2)
@@ -467,9 +474,9 @@ def magnitude_cmp(a: Magnitude, b: Magnitude,
     if isinstance(a, Exact) and isinstance(b, Exact):
         return _sign(a.value - b.value)
     if isinstance(a, Exact):
-        return -_cmp_tower_int(b, a.value, digit_budget)
+        return -_cmp_tower_int(b, a.value)
     if isinstance(b, Exact):
-        return _cmp_tower_int(a, b.value, digit_budget)
+        return _cmp_tower_int(a, b.value)
     return _cmp_tower_tower(a, b, digit_budget)
 
 

@@ -204,11 +204,12 @@ def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[Union
         if bounded and not live:
             raise EnumerationExhausted(requested=total, available=len(out))
         kept = []
-        for i, row in reversed(live):
+        for pair in reversed(live):
+            i, row = pair
             element = next(row, _DRY)
             if element is _DRY:
                 continue
-            kept.append((i, row))
+            kept.append(pair)
             out.append(_new_tuple(UnionItem, (i, s - i, element)))
             if len(out) == total:
                 return out

@@ -43,45 +43,30 @@ class OresmeBlock:
         return self.total >= Fraction(1, 2)
 
 
-def _reciprocal_pair(lo: int, hi: int) -> tuple[int, int]:
-    """Reduced (p, q) with p/q the sum of 1/i for lo <= i <= hi.
+def _reciprocal_terms(lo: int, hi: int) -> tuple[int, int]:
+    """(p, q), not reduced, with p/q the sum of 1/i for lo <= i <= hi.
 
-    Leaves of up to 16 terms are summed unreduced and reduced once;
-    merges add two reduced pairs the way `Fraction` does, splitting the
-    denominators' gcd out first, so every node stays in lowest terms.
+    Leaves of up to 16 terms are summed as p/q + 1/i = (p*i + q)/(q*i).
+    A merge splits the denominators' gcd out first, as `Fraction` does,
+    so q stays near the lcm of lo..hi, but leaves the numerator's common
+    factor to the caller: the one `Fraction` built at the top reduces it.
     """
     if hi - lo < 16:
         p, q = 0, 1
         for i in range(lo, hi + 1):
             p, q = p * i + q, q * i
-        g = gcd(p, q)
-        return p // g, q // g
-    t, g, s, d2 = _merge(lo, hi)
-    g2 = gcd(t, g)  # the only factor t can share with s * d2
-    return t // g2, s * (d2 // g2)
-
-
-def _merge(lo: int, hi: int) -> tuple[int, int, int, int]:
-    """(t, g, s, d2): the sum of the two reduced halves of lo..hi is
-    t / (s * d2), not yet reduced, with g = gcd(d1, d2) and s = d1 // g."""
+        return p, q
     mid = (lo + hi) // 2
-    n1, d1 = _reciprocal_pair(lo, mid)
-    n2, d2 = _reciprocal_pair(mid + 1, hi)
+    n1, d1 = _reciprocal_terms(lo, mid)
+    n2, d2 = _reciprocal_terms(mid + 1, hi)
     g = gcd(d1, d2)
     s = d1 // g
-    return n1 * (d2 // g) + n2 * s, g, s, d2
+    return n1 * (d2 // g) + n2 * s, s * d2
 
 
 def _reciprocal_sum(lo: int, hi: int) -> Fraction:
-    """Sum of 1/i for lo <= i <= hi, by a balanced tree on integer pairs.
-
-    The top merge skips its own `gcd(t, g)` step: `Fraction` reduces the
-    pair in any case.
-    """
-    if hi - lo < 16:
-        return Fraction(*_reciprocal_pair(lo, hi))
-    t, _, s, d2 = _merge(lo, hi)
-    return Fraction(t, s * d2)
+    """Sum of 1/i for lo <= i <= hi, by a balanced tree on integer pairs."""
+    return Fraction(*_reciprocal_terms(lo, hi))
 
 
 def oresme_block(k: int) -> OresmeBlock:

@@ -1,4 +1,8 @@
+import inspect
+import tracemalloc
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +10,7 @@ from hypothesis import given, strategies as st
 from enumerant.enumeration import (
     ColumnPosition,
     Entry,
+    all_strings,
     approximate,
     column_entries,
     column_index,
@@ -135,11 +140,36 @@ class TestEntries:
         assert list(entries(0)) == []
 
     def test_rows_are_entries(self):
-        for row in entries(64):
+        for row in entries(1 << 13):
             assert type(row) is Entry
             bits = index_to_string(row.index)
             assert row == Entry(row.index, bits, dyadic_from_string(bits))
             assert row._replace(index=0) == Entry(0, bits, dyadic_from_string(bits))
+
+
+class TestAllStrings:
+    def test_agrees_with_the_recursive_construction(self):
+        for n, bits in enumerate(islice(all_strings(), (1 << 12) + 300), 1):
+            assert bits == index_to_string_recursive(n)
+
+    def test_byte_seams(self):
+        # entry 256*h + j is the reversed low byte j followed by entry h
+        got = list(islice(all_strings(), 65537))
+        for n in (255, 256, 257, 511, 512, 65535, 65536, 65537):
+            assert got[n - 1] == index_to_string(n), n
+
+    def test_is_a_generator_function(self):
+        # a lazy stream, one item per step
+        assert inspect.isgeneratorfunction(all_strings)
+
+    def test_streams_in_constant_memory(self):
+        tracemalloc.start()
+        try:
+            deque(islice(all_strings(), 10 ** 6), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLocateValue:

@@ -524,6 +524,17 @@ class TestMagnitudeCmp:
         assert magnitude_cmp(Exact(10 ** 100), deep) == -1
         assert magnitude_cmp(deep, Exact(10 ** 100)) == 1
 
+    def test_long_int_against_a_symbolic_exponent(self):
+        # b**E >= 2**E > n once E >= bitlen(n), decided on E by recursion
+        # however many bits n has against the budget
+        assert magnitude_cmp(Exact(4009), Tower(3, Tower(27, Exact(744))), 1) == -1
+        deep = Tower(12, Tower(4, Tower(3, Exact(37))))
+        assert magnitude_cmp(Tower(13, Exact(3607)), deep, 1) == -1
+        # 2**(2**4) at budget 1: E = 16 settles every n of at most 16 bits
+        t = Tower(2, Tower(2, Exact(4)))
+        assert magnitude_cmp(t, Exact(2 ** 16 - 1), 1) == 1
+        assert magnitude_cmp(Exact(12345), t, 1) == -1
+
     def test_deep_towers_recurse_on_exponents(self):
         a = Tower(2, Tower(2, Exact(40000)))
         b = Tower(2, Tower(2, Exact(40001)))

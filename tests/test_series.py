@@ -43,6 +43,16 @@ class TestOresmeBlocks:
             assert block.total == fold
             assert gcd(block.total.numerator, block.total.denominator) == 1
 
+    def test_blocks_match_an_lcm_route(self):
+        # independent route: every term over the lcm L of the block's range
+        for k in range(13, 16):
+            block = oresme_block(k)
+            lcm = 1
+            for i in range(block.first, block.last + 1):
+                lcm = lcm * i // gcd(lcm, i)
+            total = sum(lcm // i for i in range(block.first, block.last + 1))
+            assert block.total == Fraction(total, lcm)
+
     def test_blocks_partition_the_harmonic_sum(self):
         total = Fraction(1)
         for k in range(1, 9):
