@@ -115,9 +115,9 @@ def entries(count: int) -> Iterator[Entry]:
     """The first `count` entries with their dyadic values."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    odd = DyadicRational._odd  # an entry ends in 1: its value is already odd
+    # an entry ends in 1, so its value is (int(bits, 2), len(bits)) as read
     for n, bits in zip(range(1, count + 1), all_strings()):
-        yield _new_tuple(Entry, (n, bits, odd(int(bits, 2), len(bits))))
+        yield _new_tuple(Entry, (n, bits, DyadicRational(int(bits, 2), len(bits))))
 
 
 # the 8-bit reversals: entry 256*h + j is _LOW_BYTE[j] followed by entry h

@@ -103,14 +103,6 @@ class DyadicRational(_Immutable):
         object.__setattr__(self, "exponent", exponent)
 
     @classmethod
-    def _odd(cls, numerator: int, exponent: int) -> "DyadicRational":
-        """Trusted: an odd numerator below ``2**exponent``, nothing checked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "exponent", exponent)
-        return self
-
-    @classmethod
     def from_fraction(cls, value: Fraction) -> "DyadicRational":
         """Build from an exact rational; the denominator must be a power of 2."""
         den = value.denominator

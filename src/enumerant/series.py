@@ -49,7 +49,8 @@ def _reciprocal_terms(lo: int, hi: int) -> tuple[int, int]:
     Leaves of up to 16 terms are summed as p/q + 1/i = (p*i + q)/(q*i).
     A merge splits the denominators' gcd out first, as `Fraction` does,
     so q stays near the lcm of lo..hi, but leaves the numerator's common
-    factor to the caller: the one `Fraction` built at the top reduces it.
+    factor to the caller: `Fraction(*_reciprocal_terms(lo, hi))`, built
+    once at the top, reduces it.
     """
     if hi - lo < 16:
         p, q = 0, 1
@@ -64,16 +65,11 @@ def _reciprocal_terms(lo: int, hi: int) -> tuple[int, int]:
     return n1 * (d2 // g) + n2 * s, s * d2
 
 
-def _reciprocal_sum(lo: int, hi: int) -> Fraction:
-    """Sum of 1/i for lo <= i <= hi, by a balanced tree on integer pairs."""
-    return Fraction(*_reciprocal_terms(lo, hi))
-
-
 def oresme_block(k: int) -> OresmeBlock:
     if k < 1:
         raise ValueError("blocks start at k=1")
     first, last = (1 << (k - 1)) + 1, 1 << k
-    return OresmeBlock(k, first, last, _reciprocal_sum(first, last))
+    return OresmeBlock(k, first, last, Fraction(*_reciprocal_terms(first, last)))
 
 
 def harmonic_partial(n: int) -> Fraction:
@@ -81,7 +77,7 @@ def harmonic_partial(n: int) -> Fraction:
     fold's ever-growing denominators make it quadratic)."""
     if n < 1:
         raise ValueError("H_n needs n >= 1")
-    return _reciprocal_sum(1, n)
+    return Fraction(*_reciprocal_terms(1, n))
 
 
 def geometric_partial(n: int) -> Fraction:
