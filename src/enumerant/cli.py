@@ -136,10 +136,11 @@ def _cmd_diag(args) -> int:
 def _cmd_harmonic(args) -> int:
     from .series import oresme_block
 
+    # the last block first: past the budget it refuses before any block is summed
+    blocks = [oresme_block(k) for k in range(args.blocks, 0, -1)]
     rows = []
     cumulative = Fraction(1)
-    for k in range(1, args.blocks + 1):
-        block = oresme_block(k)
+    for k, block in enumerate(reversed(blocks), 1):
         cumulative += block.total
         rows.append((k, block.first, block.last, block.terms, block.total, cumulative,
                      block.at_least_half, cumulative >= 1 + Fraction(k, 2)))

@@ -385,12 +385,20 @@ def _common_base(b1: int, b2: int) -> Optional[tuple[int, int]]:
 def _cmp_tower_int(t: Tower, n: int) -> int:
     """Sign of (value of canonical tower t) - n."""
     if isinstance(t.exponent, Exact):
-        value = _pow_vs_limit(t.base, t.exponent.value, n + 1)
-        return 1 if value is None else _sign(value - n)
-    # symbolic exponent E: t >= 2**E > n once E >= bitlen(n)
-    if _cmp_tower_int(t.exponent, n.bit_length()) >= 0:
+        e = t.exponent.value
+    elif _cmp_tower_int(t.exponent, n.bit_length()) >= 0:
+        # symbolic exponent E: t >= 2**E > n once E >= bitlen(n)
         return 1
-    raise ValueError("comparison would exceed the digit budget")
+    else:
+        # E < bitlen(n) is smaller than an int already held: write it out
+        e = _value(t.exponent)
+    value = _pow_vs_limit(t.base, e, n + 1)
+    return 1 if value is None else _sign(value - n)
+
+
+def _value(m: Magnitude) -> int:
+    """The value of a magnitude already known to be small, written out."""
+    return m.value if isinstance(m, Exact) else m.base ** _value(m.exponent)
 
 
 def _cmp_scaled(k1: int, e1: Magnitude, k2: int, e2: Magnitude,

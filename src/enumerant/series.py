@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from itertools import accumulate, compress
+from math import factorial, isqrt
 
 from . import _EXPORTS
 from .errors import BudgetExceeded
@@ -43,41 +44,98 @@ class OresmeBlock:
         return self.total >= Fraction(1, 2)
 
 
-def _reciprocal_terms(lo: int, hi: int) -> tuple[int, int]:
+# a growth guard on hi, the last denominator of a harmonic range, whose sieve
+# takes hi bytes: oresme_block(18) takes about 0.5 s, and block 19 over 1 s
+_HARMONIC_CAP = 1 << 18
+
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _prime_reciprocals(primes: list[int], i: int, j: int) -> tuple[int, int]:
+    """(n, d) with d the product of primes[i:j] and n/d the sum of their
+    reciprocals.  The denominators are coprime, so a merge only multiplies:
+    n1/d1 + n2/d2 = (n1*d2 + n2*d1)/(d1*d2)."""
+    if j - i <= 16:
+        n, d = 0, 1
+        for p in primes[i:j]:
+            n, d = n * p + d, d * p
+        return n, d
+    mid = (i + j) // 2
+    n1, d1 = _prime_reciprocals(primes, i, mid)
+    n2, d2 = _prime_reciprocals(primes, mid, j)
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
+def _harmonic_range(lo: int, hi: int) -> tuple[int, int]:
     """(p, q), not reduced, with p/q the sum of 1/i for lo <= i <= hi.
 
-    Leaves of up to 16 terms are summed as p/q + 1/i = (p*i + q)/(q*i).
-    A merge splits the denominators' gcd out first, as `Fraction` does,
-    so q stays near the lcm of lo..hi, but leaves the numerator's common
-    factor to the caller: `Fraction(*_reciprocal_terms(lo, hi))`, built
-    once at the top, reduces it.
+    With r = isqrt(hi), every i <= hi is either r-smooth (no prime factor
+    above r) or p*m with one prime p > r and m <= r.  Each r-smooth i and
+    each such m divides c = prod over primes s <= r of the largest power
+    of s that is <= hi, a small number (about 1.2 kbit at hi = 2**17), so
+    the smooth terms sum to a/c with a = sum of c // i.  The terms p*m for
+    one p sum to coef/(c*p), with coef = sum of c // m over
+    (lo - 1)//p < m <= hi//p; that pair of bounds is constant on runs of
+    consecutive primes, so each run's coefficient is found once and its
+    1/p are added by a product tree.  The runs fold from the smallest
+    primes up.  Their denominators are distinct primes, so past the
+    divisions of the small c nothing takes a gcd or a division:
+    `Fraction(*_harmonic_range(lo, hi))`, built once at the top, reduces.
+
+    hi past `_HARMONIC_CAP` raises `BudgetExceeded` before any work.
     """
-    if hi - lo < 16:
-        p, q = 0, 1
-        for i in range(lo, hi + 1):
-            p, q = p * i + q, q * i
-        return p, q
-    mid = (lo + hi) // 2
-    n1, d1 = _reciprocal_terms(lo, mid)
-    n2, d2 = _reciprocal_terms(mid + 1, hi)
-    g = gcd(d1, d2)
-    s = d1 // g
-    return n1 * (d2 // g) + n2 * s, s * d2
+    if hi > _HARMONIC_CAP:
+        raise BudgetExceeded(requested=hi, cap=_HARMONIC_CAP)
+    r = isqrt(hi)
+    sieve = bytearray(b"\1") * (hi + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, r + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi + 1, p)))
+    c = 1
+    for p in compress(range(r + 1), sieve[:r + 1]):
+        power = p
+        while power * p <= hi:
+            power *= p
+        c *= power
+    # smooth[i - lo] ends 0 exactly where i = p*m, p a prime above r.  The
+    # stride of each m writes 0 at m*p and 1 at m*x for composite x; in
+    # increasing m no 1 lands on an earlier 0, since m*p = m'*x with m < m'
+    # would need the prime p > r >= m' to divide x < p.
+    smooth = bytearray(b"\1") * (hi - lo + 1)
+    for m in range(1, r + 1):
+        first, last = max(r + 1, -(-lo // m)), hi // m
+        if first <= last:
+            smooth[m * first - lo:m * last - lo + 1:m] = sieve[first:last + 1].translate(_NOT)
+    a = sum(map(c.__floordiv__, compress(range(lo, hi + 1), smooth)))
+    cumulative = list(accumulate(map(c.__floordiv__, range(1, r + 1)), initial=0))
+    n, d = 0, 1
+    p = r + 1
+    while p <= hi:
+        above, below = hi // p, (lo - 1) // p
+        end = min(hi // above, (lo - 1) // below) if below else hi // above
+        if above > below:
+            primes = list(compress(range(p, end + 1), sieve[p:end + 1]))
+            n2, d2 = _prime_reciprocals(primes, 0, len(primes))
+            coef = cumulative[above] - cumulative[below]
+            n, d = n * d2 + coef * n2 * d, d * d2
+        p = end + 1
+    return a * d + n, c * d
 
 
 def oresme_block(k: int) -> OresmeBlock:
     if k < 1:
         raise ValueError("blocks start at k=1")
     first, last = (1 << (k - 1)) + 1, 1 << k
-    return OresmeBlock(k, first, last, Fraction(*_reciprocal_terms(first, last)))
+    return OresmeBlock(k, first, last, Fraction(*_harmonic_range(first, last)))
 
 
 def harmonic_partial(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n, exactly, by balanced summation (a left
-    fold's ever-growing denominators make it quadratic)."""
+    """H_n = 1 + 1/2 + ... + 1/n, exactly, over one common denominator
+    (a left fold's ever-growing denominators make it quadratic)."""
     if n < 1:
         raise ValueError("H_n needs n >= 1")
-    return Fraction(*_reciprocal_terms(1, n))
+    return Fraction(*_harmonic_range(1, n))
 
 
 def geometric_partial(n: int) -> Fraction:

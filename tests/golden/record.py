@@ -51,6 +51,8 @@ EACH_FORMAT = [
     ["series", "--name", "e", "--terms", "20"],
     ["series", "--name", "e", "--terms", "3", "--digits", "4"],
     ["series", "--name", "tau", "--terms", "4", "--digits", "40"],
+    # past block 7: sums whose numerators run to thousands of digits
+    ["harmonic", "--blocks", "14"],
     ["series", "--name", "geometric", "--terms", "10"],
     ["approx", "--real", "sqrt2", "--depth", "16"],
     ["approx", "--real", "e", "--depth", "12"],
@@ -158,6 +160,8 @@ FAILURE = [
     ["table", "--id", "2", "--rows", "9", "--log2-bits", "32769"],
     # one past the Liouville term cap
     ["series", "--name", "tau", "--terms", "8"],
+    # one past the harmonic range cap: refused before the first block
+    ["harmonic", "--blocks", "19"],
     # an unknown real, refused by argparse
     ["approx", "--real", "bogus", "--depth", "3"],
     # certificates with the wrong padding rule, no text, and too few records
@@ -179,6 +183,7 @@ FAILURE_JSON = [
     ["theorem", "--exhaustive", "25"],
     ["diag", "--verify", "tampered.txt"],
     ["series", "--name", "tau", "--terms", "8"],
+    ["harmonic", "--blocks", "19"],
 ]
 
 HELP = [["--help"]] + [[command, "--help"] for command in (

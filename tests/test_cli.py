@@ -213,6 +213,22 @@ class TestHarmonic:
         assert row["at_least_half"] is True
         assert row["block"] == "1/2"
 
+    def test_budget_refuses_before_the_first_block(self, capsys, monkeypatch):
+        import enumerant.series as series
+
+        summed, oresme_block = [], series.oresme_block
+
+        def counting(k):
+            summed.append(k)
+            return oresme_block(k)
+
+        monkeypatch.setattr(series, "oresme_block", counting)
+        rc, out, err = run(capsys, "harmonic", "--blocks", "19")
+        assert (rc, out) == (1, "")
+        assert err == "BudgetExceeded requested=524288 cap=262144\n"
+        # the refused block is the only one asked for: none was summed
+        assert summed == [19]
+
 
 class TestSeries:
     def test_e_report(self, capsys):

@@ -535,6 +535,16 @@ class TestMagnitudeCmp:
         assert magnitude_cmp(t, Exact(2 ** 16 - 1), 1) == 1
         assert magnitude_cmp(Exact(12345), t, 1) == -1
 
+    def test_symbolic_exponent_below_the_int_bit_length(self):
+        # E = 16 < bitlen(2**16) = 17: E is written out and the power decided
+        # exactly, on both sides of 65536 and at it
+        t = Tower(2, Tower(2, Exact(4)))
+        assert [magnitude_cmp(t, Exact(2 ** 16 + d), 1) for d in (-1, 0, 1)] == [1, 0, -1]
+        assert [magnitude_cmp(Exact(2 ** 16 + d), t, 1) for d in (-1, 0, 1)] == [-1, 0, 1]
+        # two symbolic levels: 2**(2**(2**4)) = 2**65536
+        deep = Tower(2, t)
+        assert [magnitude_cmp(deep, Exact(2 ** 65536 + d), 1) for d in (-1, 0, 1)] == [1, 0, -1]
+
     def test_deep_towers_recurse_on_exponents(self):
         a = Tower(2, Tower(2, Exact(40000)))
         b = Tower(2, Tower(2, Exact(40001)))

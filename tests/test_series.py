@@ -1,12 +1,16 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial, gcd
 
 import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 
 from enumerant.errors import BudgetExceeded
 from enumerant.exactnum import decimal_digit, decimal_string, pinned_decimals
 from enumerant.series import (
+    _HARMONIC_CAP,
+    _harmonic_range,
     e_enclosure,
     geometric_partial,
     harmonic_partial,
@@ -88,6 +92,61 @@ class TestHarmonic:
     def test_domain(self):
         with pytest.raises(ValueError):
             harmonic_partial(0)
+
+
+def _fold(lo, hi):
+    """The plain left fold of 1/i over lo <= i <= hi."""
+    fold = Fraction(0)
+    for i in range(lo, hi + 1):
+        fold += Fraction(1, i)
+    return fold
+
+
+class TestHarmonicRange:
+    # structural edges of the smooth / prime-run split, r = isqrt(hi):
+    @example(1, 1)  # hi < 4: r = 1, so every term but 1/1 is a prime's
+    @example(1, 2)
+    @example(2, 3)
+    @example(1, 3)
+    @example(97, 97)  # lo = hi, a prime
+    @example(2048, 2048)  # lo = hi, smooth
+    @example(100, 2999)  # hi a prime
+    @example(1, 2809)  # hi = 53**2
+    @example(1, 2600)  # hi = r**2 + 2r, the last hi with r = 50
+    @example(1300, 2600)
+    @example(2000, 2010)  # no multiple of the primes in (1005, 1999]
+    @example(1, 2048)  # hi a power of two
+    @example(1025, 2048)
+    @given(st.integers(1, 3000), st.integers(1, 3000))
+    def test_matches_a_left_fold(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        total = Fraction(*_harmonic_range(lo, hi))
+        assert total == _fold(lo, hi)
+        assert gcd(total.numerator, total.denominator) == 1
+
+    def test_budget_refuses_before_the_sieve(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as exc:
+                harmonic_partial(_HARMONIC_CAP + 1)
+            # the sieve alone would take more than _HARMONIC_CAP bytes
+            assert tracemalloc.get_traced_memory()[1] < 16 * 1024
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "BudgetExceeded requested=262145 cap=262144"
+        with pytest.raises(BudgetExceeded):
+            oresme_block(19)
+
+    def test_block_seventeen_stays_under_a_mebibyte(self):
+        # the sieve (hi bytes) and the largest run's primes dominate; no
+        # list holds every prime above isqrt(hi)
+        tracemalloc.start()
+        try:
+            _harmonic_range((1 << 16) + 1, 1 << 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGeometric:
