@@ -168,8 +168,12 @@ def _cmd_series(args) -> int:
         row = (part.m, part.value, decimal_string(part.value, args.digits),
                part.one_places, f"2/10^{factorial(part.m + 1)}")
     else:
+        value = geometric_partial(args.terms)
+        p, q = value.numerator, value.denominator
+        # the terms 2**-i, i = 1..n, summed as written: n one-bits over 2**n
+        written = p.bit_count() == p.bit_length() == q.bit_length() - 1 == args.terms
         fields = ("terms", "value", "matches_closed_form")
-        row = (args.terms, geometric_partial(args.terms), True)
+        row = (args.terms, value, written and not q & (q - 1))
     _emit(fields, [row], args.format, report=True)
     return 0
 

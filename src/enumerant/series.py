@@ -47,6 +47,10 @@ class OresmeBlock:
 # a growth guard on hi, the last denominator of a harmonic range, whose sieve
 # takes hi bytes: oresme_block(18) takes about 0.5 s, and block 19 over 1 s
 _HARMONIC_CAP = 1 << 18
+# `series --name e --terms 24000` takes about 1.0 s in process
+_E_TERMS_CAP = 24000
+# the m-th tau sum's denominator 10**(m!) has 40321 digits at m = 8
+_LIOUVILLE_CAP = 7
 
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
@@ -172,13 +176,32 @@ def _factorial_series(a: int, b: int) -> tuple[int, int]:
     return p_left * q_right + p_right, q_left * q_right
 
 
+def _e_enclosure(n: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo/den < e - 2 < hi/den over den = n*n!, from the
+    sum 2 + p/n! of 1/v! over v <= n.  The tail 1/(n+1)! * (1 + 1/(n+2) +
+    ...) is positive and below (n+2)/((n+1)*(n+1)!) < 1/(n*n!).  n past
+    `_E_TERMS_CAP` raises `BudgetExceeded` before any work."""
+    if n > _E_TERMS_CAP:
+        raise BudgetExceeded(requested=n, cap=_E_TERMS_CAP)
+    p, fact = _factorial_series(0, n)
+    lo = n * (p - fact)
+    return lo, lo + 1, n * fact
+
+
+def _e_terms(bits: int) -> int:
+    """The least n with `_e_enclosure`'s width 1/(n*n!) at most 2**-bits."""
+    n = fact = 1
+    while (n * fact).bit_length() <= bits:
+        n += 1
+        fact *= n
+    return n
+
+
 def e_enclosure(n: int) -> EulerEnclosure:
     if n < 1:
         raise ValueError("need n >= 1")
-    p, fact = _factorial_series(0, n)  # sum of 1/v! over 1 <= v <= n is p/n!
-    lo = Fraction(fact + p, fact)
-    hi = Fraction(n * (fact + p) + 1, n * fact)
-    return EulerEnclosure(n, RationalInterval(lo, hi))
+    lo, hi, den = _e_enclosure(n)
+    return EulerEnclosure(n, RationalInterval(2 + Fraction(lo, den), 2 + Fraction(hi, den)))
 
 
 @dataclass(frozen=True)
@@ -199,8 +222,22 @@ def _liouville_series(m: int) -> tuple[int, int]:
     return sum(10 ** (top - factorial(v)) for v in range(1, m + 1)), 10 ** top
 
 
-# a growth guard: the m-th sum's denominator 10**(m!) has 40321 digits at m = 8
-_LIOUVILLE_CAP = 7
+def _tau_enclosure(m: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo/den < tau < hi/den over den = 10**((m+1)!): the
+    tail past the m-th term is positive and, as its exponents step by at
+    least one, at most 10/9 of its first term 10**-((m+1)!)."""
+    p, q = _liouville_series(m)
+    scale = 10 ** (factorial(m + 1) - factorial(m))
+    return p * scale, p * scale + 2, q * scale
+
+
+def _tau_terms(bits: int) -> int:
+    """The least m with 3 * (m+1)! > bits: then `_tau_enclosure`'s width
+    2 * 10**-((m+1)!) < 2**(1 - 3 * (m+1)!) is below 2**-bits."""
+    m = 1
+    while 3 * factorial(m + 1) <= bits:
+        m += 1
+    return m
 
 
 def liouville_partial(m: int) -> LiouvillePartial:

@@ -108,6 +108,11 @@ PLAIN = [
     # table 2's log2 column from one bit to deep precision
     *(["table", "--id", "2", "--rows", "9", "--log2-bits", bits]
       for bits in ("1", "5", "100", "1024", "4096")),
+    # the e and tau streams at the bench's deepest draws, and e's enclosure
+    # far past the README sizes
+    ["approx", "--real", "e", "--depth", "4000"],
+    ["approx", "--real", "tau", "--depth", "3300"],
+    ["series", "--name", "e", "--terms", "300", "--digits", "600"],
 ]
 
 # the row-producing PLAIN invocations again in csv and json-lines; their
@@ -162,6 +167,11 @@ FAILURE = [
     ["series", "--name", "tau", "--terms", "8"],
     # one past the harmonic range cap: refused before the first block
     ["harmonic", "--blocks", "19"],
+    # one past e's term cap, and depths past the stream depth cap (the
+    # stream is asked for one bit more than --depth): refused before any work
+    ["series", "--name", "e", "--terms", "24001"],
+    ["approx", "--real", "sqrt2", "--depth", "10000000"],
+    ["approx", "--real", "rat:1/3", "--depth", "100000000"],
     # an unknown real, refused by argparse
     ["approx", "--real", "bogus", "--depth", "3"],
     # certificates with the wrong padding rule, no text, and too few records
@@ -184,6 +194,8 @@ FAILURE_JSON = [
     ["diag", "--verify", "tampered.txt"],
     ["series", "--name", "tau", "--terms", "8"],
     ["harmonic", "--blocks", "19"],
+    ["series", "--name", "e", "--terms", "24001"],
+    ["approx", "--real", "sqrt2", "--depth", "10000000"],
 ]
 
 HELP = [["--help"]] + [[command, "--help"] for command in (

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,20 @@ class TestApprox:
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--real", "pi", "--depth", "4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("real", ["sqrt2", "rat:1/3", "e", "tau"])
+    def test_depth_budget_refuses_before_any_bit(self, capsys, monkeypatch, real):
+        import enumerant.reals as reals
+
+        def reached(self, depth):
+            raise AssertionError("the budget was checked after the work began")
+
+        for kind in (reals.SqrtStream, reals.RationalStream, reals._EnclosureStream):
+            monkeypatch.setattr(kind, "_floor", reached)
+        rc, out, err = run(capsys, "approx", "--real", real, "--depth", "10000000")
+        assert (rc, out) == (1, "")
+        # `approximate` asks for one bit past --depth
+        assert err == "BudgetExceeded requested=10000001 cap=100000\n"
 
 
 class TestDiag:
@@ -265,6 +280,32 @@ class TestSeries:
     def test_geometric(self, capsys):
         rc, out, _ = run(capsys, "series", "--name", "geometric", "--terms", "10")
         assert out == "terms=10\nvalue=1023/1024\nmatches_closed_form=true\n"
+
+    @pytest.mark.parametrize("wrong", [
+        Fraction(1021, 1024),  # one of the n one-bits cleared
+        Fraction(2047, 2048),  # n + 1 terms
+        Fraction(511, 512),  # n - 1 terms
+        Fraction(3071, 3072),  # a denominator that is not a power of two
+        Fraction(1023, 1025),  # the right numerator over a denominator past 2**n
+    ])
+    def test_geometric_claim_is_checked(self, capsys, monkeypatch, wrong):
+        import enumerant.series as series
+
+        monkeypatch.setattr(series, "geometric_partial", lambda n: wrong)
+        rc, out, _ = run(capsys, "series", "--name", "geometric", "--terms", "10")
+        assert rc == 0
+        assert out == f"terms=10\nvalue={wrong}\nmatches_closed_form=false\n"
+
+    def test_e_budget_refuses_before_the_sum(self, capsys, monkeypatch):
+        import enumerant.series as series
+
+        def reached(a, b):
+            raise AssertionError("the budget was checked after the sum began")
+
+        monkeypatch.setattr(series, "_factorial_series", reached)
+        rc, out, err = run(capsys, "series", "--name", "e", "--terms", "24001")
+        assert (rc, out) == (1, "")
+        assert err == "BudgetExceeded requested=24001 cap=24000\n"
 
 
 class TestTheorem:

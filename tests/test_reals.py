@@ -4,16 +4,24 @@ from math import factorial, isqrt
 import mpmath
 import pytest
 
-from enumerant.errors import DepthZero
+from enumerant.errors import BudgetExceeded, DepthZero
 from enumerant.exactnum import DyadicRational
 from enumerant.reals import (
+    _DEPTH_CAP,
     EulerStream,
     LiouvilleStream,
     RationalStream,
     SqrtStream,
     parse_real,
 )
-from enumerant.series import e_enclosure
+from enumerant.series import (
+    _LIOUVILLE_CAP,
+    _e_enclosure,
+    _e_terms,
+    _tau_enclosure,
+    _tau_terms,
+    e_enclosure,
+)
 
 # 64-bit expansions, derived from the integer certificates below and
 # cross-checked against an independent high-precision library in-test
@@ -142,20 +150,32 @@ def fraction_tau_enclosures(last):
 
 
 class TestIntegerEnclosures:
-    # the streams hold lo/den < x < hi/den as integers; each triple must
-    # be the Fraction enclosure the series define
+    # the streams hold lo/den < x < hi/den as integers, from the triples in
+    # `series`; each triple must be the Fraction enclosure the oracles define
     def test_euler(self):
-        stream = EulerStream()
+        assert EulerStream()._enclosure is _e_enclosure
         for n, lo, hi in fraction_e_enclosures(300):
-            if n >= 2:
-                num_lo, num_hi, den = stream._enclosure(n)
-                assert (Fraction(num_lo, den), Fraction(num_hi, den)) == (lo, hi), n
+            num_lo, num_hi, den = _e_enclosure(n)
+            assert (Fraction(num_lo, den), Fraction(num_hi, den)) == (lo, hi), n
 
     def test_tau(self):
-        stream = LiouvilleStream()
+        assert LiouvilleStream()._enclosure is _tau_enclosure
         for m, lo, hi in fraction_tau_enclosures(7):
-            num_lo, num_hi, den = stream._enclosure(m)
+            num_lo, num_hi, den = _tau_enclosure(m)
             assert (Fraction(num_lo, den), Fraction(num_hi, den)) == (lo, hi), m
+
+    def test_euler_terms_are_the_least_that_fit(self):
+        assert EulerStream()._terms_for is _e_terms
+        for bits in range(1, 3000, 7):
+            n = _e_terms(bits)
+            assert n * factorial(n) >= 1 << bits, bits
+            assert n == 1 or (n - 1) * factorial(n - 1) < 1 << bits, bits
+
+    def test_tau_terms_fit(self):
+        assert LiouvilleStream()._terms_for is _tau_terms
+        for bits in (1, 5, 6, 17, 18, 71, 72, 359, 360, 2159, 2160, 15119, 15120, 120959):
+            m = _tau_terms(bits)
+            assert 2 << bits < 10 ** factorial(m + 1), bits
 
 
 class TestStreamInvariants:
@@ -204,6 +224,30 @@ class TestStreamInvariants:
                 make().prefix(0)
             with pytest.raises(DepthZero):
                 make().prefix(-3)
+
+
+class TestDepthBudget:
+    def test_refuses_before_any_work(self, monkeypatch):
+        def reached(depth):
+            raise AssertionError("the budget was checked after the work began")
+
+        for make in TestStreamInvariants.KINDS:
+            x = make()
+            monkeypatch.setattr(x, "_floor", reached)
+            with pytest.raises(BudgetExceeded) as refused:
+                x.prefix(_DEPTH_CAP + 1)
+            assert refused.value.payload == {"requested": _DEPTH_CAP + 1, "cap": _DEPTH_CAP}
+            assert x.depth == 0
+
+    def test_cap_clears_the_bench_and_stays_within_seven_tau_terms(self):
+        # the bench draws rational depths up to 75 000 plus a shift per
+        # round, and `approximate` asks for one bit more
+        assert 75_100 < _DEPTH_CAP
+        # the stream's first tightening asks for 8 guard bits
+        assert _tau_terms(_DEPTH_CAP + 8) <= _LIOUVILLE_CAP
+
+    def test_the_cap_itself_is_served(self):
+        assert RationalStream(1, 3).prefix(_DEPTH_CAP) == "01" * (_DEPTH_CAP // 2)
 
 
 class TestOneShotPrefixes:

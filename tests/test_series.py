@@ -6,10 +6,14 @@ import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
+import enumerant.series as series
 from enumerant.errors import BudgetExceeded
 from enumerant.exactnum import decimal_digit, decimal_string, pinned_decimals
+from enumerant.reals import _DEPTH_CAP, EulerStream
 from enumerant.series import (
+    _E_TERMS_CAP,
     _HARMONIC_CAP,
+    _e_terms,
     _harmonic_range,
     e_enclosure,
     geometric_partial,
@@ -210,6 +214,26 @@ class TestEulerEnclosures:
     def test_domain(self):
         with pytest.raises(ValueError):
             e_enclosure(0)
+
+    def test_budget_refuses_before_the_sum(self, monkeypatch):
+        def reached(a, b):
+            raise AssertionError("the budget was checked after the sum began")
+
+        monkeypatch.setattr(series, "_factorial_series", reached)
+        with pytest.raises(BudgetExceeded) as refused:
+            e_enclosure(_E_TERMS_CAP + 1)
+        assert refused.value.payload == {"requested": _E_TERMS_CAP + 1, "cap": _E_TERMS_CAP}
+
+    def test_the_stream_shares_the_budget(self, monkeypatch):
+        monkeypatch.setattr(series, "_E_TERMS_CAP", 20)
+        with pytest.raises(BudgetExceeded) as refused:
+            EulerStream().prefix(200)
+        assert refused.value.payload["cap"] == 20
+
+    def test_budget_sits_past_the_deepest_stream(self):
+        # a stream at the depth cap, even after its guard grows to the
+        # whole depth again, never reaches the term cap
+        assert _e_terms(2 * _DEPTH_CAP) <= _E_TERMS_CAP
 
 
 class TestLiouvillePartials:
