@@ -11,7 +11,8 @@ and everything else, exact rationals included, is its text, like
 "7/12").
 
 Exit codes: 0 success, 1 domain error (a typed one-line report on
-stderr, e.g. ``NotInImage equivalent=1``), 2 usage error.
+stderr, e.g. ``NotInImage equivalent=1``) or a stdout closed before the
+output ended (one stderr line), 2 usage error.
 
 A CLI call is mostly process start and import, so each command imports
 its own library modules when it runs; the module level imports only
@@ -206,6 +207,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from itertools import chain
+
     from .finitist import TABLE2_DIGIT_BUDGET, Table1Row, table1_row, table2_row
 
     span = range(1, args.rows + 1)
@@ -213,9 +216,10 @@ def _cmd_table(args) -> int:
         _emit(Table1Row.__match_args__, (_attrs(table1_row(n)) for n in span), args.format)
         return 0
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
+    rows = (table2_row(n, budget, args.log2_bits).cells() for n in span)
+    first = next(rows)  # every budget refuses here, before csv writes its header
     _emit(("recip_two_pow_fact", "recip_fact", "log2_n", "n", "two_pow", "fact",
-           "two_pow_fact", "tower"),
-          [table2_row(n, budget, args.log2_bits).cells() for n in span], args.format)
+           "two_pow_fact", "tower"), chain([first], rows), args.format)
     return 0
 
 
@@ -343,13 +347,22 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed stdout shows here, not at exit
+            return code
         except DomainError as err:
             print(str(err), file=sys.stderr)
             return 1
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
+        except BrokenPipeError:
+            import os
+
+            # the interpreter flushes stdout once more on exit: send it nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: stdout closed before the output ended", file=sys.stderr)
+            return 1
     finally:
         if capped:
             sys.set_int_max_str_digits(previous)

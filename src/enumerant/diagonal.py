@@ -11,8 +11,8 @@ with the construction.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, islice, repeat, takewhile, tee
-from operator import eq, itemgetter, sub, truth
+from itertools import chain, count, islice, repeat, takewhile
+from operator import eq, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import _EXPORTS
@@ -135,7 +135,7 @@ def verify_certificate(cert: DiagonalCertificate,
         return False
     if diagonal in seen:
         return False
-    if cert.occurs_in_prefix not in (None, diagonal in seen):
+    if cert.occurs_in_prefix not in (None, False):  # the scan above found none
         return False
     if cert.ends_in_one not in (None, diagonal.endswith("1")):
         return False
@@ -163,12 +163,10 @@ def certificate_from_text(text: str) -> DiagonalCertificate:
         raise ValueError(f"malformed header: {lines[0]!r}")
     stage = int(head[0][2:])
     padding = head[1][4:]
-    # each line is split once; the tee walks its field counts in step with
-    # the rows, so parsing stops at the first line without four fields
-    counted, rows = tee(map(str.split, islice(lines, 1, None)))
-    four = map(eq, map(len, counted), repeat(4))
-    wellformed = compress(rows, takewhile(truth, four))
-    values = map(int, chain.from_iterable(wellformed))
+    # each line is split once, and parsing stops at the first line without
+    # four fields; the lines before it are parsed first, so a bad int there wins
+    rows = takewhile(lambda row: len(row) == 4, map(str.split, islice(lines, 1, None)))
+    values = map(int, chain.from_iterable(rows))
     records = tuple(map(tuple.__new__, repeat(MismatchRecord),
                         zip(values, values, values, values)))
     if len(records) < len(lines) - 1:

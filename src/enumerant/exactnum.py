@@ -311,9 +311,20 @@ class Tower(Magnitude):
 DEFAULT_DIGIT_BUDGET = 10_000
 
 
+# decimal digits that one call may ask for, as a digit budget or as printed
+# places: `series --name e --terms 20 --digits` this many takes about 0.9 s
+# (CPython 3.11, one Xeon core), most of it printing; the series sum, which
+# has its own cap, runs first
+_DIGITS_CAP = 150_000
+
+
 @lru_cache(maxsize=8)
-def _limit(digit_budget: int) -> int:
-    return 10 ** digit_budget
+def _ten_to(digits: int) -> int:
+    """10**digits, refused with `BudgetExceeded` past ``_DIGITS_CAP`` before
+    it is built; every power of ten sized by a caller's count comes here."""
+    if digits > _DIGITS_CAP:
+        raise BudgetExceeded(requested=digits, cap=_DIGITS_CAP)
+    return 10 ** digits
 
 
 def _pow_vs_limit(base: int, exp: int, limit: int) -> Optional[int]:
@@ -334,7 +345,8 @@ def canonicalize(m: Magnitude, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Magn
     at most ``digit_budget`` decimal digits; degenerate towers collapse.
 
     Invariant: every canonical Tower denotes a value of more than
-    ``digit_budget`` digits.
+    ``digit_budget`` digits.  A budget past ``_DIGITS_CAP`` raises
+    `BudgetExceeded` before a power is sized against it.
     """
     if isinstance(m, Exact):
         if m.value < 0:
@@ -355,7 +367,7 @@ def canonicalize(m: Magnitude, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Magn
     if e == 1:
         return Exact(m.base)
     if e is not None:
-        value = _pow_vs_limit(m.base, e, _limit(digit_budget))
+        value = _pow_vs_limit(m.base, e, _ten_to(digit_budget))
         if value is not None:
             return Exact(value)
     return Tower(m.base, exp)
@@ -382,44 +394,49 @@ def _common_base(b1: int, b2: int) -> Optional[tuple[int, int]]:
     return p1 + q1, p2 + q2
 
 
-def _cmp_tower_int(t: Tower, n: int) -> int:
-    """Sign of (value of canonical tower t) - n."""
-    if isinstance(t.exponent, Exact):
-        e = t.exponent.value
-    elif _cmp_tower_int(t.exponent, n.bit_length()) >= 0:
-        # symbolic exponent E: t >= 2**E > n once E >= bitlen(n)
-        return 1
-    else:
-        # E < bitlen(n) is smaller than an int already held: write it out
-        e = _value(t.exponent)
-    value = _pow_vs_limit(t.base, e, n + 1)
-    return 1 if value is None else _sign(value - n)
-
-
 def _value(m: Magnitude) -> int:
     """The value of a magnitude already known to be small, written out."""
     return m.value if isinstance(m, Exact) else m.base ** _value(m.exponent)
 
 
-def _cmp_scaled(k1: int, e1: Magnitude, k2: int, e2: Magnitude,
-                digit_budget: int) -> int:
-    """Sign of k1*value(e1) - k2*value(e2) for positive int scales."""
-    if isinstance(e1, Exact) and isinstance(e2, Exact):
-        return _sign(k1 * e1.value - k2 * e2.value)
-    if isinstance(e1, Exact):
-        return -_cmp_scaled(k2, e2, k1, e1, digit_budget)
-    if isinstance(e2, Exact):
-        # k1*V1 vs m: compare V1 against m // k1 and settle by remainder
-        q, r = divmod(k2 * e2.value, k1)
-        return _cmp_tower_int(e1, q) or -_sign(r)
-    c = magnitude_cmp(e1, e2, digit_budget)
-    if c == 0:
-        return _sign(k1 - k2)
-    if c > 0 and k1 >= k2:
-        return 1
-    if c < 0 and k1 <= k2:
-        return -1
+def _cmp_scaled(k1: int, m1: Magnitude, k2: int, m2: Magnitude,
+                c: Optional[int] = None) -> int:
+    """Sign of k1*value(m1) - k2*value(m2), for positive int scales and
+    canonical magnitudes: the comparator's one recursion.  A caller that
+    already holds the unscaled order of two towers passes it as c."""
+    if isinstance(m1, Exact):
+        if isinstance(m2, Exact):
+            return _sign(k1 * m1.value - k2 * m2.value)
+        return -_cmp_scaled(k2, m2, k1, m1)
+    if isinstance(m2, Exact):
+        # k2*n = k1*q + r (0 <= r < k1), so k1*V - k2*n = k1*(V - q) - r
+        q, r = divmod(k2 * m2.value, k1) if k1 * k2 > 1 else (m2.value, 0)
+        e = m1.exponent
+        if isinstance(e, Tower) and _cmp_scaled(1, e, 1, Exact(q.bit_length())) >= 0:
+            return 1  # V >= 2**E > q once E >= bitlen(q)
+        # E is exact, or below bitlen(q), an int already held: write it out
+        value = _pow_vs_limit(m1.base, _value(e), q + 1)
+        return 1 if value is None else _sign(value - q) or -_sign(r)
+    c = _cmp_tower_tower(m1, m2) if c is None else c
+    order = _sign(k1 - k2)
+    if c * order >= 0:  # the towers and the scales agree, or one side ties
+        return c or order
+    # they disagree: the larger tower must beat the other scale on its own
+    # (k*V >= V > k'*V'), so fold that scale's bits into the sandwich
+    big, k, small = (m1, k2, m2) if c > 0 else (m2, k1, m1)
+    if _above(big, k, small):
+        return c
     raise ValueError("comparison would exceed the digit budget")
+
+
+def _above(s: Tower, k: int, t: Tower, c: Optional[int] = None) -> bool:
+    """Whether the 2-power sandwich proves s > k*t, for canonical towers
+    b**E and d**F, given the order c of E and F if the caller holds it.
+    s >= 2**((bl(b) - 1)*E); with j = bitlen(k - 1), k <= 2**j and F >= 1,
+    so k*t < 2**(bl(d)*F + j) <= 2**((bl(d) + j)*F).  On b = a**i both
+    bounds are at least as tight as on a."""
+    return _cmp_scaled(s.base.bit_length() - 1, s.exponent,
+                       t.base.bit_length() + (k - 1).bit_length(), t.exponent, c) >= 0
 
 
 def _cmp_log2(b1: int, m1: int, b2: int, m2: int) -> int:
@@ -436,48 +453,43 @@ def _cmp_log2(b1: int, m1: int, b2: int, m2: int) -> int:
         precision *= 2
 
 
-def _cmp_tower_tower(s: Tower, t: Tower, digit_budget: int) -> int:
-    e1, e2 = s.exponent, t.exponent
-    if e1 == e2:
-        return _sign(s.base - t.base)
-    shared = _common_base(s.base, t.base)
+def _cmp_tower_tower(s: Tower, t: Tower) -> int:
+    """Sign of value(s) - value(t), for canonical towers."""
+    b1, e1, b2, e2 = s.base, s.exponent, t.base, t.exponent
+    shared = _common_base(b1, b2)
     if shared is not None:
-        return _cmp_scaled(shared[0], e1, shared[1], e2, digit_budget)
-    # no common base: the sandwich 2**((bl-1)*e) <= b**e < 2**(bl*e), on b = c**k
-    # at least as tight as on c (bl - 1 >= k*(bitlen(c) - 1), bl <= k*bitlen(c)),
-    # then log2 refinement when both exponents are exact
-    bl1, bl2 = s.base.bit_length(), t.base.bit_length()
-    if _cmp_scaled(bl1 - 1, e1, bl2, e2, digit_budget) >= 0:
+        return _cmp_scaled(shared[0], e1, shared[1], e2)
+    # monotone: b1 > b2 >= 2 and E1 >= E2 give b1**E1 > b2**E2, and equal
+    # exponents leave the order to the bases (unequal, as no common power)
+    c, order = _cmp_scaled(1, e1, 1, e2), _sign(b1 - b2)
+    if c == 0 or c == order:
+        return order
+    # the exponents oppose the bases: the sandwich, then certified log2
+    if _above(s, 1, t, c):
         return 1
-    if _cmp_scaled(bl2 - 1, e2, bl1, e1, digit_budget) >= 0:
+    if _above(t, 1, s, -c):
         return -1
-    if isinstance(e1, Exact) and isinstance(e2, Exact):
-        return _cmp_log2(s.base, e1.value, t.base, e2.value)
-    if magnitude_cmp(e1, e2, digit_budget) == 0:
-        return _sign(s.base - t.base)
-    raise ValueError("comparison would exceed the digit budget")
+    if isinstance(e1, Tower) and isinstance(e2, Tower):
+        raise ValueError("comparison would exceed the digit budget")
+    # both sandwiches failed, (bl1 - 1)*E1 < bl2*E2 and (bl2 - 1)*E2 < bl1*E1:
+    # a symbolic exponent is below the exact one times a bit length, so write it out
+    return _cmp_log2(b1, _value(e1), b2, _value(e2))
 
 
 def magnitude_cmp(a: Magnitude, b: Magnitude,
                   digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
-    """Three-way order on magnitudes, decided exactly and without ever
-    materializing a value past the digit budget.
+    """Three-way order on magnitudes, decided exactly.
 
-    Towers go by exact division into a common base, else by bit-length
-    bounds, then certified log2 or, for equal exponents, the bases.  Folds of
-    unequal symbolic exponents against their scales raise ValueError, not a
-    guess: 16^(2^40000) vs 2^(2^40002), or 2^(2^720) vs 3^(2^719) (bases with
-    no common power).  A log2 past ``_LOG2_BITS_CAP`` bits raises BudgetExceeded.
+    Both sides are canonicalized once under the digit budget; past that a
+    value is written out only when an int already held bounds it.  A tower
+    goes against an int by its exponent against the int's bit length; two
+    towers go by a common base, by monotonicity, by the 2-power sandwich
+    (with any scale's bits folded in), then by certified log2.  What none
+    settles raises ValueError, not a guess: 16^(2^40000) vs 2^(2^40002), or
+    2^(2^720) vs 3^(2^719) at budget 30.  A log2 past ``_LOG2_BITS_CAP``
+    bits raises BudgetExceeded.
     """
-    a = canonicalize(a, digit_budget)
-    b = canonicalize(b, digit_budget)
-    if isinstance(a, Exact) and isinstance(b, Exact):
-        return _sign(a.value - b.value)
-    if isinstance(a, Exact):
-        return -_cmp_tower_int(b, a.value)
-    if isinstance(b, Exact):
-        return _cmp_tower_int(a, b.value)
-    return _cmp_tower_tower(a, b, digit_budget)
+    return _cmp_scaled(1, canonicalize(a, digit_budget), 1, canonicalize(b, digit_budget))
 
 
 def render_magnitude(m: Magnitude) -> str:
@@ -516,7 +528,7 @@ def decimal_string(value: Fraction, digits: int) -> str:
     whole, rem = divmod(value.numerator, value.denominator)
     if digits == 0:
         return str(whole) + ("..." if rem else "")
-    frac, tail = divmod(rem * 10 ** digits, value.denominator)
+    frac, tail = divmod(rem * _ten_to(digits), value.denominator)
     text = f"{whole}.{frac:0{digits}d}"
     return text + ("..." if tail else "")
 
@@ -525,13 +537,13 @@ def decimal_digit(value: Fraction, place: int) -> int:
     """Digit at 10**-place (place >= 1) of the truncated expansion."""
     if place < 1:
         raise ValueError("place starts at 1")
-    return (value.numerator * 10 ** place // value.denominator) % 10
+    return (value.numerator * _ten_to(place) // value.denominator) % 10
 
 
 def pinned_decimals(interval: RationalInterval, digits: int) -> Optional[str]:
     """The first `digits` decimal places shared by every point of the
     interval, or None if the endpoints disagree that early."""
-    scale = 10 ** digits
+    scale = _ten_to(digits)
     lo_floor = interval.lo.numerator * scale // interval.lo.denominator
     hi_floor = interval.hi.numerator * scale // interval.hi.denominator
     if lo_floor != hi_floor:

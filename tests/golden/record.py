@@ -178,6 +178,9 @@ FAILURE = [
     ["diag", "--verify", "pad-ones.txt"],
     ["diag", "--verify", "empty.txt"],
     ["diag", "--verify", "short.txt"],
+    # past the one digit cap: refused before any power of ten is built
+    ["series", "--name", "e", "--terms", "20", "--digits", "100000000"],
+    ["table", "--id", "2", "--rows", "9", "--digit-budget", "100000000"],
 ]
 
 # the first domain errors again in json-lines
@@ -196,6 +199,14 @@ FAILURE_JSON = [
     ["harmonic", "--blocks", "19"],
     ["series", "--name", "e", "--terms", "24001"],
     ["approx", "--real", "sqrt2", "--depth", "10000000"],
+    ["series", "--name", "e", "--terms", "20", "--digits", "100000000"],
+]
+
+# table 2's refusals again in the formats that write a header: a refusal
+# prints no stdout at all, header included
+FAILURE_TABULAR = [
+    ["table", "--id", "2", "--rows", "9", "--log2-bits", "32769"],
+    ["table", "--id", "2", "--rows", "9", "--digit-budget", "100000000"],
 ]
 
 HELP = [["--help"]] + [[command, "--help"] for command in (
@@ -205,6 +216,7 @@ INVOCATIONS = ([argv + ["--format", fmt] for argv in EACH_FORMAT for fmt in FORM
                + PLAIN
                + [argv + ["--format", fmt] for argv in EACH_TABULAR for fmt in FORMATS[1:]]
                + FAILURE + [argv + ["--format", "json-lines"] for argv in FAILURE_JSON]
+               + [argv + ["--format", fmt] for argv in FAILURE_TABULAR for fmt in FORMATS[1:]]
                + HELP)
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import enumerant
 from enumerant.cli import main
@@ -378,6 +379,21 @@ class TestTable:
                 tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+    def test_table_two_streams_its_rows(self, fmt):
+        # each row holds n! and 1/n! in full: 600 rows held at once would
+        # take over 2 MB
+        argv = ["table", "--id", "2", "--format", fmt, "--rows"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(argv + ["1"])  # first-use imports stay out of the peak
+            tracemalloc.start()
+            try:
+                assert main(argv + ["600"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 19
+
     def test_table_two_keeps_the_u64_cell_symbolic(self, capsys):
         rc, out, _ = run(capsys, "table", "--id", "2", "--rows", "3")
         assert rc == 0
@@ -457,6 +473,29 @@ class TestModuleRoute:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.splitlines()[-1] == (
             "enumerant approx: error: argument --real: invalid parse_real value: 'bogus'")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["enum", "--count", "200000"],
+        ["enum", "--count", "200000", "--format", "csv"],
+        ["enum", "--count", "200000", "--format", "json-lines"],
+        ["table", "--id", "1", "--rows", "200000", "--format", "json-lines"],
+    ])
+    def test_a_reader_that_closes_early(self, argv):
+        # far more than a pipe buffer holds, so a write meets the closed end
+        proc = subprocess.Popen([sys.executable, "-m", "enumerant.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=str(SRC)))
+        try:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b"error: stdout closed before the output ended\n"
 
 
 # runs main(argv) in a fresh interpreter and prints the modules it loaded
@@ -550,3 +589,95 @@ class TestDigitCap:
         sys.set_int_max_str_digits(0)
         want = f"OutOfRange value={5 ** 50000}/2^-50000\n"
         assert (rc, out, err) == (1, "", want)
+
+
+# A grammar of every command with its flags, each value drawn from the
+# flag's own small range or from hostile text.  Huge numbers go only to the
+# flags whose budget refuses them before any work: the rest would stream,
+# print or sum for as long as they are asked to.
+_HOSTILE = st.sampled_from(["1/0", "-1", "-40", "", " ", "x1", "3.5", "é", "\u0663"])
+_HUGE = st.integers(10 ** 9, 10 ** 40).map(str)
+_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def _value(valid, huge=False):
+    """Mostly a valid value, so that calls get past argparse."""
+    kinds = {"valid": valid, "hostile": _HOSTILE, "huge": _HUGE}
+    weights = ["valid"] * 4 + ["hostile"] + (["huge"] if huge else [])
+    return st.sampled_from(weights).flatmap(kinds.__getitem__)
+
+
+def _number(lo, hi, huge=False):
+    return _value(st.integers(lo, hi).map(str), huge)
+
+
+def _series(name):
+    capped = name in ("e", "tau")
+    return [("--name", _value(st.just(name))),
+            ("--terms", _number(1, 60 if name != "tau" else 9, huge=capped)),
+            ("--digits", _number(0, 60, huge=True))]
+
+
+def _table(table_id):
+    return [("--id", _value(st.just(str(table_id)))),
+            ("--rows", _number(1, 1000 if table_id == 1 else 12)),
+            ("--digit-budget", _number(1, 60, huge=True)),
+            ("--log2-bits", _number(1, 200, huge=True))]
+
+
+_GRAMMAR = {
+    "enum": [("--count", _number(0, 1000))],
+    "locate": [("--bits", _value(st.text("01", max_size=40))),
+               ("--value", _value(st.one_of(
+                   st.builds("{}/{}".format, st.integers(-5, 300), st.integers(0, 4096)),
+                   st.builds("{}e{}".format, st.integers(-3, 30), st.integers(-20000, 20000)))))],
+    "approx": [("--real", _value(st.sampled_from(
+                   ["sqrt2", "e", "tau", "rat:3/8", "rat:1/3", "rat:0/1", "rat:5/4",
+                    "rat:1/0", "rat:-1/2", "pi"]))),
+               ("--depth", _number(1, 200, huge=True))],
+    "diag": [("--count", _number(1, 200)),
+             ("--verify", _value(st.sampled_from(
+                 [*map(str, sorted(_INPUTS.iterdir())), str(_INPUTS), "missing.txt"])))],
+    "harmonic": [("--blocks", _number(1, 12))],
+    "series e": _series("e"),
+    "series tau": _series("tau"),
+    "series geometric": _series("geometric"),
+    "theorem": [("--set", _value(st.lists(st.integers(-4, 40), max_size=6).map(
+                    lambda xs: ",".join(map(str, xs))))),
+                ("--exhaustive", _number(1, 10, huge=True))],
+    "pair": [("--i", _number(0, 10 ** 6)), ("--j", _number(0, 10 ** 6)),
+             ("--unpair", _number(0, 10 ** 12))],
+    "table 1": _table(1),
+    "table 2": _table(2),
+}
+
+
+@st.composite
+def _invocations(draw):
+    key = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [key.split()[0]]
+    for flag, values in draw(st.permutations(_GRAMMAR[key])):
+        if draw(st.integers(0, 3)):  # most flags, the required ones too
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["plain", "csv", "json-lines", "xml"]))]
+    return argv
+
+
+class TestFuzz:
+    @given(_invocations())
+    def test_every_call_ends_in_a_status_and_at_most_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                assert stop.code == 2, argv  # argparse's usage error
+                return
+        assert code in (0, 1, 2), argv
+        if code == 1 and argv[0] == "diag" and not err.getvalue():
+            # the one exit 1 with no stderr line: an invalid certificate,
+            # whose verdict is on stdout
+            assert "false" in out.getvalue().splitlines()[-1], argv
+        elif code == 1:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv

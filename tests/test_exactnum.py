@@ -15,6 +15,7 @@ from enumerant.exactnum import (
     RationalInterval,
     Reciprocal,
     Tower,
+    _DIGITS_CAP,
     _check_bits,
     _common_base,
     canonicalize,
@@ -559,6 +560,50 @@ class TestMagnitudeCmp:
         assert magnitude_cmp(Tower(2, Exact(13)), Exact(8193), 3) == -1
         assert magnitude_cmp(Tower(2, Exact(13)), Exact(8191), 3) == 1
 
+    def test_larger_base_and_exponent_decide(self):
+        # monotone: 3 > 2 and 2**(2**100) > 2**(2**99), so no sandwich (and
+        # no scale of 2 on a tower) is needed
+        a = Tower(3, Tower(2, Tower(2, Exact(100))))
+        b = Tower(2, Tower(2, Tower(2, Exact(99))))
+        with mpmath.workprec(400):
+            assert _mp_log2_log2(a) > _mp_log2_log2(b)
+        assert magnitude_cmp(a, b, 30) == 1
+        assert magnitude_cmp(b, a, 30) == -1
+
+    def test_symbolic_exponent_in_the_band_is_written_out(self):
+        # at budget 30, 3**(2**4000) against 2**(2**4000 + 1): the exponents
+        # oppose the bases and neither sandwich holds, so the symbolic 2**4000,
+        # below bitlen(2) times the exact one, is written out for log2
+        a = Tower(3, Tower(2, Exact(4000)))
+        b = Tower(2, Exact(2 ** 4000 + 1))
+        with mpmath.workprec(400):
+            assert _mp_log2_log2(a) > _mp_log2_log2(b)
+        assert magnitude_cmp(a, b, 30) == 1
+        assert magnitude_cmp(b, a, 30) == -1
+
+    def test_scale_fold(self):
+        # 2**(3**3000) against 4**(2**1000): on the common base 2 that is
+        # 1 * 3**3000 against 2 * 2**1000, the larger tower on the smaller
+        # scale; the fold proves 3**3000 >= 2**3000 > 2 * 2**1000
+        a = Tower(2, Tower(3, Exact(3000)))
+        b = Tower(4, Tower(2, Exact(1000)))
+        assert 3 ** 3000 > 2 * 2 ** 1000  # the int oracle on the powers of 2
+        assert magnitude_cmp(a, b, 30) == 1
+        assert magnitude_cmp(b, a, 30) == -1
+
+    def test_scale_fold_counts_the_scale(self):
+        # 2**(3**8) against (2**500)**(2**4): on the base 2 that is 1 * 6561
+        # against 500 * 16 = 8000, the larger tower on the smaller scale;
+        # 2**8 >= 2**(2 * 4) covers 2**4 but not 500 * 2**4
+        a = Tower(2, Tower(3, Exact(8)))
+        b = Tower(2 ** 500, Tower(2, Exact(4)))
+        assert 3 ** 8 < 500 * 2 ** 4  # the int oracle on the powers of 2
+        for x, y, want in ((a, b, -1), (b, a, 1)):
+            try:
+                assert magnitude_cmp(x, y, 1) == want
+            except ValueError:
+                pass  # a refusal is not a wrong answer
+
     def test_undecidable_fold_raises(self):
         # 16**(2**40000) equals 2**(2**40002) but the multiplicity fold
         # across unequal symbolic exponents is out of scope: refuse loudly
@@ -580,6 +625,20 @@ class TestMagnitudeCmp:
             x, y = _mp_log2_log2(a), _mp_log2_log2(b)
             if abs(x - y) > mpmath.mpf(2) ** -300 * (1 + max(abs(x), abs(y))):
                 assert got == (1 if x > y else -1)
+
+    @given(_tower_pairs(), st.integers(1, 30))
+    def test_antisymmetric(self, pair, budget):
+        # one order decides the negation of the other, and a refusal
+        # happens both ways round or not at all
+        def outcome(x, y):
+            try:
+                return magnitude_cmp(x, y, budget)
+            except (ValueError, BudgetExceeded) as err:
+                return type(err)
+
+        a, b = pair
+        forward, backward = outcome(a, b), outcome(b, a)
+        assert backward == (-forward if isinstance(forward, int) else forward)
 
     def test_total_order_on_a_mixed_bag(self):
         import functools
@@ -629,6 +688,20 @@ class TestDecimals:
         assert [decimal_digit(x, p) for p in range(1, 8)] == [1, 1, 0, 0, 0, 1, 0]
         with pytest.raises(ValueError):
             decimal_digit(x, 0)
+
+    def test_one_cap_for_every_power_of_ten(self):
+        # printed places and digit budgets are refused before 10**d is built
+        over, third = _DIGITS_CAP + 1, Fraction(1, 3)
+        for call in (lambda: decimal_string(third, over),
+                     lambda: decimal_digit(third, over),
+                     lambda: pinned_decimals(RationalInterval(third, third), over),
+                     lambda: canonicalize(Tower(2, Exact(5)), over),
+                     lambda: magnitude_cmp(Tower(2, Exact(5)), Exact(3), over)):
+            with pytest.raises(BudgetExceeded) as err:
+                call()
+            assert err.value.payload == {"requested": over, "cap": _DIGITS_CAP}
+        assert canonicalize(Tower(2, Exact(5)), _DIGITS_CAP) == Exact(32)
+        assert _DIGITS_CAP > DEFAULT_DIGIT_BUDGET
 
     def test_pinned_decimals(self):
         iv = RationalInterval(Fraction(271, 100), Fraction(272, 100))
