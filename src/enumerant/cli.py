@@ -16,7 +16,8 @@ output ended (one stderr line), 2 usage error.
 
 A CLI call is mostly process start and import, so each command imports
 its own library modules when it runs; the module level imports only
-``argparse``, ``sys``, ``fractions`` and the package's ``errors``.
+``argparse``, ``re`` (which ``argparse`` loads), ``sys``, ``fractions``
+and the package's ``errors``.
 ``enum`` loads ``enumeration`` and ``table`` loads ``finitist``, but
 neither loads the other, and only the csv and json-lines formats import
 ``csv`` and ``json``.
@@ -25,10 +26,11 @@ neither loads the other, and only the csv and json-lines formats import
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 
 # printing exact values is the point; undo the int->str safety cap
 PRINT_DIGIT_LIMIT = 50_000_000
@@ -246,8 +248,18 @@ def _nonnegative(text: str) -> int:
 
 def _fraction(text: str) -> Fraction:
     # Fraction("1/0") raises ZeroDivisionError, which argparse would let
-    # through as a traceback; both faults get argparse's own wording
+    # through as a traceback; both faults get argparse's own wording.  A
+    # well-formed value whose exponent N would build 10**|N| past the digit
+    # cap is refused before `Fraction` builds it.
+    from .exactnum import _DIGITS_CAP
+
+    # a decimal exponent at the end of the text, as `Fraction` reads one
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     try:
+        places = abs(int(exponent[1])) if exponent else 0
+        if places > _DIGITS_CAP:
+            Fraction(text[:exponent.start()] + "e0")  # a malformed head stays a usage error
+            raise BudgetExceeded(requested=places, cap=_DIGITS_CAP)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
@@ -345,8 +357,9 @@ def main(argv=None) -> int:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(PRINT_DIGIT_LIMIT)
     try:
-        args = build_parser().parse_args(argv)
         try:
+            # a type function's budget refuses during parsing, as a DomainError
+            args = build_parser().parse_args(argv)
             code = args.func(args)
             sys.stdout.flush()  # a closed stdout shows here, not at exit
             return code

@@ -12,9 +12,12 @@ the depth-k prefix of P is Q = P >> (d-k), and Q/2**k <= P/2**d and
 k < d.  For every non-dyadic value both inequalities are strict at every
 depth, which is what entitles `approximate` to report a certified
 non-membership.  Dyadic rationals follow the terminating convention (the
-expansion ends in repeating 0s); the depth at which the value meets the
-lower endpoint exactly is recorded in `boundary_depth` rather than
-raised.
+expansion ends in repeating 0s); `boundary_depth` reports the depth at
+which the value meets the lower endpoint exactly rather than raising.
+
+`_floor` computes P (an enclosure tightens first) and writes nothing else.
+Each kind's pure `_holds` is its certificate; it never reads `_floor`'s
+answer, so a wrong `_floor` cannot certify itself.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ class ComputableReal:
     def __init__(self):
         self._depth = 0
         self._scaled = 0  # the certified depth-_depth prefix as an integer
-        self.boundary_depth: Optional[int] = None
 
     @property
     def depth(self) -> int:
@@ -52,6 +54,12 @@ class ComputableReal:
     @property
     def scaled_prefix(self) -> int:
         return self._scaled
+
+    @property
+    def boundary_depth(self) -> Optional[int]:
+        """The dyadic value's exponent, once certified that deep, else None."""
+        exact = self.exact_dyadic()
+        return exact.exponent if exact is not None and exact.exponent <= self._depth else None
 
     def prefix(self, depth: int) -> str:
         """The first `depth` bits after the point.
@@ -67,7 +75,7 @@ class ComputableReal:
             raise BudgetExceeded(requested=depth, cap=_DEPTH_CAP)
         if depth > self._depth:
             scaled = self._floor(depth)
-            if not self.sandwich_holds(scaled, depth):
+            if not self._holds(scaled, depth):
                 raise AssertionError(f"{self.name}: certificate failed at depth {depth}")
             self._depth, self._scaled = depth, scaled
         return format(self._scaled >> (self._depth - depth), f"0{depth}b")
@@ -80,9 +88,12 @@ class ComputableReal:
         """Exact check that the value lies in [scaled/2**d, (scaled+1)/2**d).
 
         Pure integer arithmetic, usable by outside verifiers on any
-        recorded prefix, not just the stream's own state.
+        recorded prefix, not just the stream's own state: `_floor` runs
+        only at a depth not yet certified, to tighten, and `_holds` decides.
         """
-        raise NotImplementedError
+        if depth > self._depth:
+            self._floor(depth)
+        return self._holds(scaled, depth)
 
     def _floor(self, depth: int) -> int:
         """floor(x * 2**depth), before certification."""
@@ -102,9 +113,6 @@ class RationalStream(ComputableReal):
         self.name = f"rat:{self.p}/{self.q}"
 
     def _floor(self, depth: int) -> int:
-        exact = self.exact_dyadic()
-        if exact is not None and depth >= exact.exponent:
-            self.boundary_depth = exact.exponent  # value == lower endpoint from here on
         return (self.p << depth) // self.q
 
     def exact_dyadic(self) -> Optional[DyadicRational]:
@@ -112,7 +120,7 @@ class RationalStream(ComputableReal):
             return None
         return DyadicRational(self.p, self.q.bit_length() - 1)
 
-    def sandwich_holds(self, scaled: int, depth: int) -> bool:
+    def _holds(self, scaled: int, depth: int) -> bool:
         lhs = self.p << depth  # p * 2**d vs bounds scaled by q
         return scaled * self.q <= lhs < (scaled + 1) * self.q
 
@@ -143,7 +151,7 @@ class SqrtStream(ComputableReal):
     def _floor(self, depth: int) -> int:
         return isqrt((self.a << (2 * depth)) // self.b) - (self.root_floor << depth)
 
-    def sandwich_holds(self, scaled: int, depth: int) -> bool:
+    def _holds(self, scaled: int, depth: int) -> bool:
         lo = (self.root_floor << depth) + scaled
         hi = lo + 1
         target = self.a << (2 * depth)
@@ -159,9 +167,11 @@ class _EnclosureStream(ComputableReal):
     which the width is at most 2**-bits.  A depth-d prefix tightens until the
     enclosure fits inside one cell of width 2**-d and reads the cell's
     floor: sound for any irrational value, which lies strictly inside some
-    cell.  Both decisions are integer cross-multiplications.
-    `sandwich_holds` tightens the same way before it checks, so it judges
-    a recorded prefix of any depth whatever the stream's own depth.
+    cell.  Both decisions are integer cross-multiplications.  `_holds` is
+    containment in the current enclosure.  At a certified depth the
+    enclosure already fits one cell, since a cell lies inside one cell at
+    every shallower depth, and `sandwich_holds` tightens at any other, so
+    it judges a recorded prefix of any depth whatever the stream's own.
     """
 
     def __init__(self):
@@ -183,8 +193,7 @@ class _EnclosureStream(ComputableReal):
                 self._lo, self._hi, self._den = self._enclosure(terms)
             guard *= 2  # if this still straddles, x lies close to a cell edge
 
-    def sandwich_holds(self, scaled: int, depth: int) -> bool:
-        self._floor(depth)
+    def _holds(self, scaled: int, depth: int) -> bool:
         return (scaled * self._den <= self._lo << depth
                 and self._hi << depth <= (scaled + 1) * self._den)
 

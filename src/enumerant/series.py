@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
 from math import factorial, isqrt
 
 from . import _EXPORTS
 from .errors import BudgetExceeded
-from .exactnum import RationalInterval
+from .exactnum import Exact, RationalInterval, Tower, canonicalize, render_magnitude
 
 __all__ = _EXPORTS["series"]
 
@@ -47,6 +47,9 @@ class OresmeBlock:
 # a growth guard on hi, the last denominator of a harmonic range, whose sieve
 # takes hi bytes: oresme_block(18) takes about 0.5 s, and block 19 over 1 s
 _HARMONIC_CAP = 1 << 18
+# `series --name geometric --terms 500000` takes 0.92-0.96 s wall in each
+# format, most of it writing out the 2**n denominator
+_GEOMETRIC_CAP = 500_000
 # `series --name e --terms 24000` takes about 1.0 s in process
 _E_TERMS_CAP = 24000
 # the m-th tau sum's denominator 10**(m!) has 40321 digits at m = 8
@@ -128,8 +131,15 @@ def _harmonic_range(lo: int, hi: int) -> tuple[int, int]:
 
 
 def oresme_block(k: int) -> OresmeBlock:
+    """Block k of the harmonic series.  A last denominator 2**k past
+    `_HARMONIC_CAP` raises `BudgetExceeded` before 2**k is built; its
+    `requested` is 2**k as `render_magnitude` writes it, digits within the
+    default digit budget and 2^(k) past it."""
     if k < 1:
         raise ValueError("blocks start at k=1")
+    if k >= _HARMONIC_CAP.bit_length():
+        hi = render_magnitude(canonicalize(Tower(2, Exact(k))))
+        raise BudgetExceeded(requested=hi, cap=_HARMONIC_CAP)
     first, last = (1 << (k - 1)) + 1, 1 << k
     return OresmeBlock(k, first, last, Fraction(*_harmonic_range(first, last)))
 
@@ -144,9 +154,12 @@ def harmonic_partial(n: int) -> Fraction:
 
 def geometric_partial(n: int) -> Fraction:
     """Sum of 2**-i for i in 1..n, by the closed form 1 - 2**-n (the tests
-    check it against the term-by-term fold)."""
+    check it against the term-by-term fold).  n past `_GEOMETRIC_CAP`
+    raises `BudgetExceeded` before 2**n is built."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > _GEOMETRIC_CAP:
+        raise BudgetExceeded(requested=n, cap=_GEOMETRIC_CAP)
     return 1 - Fraction(1, 1 << n)
 
 
@@ -189,12 +202,19 @@ def _e_enclosure(n: int) -> tuple[int, int, int]:
 
 
 def _e_terms(bits: int) -> int:
-    """The least n with `_e_enclosure`'s width 1/(n*n!) at most 2**-bits."""
-    n = fact = 1
-    while (n * fact).bit_length() <= bits:
-        n += 1
-        fact *= n
-    return n
+    """A term count n at which `_e_enclosure`'s width 1/(n*n!) is at most
+    2**-bits: the least n with n * (bitlen(n) - 3) >= bits, which fits but
+    need not be the least that fits.
+
+    Sound: n! >= (n/e)**n for every n >= 1, and bitlen(n) - 3 <=
+    log2(n) - 2 < log2(n/e), as log2(e) < 2.  So log2(n * n!) >=
+    n * log2(n/e) > n * (bitlen(n) - 3) >= bits.  As n * (bitlen(n) - 3)
+    grows with n, the least n has the least length L >= 4 at which
+    (2**L - 1) * (L - 3) >= bits, and is the larger of 2**(L-1) and
+    ceil(bits / (L - 3)).
+    """
+    length = next(L for L in count(4) if ((1 << L) - 1) * (L - 3) >= bits)
+    return max(1 << (length - 1), -(-bits // (length - 3)))
 
 
 def e_enclosure(n: int) -> EulerEnclosure:

@@ -113,6 +113,9 @@ PLAIN = [
     ["approx", "--real", "e", "--depth", "4000"],
     ["approx", "--real", "tau", "--depth", "3300"],
     ["series", "--name", "e", "--terms", "300", "--digits", "600"],
+    # deep prefixes, where a change of term rule changes the enclosure read
+    ["approx", "--real", "e", "--depth", "20000"],
+    ["approx", "--real", "tau", "--depth", "20000"],
 ]
 
 # the row-producing PLAIN invocations again in csv and json-lines; their
@@ -181,6 +184,13 @@ FAILURE = [
     # past the one digit cap: refused before any power of ten is built
     ["series", "--name", "e", "--terms", "20", "--digits", "100000000"],
     ["table", "--id", "2", "--rows", "9", "--digit-budget", "100000000"],
+    # an exponent past the digit cap, refused while the value is parsed
+    ["locate", "--value", "1e1000000"],
+    # one past the geometric term cap and the diagonal stage cap, and a
+    # block count whose last denominator is written as a power
+    ["series", "--name", "geometric", "--terms", "500001"],
+    ["diag", "--count", "200001"],
+    ["harmonic", "--blocks", "1000000"],
 ]
 
 # the first domain errors again in json-lines
@@ -200,6 +210,8 @@ FAILURE_JSON = [
     ["series", "--name", "e", "--terms", "24001"],
     ["approx", "--real", "sqrt2", "--depth", "10000000"],
     ["series", "--name", "e", "--terms", "20", "--digits", "100000000"],
+    ["locate", "--value", "1e1000000"],
+    ["series", "--name", "geometric", "--terms", "500001"],
 ]
 
 # table 2's refusals again in the formats that write a header: a refusal
@@ -207,6 +219,7 @@ FAILURE_JSON = [
 FAILURE_TABULAR = [
     ["table", "--id", "2", "--rows", "9", "--log2-bits", "32769"],
     ["table", "--id", "2", "--rows", "9", "--digit-budget", "100000000"],
+    ["diag", "--count", "200001"],
 ]
 
 HELP = [["--help"]] + [[command, "--help"] for command in (

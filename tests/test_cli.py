@@ -89,6 +89,37 @@ class TestLocate:
             main(["locate", "--bits", "1", "--value", "1/2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value, head, places", [
+        ("1e10000000", "1", 10 ** 7),
+        ("1e-10000000", "1", 10 ** 7),
+        (" -2.5E+150_001 ", " -2.5", 150_001),
+    ])
+    def test_huge_exponent_is_refused_before_the_power(self, capsys, monkeypatch,
+                                                       value, head, places):
+        import enumerant.cli as cli
+
+        parsed = []
+
+        def recording(text):
+            parsed.append(text)
+            return Fraction(text)
+
+        monkeypatch.setattr(cli, "Fraction", recording)
+        rc, out, err = run(capsys, "locate", "--value", value)
+        assert (rc, out) == (1, "")
+        assert err == f"BudgetExceeded requested={places} cap=150000\n"
+        # only the head was read, with a zero exponent
+        assert parsed == [head + "e0"]
+
+    @pytest.mark.parametrize("value", ["x1e10000000", "1e 10000000", "3/4e10000000",
+                                       "1e5e10000000"])
+    def test_malformed_value_with_a_huge_exponent_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["locate", "--value", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"enumerant locate: error: argument --value: invalid Fraction value: {value!r}")
+
 
 class TestApprox:
     def test_sqrt2_report(self, capsys):
@@ -161,6 +192,17 @@ class TestDiag:
         assert lines[1] == {"index": 1, "position": 1, "entry_bit": 1,
                             "diagonal_bit": 0}
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+    def test_budget_refuses_before_any_entry(self, capsys, monkeypatch, fmt):
+        import enumerant.enumeration as enumeration
+
+        def reached():
+            raise AssertionError("the budget was checked after the read began")
+
+        monkeypatch.setattr(enumeration, "all_strings", reached)
+        rc, out, err = run(capsys, "diag", "--count", "100000000", "--format", fmt)
+        assert (rc, out, err) == (1, "", "BudgetExceeded requested=100000000 cap=200000\n")
 
     def test_verify_round_trip(self, capsys, tmp_path):
         rc, text, _ = run(capsys, "diag", "--count", "20")
@@ -244,6 +286,11 @@ class TestHarmonic:
         assert err == "BudgetExceeded requested=524288 cap=262144\n"
         # the refused block is the only one asked for: none was summed
         assert summed == [19]
+
+    def test_huge_block_count_is_one_short_line(self, capsys):
+        rc, out, err = run(capsys, "harmonic", "--blocks", "100000000000")
+        assert (rc, out) == (1, "")
+        assert err == "BudgetExceeded requested=2^(100000000000) cap=262144\n"
 
 
 class TestSeries:
@@ -593,8 +640,8 @@ class TestDigitCap:
 
 # A grammar of every command with its flags, each value drawn from the
 # flag's own small range or from hostile text.  Huge numbers go only to the
-# flags whose budget refuses them before any work: the rest would stream,
-# print or sum for as long as they are asked to.
+# flags whose budget refuses them before any work: the rest would stream
+# or print for as long as they are asked to.
 _HOSTILE = st.sampled_from(["1/0", "-1", "-40", "", " ", "x1", "3.5", "é", "\u0663"])
 _HUGE = st.integers(10 ** 9, 10 ** 40).map(str)
 _INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -612,9 +659,8 @@ def _number(lo, hi, huge=False):
 
 
 def _series(name):
-    capped = name in ("e", "tau")
     return [("--name", _value(st.just(name))),
-            ("--terms", _number(1, 60 if name != "tau" else 9, huge=capped)),
+            ("--terms", _number(1, 60 if name != "tau" else 9, huge=True)),
             ("--digits", _number(0, 60, huge=True))]
 
 
@@ -630,15 +676,17 @@ _GRAMMAR = {
     "locate": [("--bits", _value(st.text("01", max_size=40))),
                ("--value", _value(st.one_of(
                    st.builds("{}/{}".format, st.integers(-5, 300), st.integers(0, 4096)),
-                   st.builds("{}e{}".format, st.integers(-3, 30), st.integers(-20000, 20000)))))],
+                   st.builds("{}e{}".format, st.integers(-3, 30), st.one_of(
+                       st.integers(-20000, 20000), st.integers(10 ** 9, 10 ** 40),
+                       st.integers(-10 ** 40, -10 ** 9))))))],
     "approx": [("--real", _value(st.sampled_from(
                    ["sqrt2", "e", "tau", "rat:3/8", "rat:1/3", "rat:0/1", "rat:5/4",
                     "rat:1/0", "rat:-1/2", "pi"]))),
                ("--depth", _number(1, 200, huge=True))],
-    "diag": [("--count", _number(1, 200)),
+    "diag": [("--count", _number(1, 200, huge=True)),
              ("--verify", _value(st.sampled_from(
                  [*map(str, sorted(_INPUTS.iterdir())), str(_INPUTS), "missing.txt"])))],
-    "harmonic": [("--blocks", _number(1, 12))],
+    "harmonic": [("--blocks", _number(1, 12, huge=True))],
     "series e": _series("e"),
     "series tau": _series("tau"),
     "series geometric": _series("geometric"),

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from enumerant.diagonal import (
+    _STAGE_CAP,
     DiagonalCertificate,
     MismatchRecord,
     certificate_from_text,
@@ -11,7 +12,7 @@ from enumerant.diagonal import (
     verify_certificate,
 )
 from enumerant.enumeration import all_strings, index_to_string
-from enumerant.errors import EnumerationExhausted
+from enumerant.errors import BudgetExceeded, EnumerationExhausted
 
 
 # Per-record references: the builder, verifier and text codec as they
@@ -157,6 +158,19 @@ class TestDiagonalPrefix:
         with pytest.raises(EnumerationExhausted) as exc:
             diagonal_prefix(["1", "01", "11"], 5)
         assert exc.value.payload == {"needed": 5, "available": 3}
+
+    def test_budget_refuses_before_the_source_is_read(self):
+        def source():
+            raise AssertionError("the budget was checked after the read began")
+
+        for build in (certify_absence, diagonal_prefix):
+            with pytest.raises(BudgetExceeded) as exc:
+                build(source, _STAGE_CAP + 1)
+            assert exc.value.payload == {"requested": _STAGE_CAP + 1, "cap": _STAGE_CAP}
+
+    def test_budget_clears_the_bench_and_the_acceptance_stage(self):
+        # the bench draws stages up to 40 000 plus a shift per round
+        assert 40_000 + 1_000 < _STAGE_CAP and 10 ** 4 < _STAGE_CAP
 
 
 class TestCertificates:

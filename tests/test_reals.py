@@ -164,12 +164,18 @@ class TestIntegerEnclosures:
             num_lo, num_hi, den = _tau_enclosure(m)
             assert (Fraction(num_lo, den), Fraction(num_hi, den)) == (lo, hi), m
 
-    def test_euler_terms_are_the_least_that_fit(self):
+    def test_euler_terms_fit(self):
+        # the count is closed-form, not a search: it fits, and past 64 bits
+        # it stays within 1.6 times the least n with n * n! >= 2**bits
         assert EulerStream()._terms_for is _e_terms
-        for bits in range(1, 3000, 7):
+        least = fact = 1
+        for bits in [*range(1, 3000), 20_009, 100_008]:
+            while least * fact < 1 << bits:
+                least += 1
+                fact *= least
             n = _e_terms(bits)
             assert n * factorial(n) >= 1 << bits, bits
-            assert n == 1 or (n - 1) * factorial(n - 1) < 1 << bits, bits
+            assert bits < 64 or 5 * n <= 8 * least, bits
 
     def test_tau_terms_fit(self):
         assert LiouvilleStream()._terms_for is _tau_terms
@@ -302,6 +308,40 @@ class TestOneShotPrefixes:
         r.prefix(4)
         assert r.boundary_depth == 4
 
+    def test_boundary_depth_is_read_only(self):
+        r = RationalStream(5, 16)
+        r.prefix(8)
+        with pytest.raises(AttributeError):
+            r.boundary_depth = 2
+        assert r.boundary_depth == 4
+
+    def test_prefix_floors_and_checks_once_per_extension(self, monkeypatch):
+        for make in self.KINDS:
+            x = make()
+            calls = []
+            floor, holds = x._floor, x._holds
+            monkeypatch.setattr(x, "_floor", lambda d: calls.append("floor") or floor(d))
+            monkeypatch.setattr(x, "_holds",
+                                lambda p, d: calls.append("holds") or holds(p, d))
+            x.prefix(40)
+            x.prefix(10)
+            x.prefix(3000)
+            assert calls == ["floor", "holds"] * 2, x.name
+
+    def test_holds_calls_no_stream_method_and_writes_nothing(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("_holds called back into the stream")
+
+        for make in self.KINDS:
+            x = make()
+            scaled = int(x.prefix(64), 2)
+            for name in ("_floor", "prefix", "sandwich_holds", "exact_dyadic"):
+                monkeypatch.setattr(x, name, reached)
+            state = dict(vars(x))
+            assert x._holds(scaled, 64) and not x._holds(scaled + 1, 64), x.name
+            assert x._holds(scaled >> 30, 34), x.name
+            assert vars(x) == state, x.name
+
     def test_wrong_floor_fails_the_certificate(self):
         for cls, args in ((RationalStream, (1, 3)), (SqrtStream, (2, 1)),
                           (EulerStream, ()), (LiouvilleStream, ())):
@@ -337,6 +377,19 @@ class TestOutsideVerification:
             deep = int(self.deep_bits(value), 2)
             for position in (0, 1, 1999, 3998, 3999):
                 assert not cls().sandwich_holds(deep ^ (1 << position), 4000)
+
+    def test_certified_depth_is_judged_without_floor(self, monkeypatch):
+        # the bench's oracles call sandwich_holds after every stream call
+        def reached(depth):
+            raise AssertionError("sandwich_holds floored a certified depth")
+
+        for make in TestStreamInvariants.KINDS:
+            x = make()
+            bits = x.prefix(200)
+            monkeypatch.setattr(x, "_floor", reached)
+            assert x.sandwich_holds(int(bits, 2), 200)
+            assert x.sandwich_holds(int(bits[:64], 2), 64)
+            assert not x.sandwich_holds(int(bits, 2) + 1, 200)
 
     def test_deep_stream_accepts_a_shallow_prefix(self):
         for cls, bits, _ in self.SERIES:

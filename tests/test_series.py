@@ -12,6 +12,7 @@ from enumerant.exactnum import decimal_digit, decimal_string, pinned_decimals
 from enumerant.reals import _DEPTH_CAP, EulerStream
 from enumerant.series import (
     _E_TERMS_CAP,
+    _GEOMETRIC_CAP,
     _HARMONIC_CAP,
     _e_terms,
     _harmonic_range,
@@ -141,6 +142,25 @@ class TestHarmonicRange:
         with pytest.raises(BudgetExceeded):
             oresme_block(19)
 
+    def test_block_budget_refuses_before_the_shift(self, monkeypatch):
+        def reached(lo, hi):
+            raise AssertionError("the budget was checked after the sum began")
+
+        monkeypatch.setattr(series, "_harmonic_range", reached)
+        with pytest.raises(BudgetExceeded) as exc:
+            oresme_block(19)
+        assert str(exc.value) == "BudgetExceeded requested=524288 cap=262144"
+        # 2**k past the default digit budget is written as a power
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as exc:
+                oresme_block(10 ** 6)
+            # 2**(10**6) alone would take 125 000 bytes
+            assert tracemalloc.get_traced_memory()[1] < 16 * 1024
+        finally:
+            tracemalloc.stop()
+        assert exc.value.payload == {"requested": "2^(1000000)", "cap": _HARMONIC_CAP}
+
     def test_block_seventeen_stays_under_a_mebibyte(self):
         # the sieve (hi bytes) and the largest run's primes dominate; no
         # list holds every prime above isqrt(hi)
@@ -169,6 +189,20 @@ class TestGeometric:
     def test_domain(self):
         with pytest.raises(ValueError):
             geometric_partial(0)
+
+    def test_budget_refuses_before_the_sum(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the budget was checked after the sum began")
+
+        monkeypatch.setattr(series, "Fraction", reached)
+        for n in (_GEOMETRIC_CAP + 1, 10 ** 40):
+            with pytest.raises(BudgetExceeded) as refused:
+                geometric_partial(n)
+            assert refused.value.payload == {"requested": n, "cap": _GEOMETRIC_CAP}
+
+    def test_budget_clears_the_bench(self):
+        # the bench draws n up to 36 000 plus a shift per round
+        assert 36_000 + 1_000 < _GEOMETRIC_CAP
 
 
 class TestEulerEnclosures:
