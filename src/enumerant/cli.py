@@ -46,30 +46,48 @@ def _text(value) -> str:
     return str(value)
 
 
+# characters of rows joined into one write: a stream of rows is held one
+# chunk at a time
+_CHUNK_CHARS = 1 << 16
+
+
 def _emit(fields, rows, fmt, report=False) -> None:
     """Print `rows`, tuples in `fields` order, in the format `fmt`.
 
     In plain, a single `report` prints as key=value lines, because
-    reports carry free-text fields.
+    reports carry free-text fields.  The lines go out in joined chunks of
+    about `_CHUNK_CHARS` characters, one write each, so `rows` may be a
+    stream of any length; a row that raises leaves the rows before it
+    written.
     """
     if fmt == "plain":
-        for row in rows:
-            if report:
-                print("\n".join(f"{f}={_text(v)}" for f, v in zip(fields, row)))
-            else:
-                print(" ".join(map(_text, row)))
+        if report:
+            lines = ("".join(f"{f}={_text(v)}\n" for f, v in zip(fields, row)) for row in rows)
+        else:
+            lines = (" ".join(map(_text, row)) + "\n" for row in rows)
     elif fmt == "csv":
         import csv
+        from itertools import chain
+        from types import SimpleNamespace
 
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(map(_text, row) for row in rows)
+        # writerow returns what its file's write returns: here, the line
+        writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+        lines = map(writerow, chain([fields], (map(_text, row) for row in rows)))
     else:
         import json
 
-        for row in rows:
-            print(json.dumps({f: v if v is None or isinstance(v, int) else _text(v)
-                              for f, v in zip(fields, row)}))
+        lines = (json.dumps({f: v if v is None or isinstance(v, int) else _text(v)
+                             for f, v in zip(fields, row)}) + "\n" for row in rows)
+    write, chunk, size = sys.stdout.write, [], 0
+    try:
+        for line in lines:
+            chunk.append(line)
+            size += len(line)
+            if size >= _CHUNK_CHARS:
+                write("".join(chunk))
+                chunk, size = [], 0
+    finally:
+        write("".join(chunk))
 
 
 def _attrs(record) -> tuple:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
 from . import _EXPORTS
 from .errors import BudgetExceeded
@@ -45,7 +45,10 @@ class OresmeBlock:
 
 
 # a growth guard on hi, the last denominator of a harmonic range, whose sieve
-# takes hi bytes: oresme_block(18) takes about 0.5 s, and block 19 over 1 s
+# takes hi bytes: oresme_block(18) takes about 0.14 s and block 19 would take
+# 0.4 s (best of 5, CPython 3.11), while `harmonic --blocks 18` takes 1.7 s
+# wall, most of it writing the sums out.  The golden `harmonic-blocks-19`
+# transcripts record the refusal of block 19, so the cap stays
 _HARMONIC_CAP = 1 << 18
 # `series --name geometric --terms 500000` takes 0.92-0.96 s wall in each
 # format, most of it writing out the 2**n denominator
@@ -56,6 +59,14 @@ _E_TERMS_CAP = 24000
 _LIOUVILLE_CAP = 7
 
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")
+
+# n/d with exactly that numerator and denominator, for coprime n and d > 0,
+# built with no gcd: the constructor's own private path on each version
+if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+else:  # 3.10-3.11
+    def _coprime_fraction(n: int, d: int) -> Fraction:
+        return Fraction(n, d, _normalize=False)
 
 
 def _prime_reciprocals(primes: list[int], i: int, j: int) -> tuple[int, int]:
@@ -73,21 +84,34 @@ def _prime_reciprocals(primes: list[int], i: int, j: int) -> tuple[int, int]:
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-def _harmonic_range(lo: int, hi: int) -> tuple[int, int]:
-    """(p, q), not reduced, with p/q the sum of 1/i for lo <= i <= hi.
+def _harmonic_range(lo: int, hi: int) -> Fraction:
+    """The sum of 1/i for lo <= i <= hi, reduced, with no gcd taken on two
+    full-size numbers.
 
     With r = isqrt(hi), every i <= hi is either r-smooth (no prime factor
     above r) or p*m with one prime p > r and m <= r.  Each r-smooth i and
     each such m divides c = prod over primes s <= r of the largest power
     of s that is <= hi, a small number (about 1.2 kbit at hi = 2**17), so
     the smooth terms sum to a/c with a = sum of c // i.  The terms p*m for
-    one p sum to coef/(c*p), with coef = sum of c // m over
+    one p sum to coef(p)/(c*p), with coef(p) = sum of c // m over
     (lo - 1)//p < m <= hi//p; that pair of bounds is constant on runs of
     consecutive primes, so each run's coefficient is found once and its
     1/p are added by a product tree.  The runs fold from the smallest
-    primes up.  Their denominators are distinct primes, so past the
-    divisions of the small c nothing takes a gcd or a division:
-    `Fraction(*_harmonic_range(lo, hi))`, built once at the top, reduces.
+    primes up.  Their denominators are distinct primes, so the fold takes
+    no gcd and no division.
+
+    The sum is N/(c*d), with d the product of the primes p > r that have a
+    multiple in the range and N = a*d + sum over them of coef(p)*(d/p).  c
+    and d are coprime, so gcd(N, c*d) = gcd(N, c) * gcd(N, d), and:
+    - d is squarefree, so gcd(N, d) is the product of the p in d that
+      divide N.  Modulo one such p every term of N but p's own vanishes,
+      and d/p is prime to p, so p divides N exactly when p divides
+      coef(p).  A run shares one coef, so it adds gcd(coef, d2), d2 the
+      product of its primes: one division of d2 by the short coef.
+    - gcd(N, c) = gcd(N mod c, c): one division of N by the short c.
+    Their product g is short (at most 30 bits over blocks 1-17); N and c*d
+    are divided by it exactly, and the coprime pair becomes the `Fraction`
+    with no further gcd.
 
     hi past `_HARMONIC_CAP` raises `BudgetExceeded` before any work.
     """
@@ -116,7 +140,7 @@ def _harmonic_range(lo: int, hi: int) -> tuple[int, int]:
             smooth[m * first - lo:m * last - lo + 1:m] = sieve[first:last + 1].translate(_NOT)
     a = sum(map(c.__floordiv__, compress(range(lo, hi + 1), smooth)))
     cumulative = list(accumulate(map(c.__floordiv__, range(1, r + 1)), initial=0))
-    n, d = 0, 1
+    n, d, g = 0, 1, 1
     p = r + 1
     while p <= hi:
         above, below = hi // p, (lo - 1) // p
@@ -126,8 +150,11 @@ def _harmonic_range(lo: int, hi: int) -> tuple[int, int]:
             n2, d2 = _prime_reciprocals(primes, 0, len(primes))
             coef = cumulative[above] - cumulative[below]
             n, d = n * d2 + coef * n2 * d, d * d2
+            g *= gcd(coef, d2)
         p = end + 1
-    return a * d + n, c * d
+    n += a * d
+    g *= gcd(n % c, c)
+    return _coprime_fraction(n // g, c * d // g)
 
 
 def oresme_block(k: int) -> OresmeBlock:
@@ -141,7 +168,7 @@ def oresme_block(k: int) -> OresmeBlock:
         hi = render_magnitude(canonicalize(Tower(2, Exact(k))))
         raise BudgetExceeded(requested=hi, cap=_HARMONIC_CAP)
     first, last = (1 << (k - 1)) + 1, 1 << k
-    return OresmeBlock(k, first, last, Fraction(*_harmonic_range(first, last)))
+    return OresmeBlock(k, first, last, _harmonic_range(first, last))
 
 
 def harmonic_partial(n: int) -> Fraction:
@@ -149,7 +176,7 @@ def harmonic_partial(n: int) -> Fraction:
     (a left fold's ever-growing denominators make it quadratic)."""
     if n < 1:
         raise ValueError("H_n needs n >= 1")
-    return Fraction(*_harmonic_range(1, n))
+    return _harmonic_range(1, n)
 
 
 def geometric_partial(n: int) -> Fraction:

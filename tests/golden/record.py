@@ -116,6 +116,9 @@ PLAIN = [
     # deep prefixes, where a change of term rule changes the enclosure read
     ["approx", "--real", "e", "--depth", "20000"],
     ["approx", "--real", "tau", "--depth", "20000"],
+    # blocks whose reductions divide out primes below isqrt(hi) (blocks
+    # 11-14) and above it (4, 5, 8, 14 and 15); numerators past 28 000 digits
+    ["harmonic", "--blocks", "16"],
 ]
 
 # the row-producing PLAIN invocations again in csv and json-lines; their

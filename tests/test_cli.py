@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import enumerant
-from enumerant.cli import main
+from enumerant.cli import _CHUNK_CHARS, main
 
 
 def run(capsys, *argv):
@@ -50,6 +50,25 @@ class TestEnum:
     def test_zero_rows(self, capsys):
         rc, out, _ = run(capsys, "enum", "--count", "0")
         assert rc == 0 and out == ""
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+    def test_rows_go_out_in_bounded_chunks(self, fmt, capsys):
+        # one write per chunk of about _CHUNK_CHARS characters, not one per row
+        writes = []
+
+        class Sink:
+            write = writes.append
+
+            def flush(self):
+                pass
+
+        with contextlib.redirect_stdout(Sink()):
+            assert main(["enum", "--count", "20000", "--format", fmt]) == 0
+        text = "".join(writes)
+        assert text == run(capsys, "enum", "--count", "20000", "--format", fmt)[1]
+        assert len(text.splitlines()) == 20000 + (fmt == "csv")
+        assert len(writes) <= len(text) // _CHUNK_CHARS + 1
+        assert all(_CHUNK_CHARS <= len(w) < _CHUNK_CHARS + 100 for w in writes[:-1])
 
     def test_missing_count_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt, lcm
 
 import mpmath
 import pytest
@@ -14,6 +14,7 @@ from enumerant.series import (
     _E_TERMS_CAP,
     _GEOMETRIC_CAP,
     _HARMONIC_CAP,
+    _coprime_fraction,
     _e_terms,
     _harmonic_range,
     e_enclosure,
@@ -122,12 +123,58 @@ class TestHarmonicRange:
     @example(2000, 2010)  # no multiple of the primes in (1005, 1999]
     @example(1, 2048)  # hi a power of two
     @example(1025, 2048)
+    # the reduction's two factors, g = gcd(N, c) * gcd(N, d):
+    @example(1, 6)  # 3 > r = 2 divides its coefficient: g = 3
+    @example(9, 16)  # 5 > r = 4 divides its coefficient: g = 5
+    @example(1, 21)  # gcd(N, c) = 9, with r = 4
     @given(st.integers(1, 3000), st.integers(1, 3000))
     def test_matches_a_left_fold(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        total = Fraction(*_harmonic_range(lo, hi))
+        total = _harmonic_range(lo, hi)
+        assert type(total) is Fraction
+        # Fraction equality compares numerators and denominators as they are
         assert total == _fold(lo, hi)
         assert gcd(total.numerator, total.denominator) == 1
+
+    def test_block_fourteen_against_the_lcm(self):
+        # both factors of the reduction act here: gcd(N, c) = 29, and the
+        # primes 157 and 1627 above r = 128 divide their own coefficients.
+        # Over a doubling block, c*d is the lcm L of the range.
+        lo, hi = (1 << 13) + 1, 1 << 14
+        L = lcm(*range(lo, hi + 1))
+        want = Fraction(sum(L // i for i in range(lo, hi + 1)), L)
+        total = _harmonic_range(lo, hi)
+        assert (total.numerator, total.denominator) == (want.numerator, want.denominator)
+        assert L // total.denominator == 29 * 157 * 1627
+
+    def test_no_gcd_on_two_full_size_numbers(self, monkeypatch):
+        # every gcd has one operand short: N mod c, or a run's coefficient,
+        # at most c * H_r < c * r (it runs one or two bits past c)
+        def smooth_modulus(hi):
+            c = 1
+            for p in range(2, isqrt(hi) + 1):
+                if all(p % q for q in range(2, p)):
+                    power = p
+                    while power * p <= hi:
+                        power *= p
+                    c *= power
+            return c
+
+        shorter = []
+
+        def spy(x, y):
+            shorter.append(min(x, y))
+            return gcd(x, y)
+
+        monkeypatch.setattr(series, "gcd", spy)
+        for hi, total in ((1 << 15, lambda: oresme_block(15).total),
+                          (36000, lambda: harmonic_partial(36000))):
+            shorter.clear()
+            bits = total().denominator.bit_length()
+            bound = smooth_modulus(hi) * isqrt(hi)
+            assert shorter and max(shorter) <= bound
+            # and short: under a fortieth of the result's length
+            assert bound.bit_length() * 40 < bits
 
     def test_budget_refuses_before_the_sieve(self):
         tracemalloc.start()
@@ -171,6 +218,26 @@ class TestHarmonicRange:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestCoprimeFraction:
+    @given(st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 60))
+    def test_matches_the_public_constructor(self, n, d):
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        value = _coprime_fraction(n, d)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (n, d)
+        assert value == Fraction(n, d)
+        assert hash(value) == hash(Fraction(n, d))
+
+    def test_takes_no_gcd(self):
+        # a pair with a common factor stays as given, on every version's
+        # path: the helper never normalizes
+        value = _coprime_fraction(6, 4)
+        assert (value.numerator, value.denominator) == (6, 4)
+        if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
+            assert _coprime_fraction == Fraction._from_coprime_ints
 
 
 class TestGeometric:
