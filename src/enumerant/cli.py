@@ -57,8 +57,8 @@ def _emit(fields, rows, fmt, report=False) -> None:
     In plain, a single `report` prints as key=value lines, because
     reports carry free-text fields.  The lines go out in joined chunks of
     about `_CHUNK_CHARS` characters, one write each, so `rows` may be a
-    stream of any length; a row that raises leaves the rows before it
-    written.
+    stream of any length.  A chunk is written only once every row in it
+    is built, so a stream that raises on row 1 writes nothing at all.
     """
     if fmt == "plain":
         if report:
@@ -79,15 +79,13 @@ def _emit(fields, rows, fmt, report=False) -> None:
         lines = (json.dumps({f: v if v is None or isinstance(v, int) else _text(v)
                              for f, v in zip(fields, row)}) + "\n" for row in rows)
     write, chunk, size = sys.stdout.write, [], 0
-    try:
-        for line in lines:
-            chunk.append(line)
-            size += len(line)
-            if size >= _CHUNK_CHARS:
-                write("".join(chunk))
-                chunk, size = [], 0
-    finally:
-        write("".join(chunk))
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= _CHUNK_CHARS:
+            write("".join(chunk))
+            chunk, size = [], 0
+    write("".join(chunk))
 
 
 def _attrs(record) -> tuple:
@@ -227,8 +225,6 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from itertools import chain
-
     from .finitist import TABLE2_DIGIT_BUDGET, Table1Row, table1_row, table2_row
 
     span = range(1, args.rows + 1)
@@ -236,10 +232,10 @@ def _cmd_table(args) -> int:
         _emit(Table1Row.__match_args__, (_attrs(table1_row(n)) for n in span), args.format)
         return 0
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
+    # every budget refuses on row 1, before `_emit` writes its first chunk
     rows = (table2_row(n, budget, args.log2_bits).cells() for n in span)
-    first = next(rows)  # every budget refuses here, before csv writes its header
     _emit(("recip_two_pow_fact", "recip_fact", "log2_n", "n", "two_pow", "fact",
-           "two_pow_fact", "tower"), chain([first], rows), args.format)
+           "two_pow_fact", "tower"), rows, args.format)
     return 0
 
 

@@ -33,6 +33,20 @@ class DomainError(Exception):
         return f"{type(self).__name__}({fields})"
 
 
+class _Text:
+    """Payload text formatted when it is printed, not when it is raised, so
+    an error about an int past the int-to-str digit limit can still be built."""
+
+    def __init__(self, form: str, *args):
+        self.form, self.args = form, args
+
+    def __str__(self) -> str:
+        return self.form.format(*self.args)
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+
 class EmptyString(DomainError):
     """A bit string argument was empty."""
 

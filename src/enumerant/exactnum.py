@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _EXPORTS
-from .errors import BudgetExceeded, EmptyString, OutOfRange
+from .errors import BudgetExceeded, EmptyString, OutOfRange, _Text
 
 __all__ = _EXPORTS["exactnum"]
 
@@ -92,13 +92,13 @@ class DyadicRational(_Immutable):
 
     def __init__(self, numerator: int, exponent: int):
         if numerator <= 0:
-            raise OutOfRange(value=f"{numerator}/2^{exponent}")
+            raise OutOfRange(value=_Text("{}/2^{}", numerator, exponent))
         if not numerator & 1:  # strip to the odd canonical form in one shift
             zeros = (numerator & -numerator).bit_length() - 1
             numerator >>= zeros
             exponent -= zeros
         if exponent < 0 or numerator > (1 << exponent):
-            raise OutOfRange(value=f"{numerator}/2^{exponent}")
+            raise OutOfRange(value=_Text("{}/2^{}", numerator, exponent))
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "exponent", exponent)
 
@@ -107,7 +107,7 @@ class DyadicRational(_Immutable):
         """Build from an exact rational; the denominator must be a power of 2."""
         den = value.denominator
         if den & (den - 1):
-            raise OutOfRange(value=str(value), denominator=den)
+            raise OutOfRange(value=_Text("{}", value), denominator=den)
         return cls(value.numerator, den.bit_length() - 1)
 
     @property
@@ -119,9 +119,6 @@ class DyadicRational(_Immutable):
         if self.exponent == 0:
             raise OutOfRange(value="1", note="1 has no fractional expansion")
         return format(self.numerator, f"0{self.exponent}b")
-
-    def __lt__(self, other: "DyadicRational") -> bool:
-        return self.value < other.value
 
     def __str__(self) -> str:
         return f"{self.numerator}/{1 << self.exponent}" if self.exponent else "1"
@@ -454,7 +451,9 @@ def _cmp_log2(b1: int, m1: int, b2: int, m2: int) -> int:
 
 
 def _cmp_tower_tower(s: Tower, t: Tower) -> int:
-    """Sign of value(s) - value(t), for canonical towers."""
+    """Sign of value(s) - value(t), for canonical towers.  Two symbolic
+    exponents never reach log2: the larger has the smaller base, so its side's
+    `_above` scales bl - 1 < bl' oppose c, and the fold returns c or raises."""
     b1, e1, b2, e2 = s.base, s.exponent, t.base, t.exponent
     shared = _common_base(b1, b2)
     if shared is not None:
@@ -469,8 +468,6 @@ def _cmp_tower_tower(s: Tower, t: Tower) -> int:
         return 1
     if _above(t, 1, s, -c):
         return -1
-    if isinstance(e1, Tower) and isinstance(e2, Tower):
-        raise ValueError("comparison would exceed the digit budget")
     # both sandwiches failed, (bl1 - 1)*E1 < bl2*E2 and (bl2 - 1)*E2 < bl1*E1:
     # a symbolic exponent is below the exact one times a bit length, so write it out
     return _cmp_log2(b1, _value(e1), b2, _value(e2))

@@ -268,6 +268,12 @@ class TestTamperDetection:
         lying = DiagonalCertificate(10, cert.records, ends_in_one=False)
         assert not verify_certificate(lying, all_strings)
 
+    def test_a_diagonal_claimed_in_the_prefix(self):
+        cert = certify_absence(all_strings, 10)
+        assert verify_certificate(DiagonalCertificate(10, cert.records), all_strings)
+        lying = DiagonalCertificate(10, cert.records, occurs_in_prefix=True)
+        assert not verify_certificate(lying, all_strings)
+
     def test_exhausted_construction(self):
         with pytest.raises(EnumerationExhausted):
             certify_absence(["1", "01"], 3)

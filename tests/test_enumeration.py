@@ -139,6 +139,10 @@ class TestEntries:
     def test_count_zero_is_empty(self):
         assert list(entries(0)) == []
 
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ValueError):
+            list(entries(-1))
+
     def test_rows_are_entries(self):
         for row in entries(1 << 13):
             assert type(row) is Entry

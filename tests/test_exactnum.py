@@ -1,5 +1,7 @@
 import copy
 import pickle
+import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, log2
 
@@ -7,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from enumerant import exactnum
 from enumerant.errors import BudgetExceeded, EmptyString, OutOfRange
 from enumerant.exactnum import (
     DEFAULT_DIGIT_BUDGET,
@@ -72,6 +75,28 @@ class TestDyadicRational:
 
     def test_hash_follows_equality(self):
         assert len({DyadicRational(6, 4), DyadicRational(3, 3)}) == 1
+
+    def test_no_order(self):
+        with pytest.raises(TypeError):
+            DyadicRational(1, 2) < DyadicRational(3, 2)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int->str digit limit in this Python")
+    def test_out_of_range_past_the_digit_limit(self):
+        # the payload text is built when printed, so an int past the
+        # interpreter's default int->str limit still raises OutOfRange
+        huge = 10 ** 5000 + 1
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(OutOfRange) as over:
+                DyadicRational(huge, 3)
+            with pytest.raises(OutOfRange) as non_dyadic:
+                DyadicRational.from_fraction(Fraction(huge, 3))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert str(over.value) == f"OutOfRange value={huge}/2^3"
+        assert repr(non_dyadic.value) == f"OutOfRange(value='{huge}/3', denominator=3)"
 
 
 class TestDyadicFromString:
@@ -400,6 +425,10 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize(Tower(-2, Exact(3)))
 
+    def test_rejects_a_non_magnitude(self):
+        with pytest.raises(TypeError):
+            canonicalize("x")
+
 
 def _mp_log2(m):
     """log2 of a magnitude's value, in mpmath."""
@@ -429,23 +458,28 @@ def _towers(depth):
     return st.builds(Tower, _TOWER_BASES, _towers(depth - 1))
 
 
+def _neighbour(m, step, base):
+    """A magnitude of m's shape, on other bases, whose exponent is within a
+    step of a tie with m's; step() gives -1, 0 or 1 and base() a base."""
+    s = step()
+    if isinstance(m, Exact):
+        return Exact(max(2, m.value + s))
+    b = base()
+    if isinstance(m.exponent, Exact):
+        n = m.exponent.value * log2(m.base) // log2(b)
+        return Tower(b, Exact(max(2, int(n) + s)))
+    return Tower(b, _neighbour(m.exponent, step, base))
+
+
 @st.composite
 def _tower_pairs(draw):
-    """Two random towers, or a tower and a neighbour of the same shape whose
-    exponent is within a step of a tie, so the sandwich and log2 get work."""
-    def neighbour(m):
-        step = draw(st.integers(-1, 1))
-        if isinstance(m, Exact):
-            return Exact(max(2, m.value + step))
-        base = draw(_TOWER_BASES)
-        if isinstance(m.exponent, Exact):
-            n = m.exponent.value * log2(m.base) // log2(base)
-            return Tower(base, Exact(max(2, int(n) + step)))
-        return Tower(base, neighbour(m.exponent))
-
+    """Two random towers, or a tower and its neighbour, so the sandwich and
+    log2 get work."""
     a = draw(st.integers(0, 3).flatmap(_towers))
     b = draw(st.one_of(st.integers(0, 3).flatmap(_towers), st.just(None)))
-    return a, neighbour(a) if b is None else b
+    if b is None:
+        b = _neighbour(a, lambda: draw(st.integers(-1, 1)), lambda: draw(_TOWER_BASES))
+    return a, b
 
 
 class TestMagnitudeCmp:
@@ -611,6 +645,60 @@ class TestMagnitudeCmp:
         b = Tower(2, Tower(2, Exact(40002)))
         with pytest.raises(ValueError):
             magnitude_cmp(a, b)
+
+    def test_symbolic_exponent_pairs_never_reach_log2(self, monkeypatch):
+        # two tower exponents are settled by a sandwich or refused by its
+        # fold: certified log2 is only entered with an exponent written out
+        rng = random.Random(20)
+        frames, log2_calls, both_symbolic = [], [], []
+        tower_tower, cmp_log2, value = (
+            exactnum._cmp_tower_tower, exactnum._cmp_log2, exactnum._value)
+
+        def symbolic_pair():
+            return bool(frames) and all(isinstance(m.exponent, Tower) for m in frames[-1])
+
+        def traced_tower_tower(s, t):
+            frames.append((s, t))
+            try:
+                return tower_tower(s, t)
+            finally:
+                frames.pop()
+
+        def traced_log2(*args):
+            log2_calls.append(args)
+            if symbolic_pair():
+                both_symbolic.append(frames[-1])
+            return cmp_log2(*args)
+
+        def guarded_value(m):
+            # fail here rather than write out a symbolic exponent for log2
+            assert not (symbolic_pair() and any(m is x.exponent for x in frames[-1]))
+            return value(m)
+
+        monkeypatch.setattr(exactnum, "_cmp_tower_tower", traced_tower_tower)
+        monkeypatch.setattr(exactnum, "_cmp_log2", traced_log2)
+        monkeypatch.setattr(exactnum, "_value", guarded_value)
+
+        def tower(depth):
+            m = Exact(rng.randint(2, 5000))
+            for _ in range(depth):
+                m = Tower(rng.randint(2, 343), m)
+            return m
+
+        decided = refused = 0
+        for _ in range(10_000):
+            a = tower(rng.randint(2, 4))
+            if rng.random() < 0.5:
+                b = _neighbour(a, lambda: rng.randint(-1, 1), lambda: rng.randint(2, 343))
+            else:
+                b = tower(rng.randint(2, 4))
+            try:
+                magnitude_cmp(a, b, rng.randint(1, 100))
+                decided += 1
+            except ValueError:
+                refused += 1
+        assert decided > 0 and refused > 0 and log2_calls
+        assert both_symbolic == []
 
     @given(_tower_pairs(), st.integers(1, 30))
     def test_random_towers_against_mpmath(self, pair, budget):
