@@ -225,6 +225,12 @@ FAILURE_TABULAR = [
     ["diag", "--count", "200001"],
 ]
 
+# outputs of several `_emit` chunks each, so a row split across a chunk
+# boundary shows (`diag --count` plain is the certificate text, not rows)
+LONG = [argv + ["--format", fmt] for argv, formats in (
+    (["enum", "--count", "5000"], FORMATS),
+    (["diag", "--count", "5000"], FORMATS[1:])) for fmt in formats]
+
 HELP = [["--help"]] + [[command, "--help"] for command in (
     "enum", "locate", "approx", "diag", "harmonic", "series", "theorem", "pair", "table")]
 
@@ -233,7 +239,7 @@ INVOCATIONS = ([argv + ["--format", fmt] for argv in EACH_FORMAT for fmt in FORM
                + [argv + ["--format", fmt] for argv in EACH_TABULAR for fmt in FORMATS[1:]]
                + FAILURE + [argv + ["--format", "json-lines"] for argv in FAILURE_JSON]
                + [argv + ["--format", fmt] for argv in FAILURE_TABULAR for fmt in FORMATS[1:]]
-               + HELP)
+               + LONG + HELP)
 
 
 def name_of(argv) -> str:
