@@ -8,7 +8,8 @@ chosen: plain (space-separated values, or key=value lines for a single
 report), csv (with a header row), or json-lines (one object per row;
 ints and bools stay JSON numbers and booleans, a missing value is null,
 and everything else, exact rationals included, is its text, like
-"7/12").
+"7/12").  Decimals are truncated, never rounded; the library refuses a
+negative value or digit count, which argparse already keeps out.
 
 Exit codes: 0 success, 1 domain error (a typed one-line report on
 stderr, e.g. ``NotInImage equivalent=1``) or a stdout closed before the
@@ -55,17 +56,15 @@ def _emit(fields, rows, fmt, report=False) -> None:
     """Print `rows`, tuples in `fields` order, in the format `fmt`.
 
     In plain, a single `report` prints as key=value lines, because
-    reports carry free-text fields.  The lines go out in joined chunks of
+    reports carry free-text fields.  Plain and json-lines build one ``%``
+    template per call from the field names (identifiers, so no ``%`` to
+    escape) and fill it with each row's cells; csv goes through
+    `csv.writer`.  The lines go out in joined chunks of
     about `_CHUNK_CHARS` characters, one write each, so `rows` may be a
     stream of any length.  A chunk is written only once every row in it
     is built, so a stream that raises on row 1 writes nothing at all.
     """
-    if fmt == "plain":
-        if report:
-            lines = ("".join(f"{f}={_text(v)}\n" for f, v in zip(fields, row)) for row in rows)
-        else:
-            lines = (" ".join(map(_text, row)) + "\n" for row in rows)
-    elif fmt == "csv":
+    if fmt == "csv":
         import csv
         from itertools import chain
         from types import SimpleNamespace
@@ -74,10 +73,21 @@ def _emit(fields, rows, fmt, report=False) -> None:
         writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
         lines = map(writerow, chain([fields], (map(_text, row) for row in rows)))
     else:
-        import json
+        if fmt == "plain":
+            cell = _text
+            template = ("".join(f"{f}=%s\n" for f in fields) if report
+                        else " ".join(["%s"] * len(fields)) + "\n")
+        else:
+            from json.encoder import encode_basestring_ascii as quote
 
-        lines = (json.dumps({f: v if v is None or isinstance(v, int) else _text(v)
-                             for f, v in zip(fields, row)}) + "\n" for row in rows)
+            def cell(value) -> str:
+                # ints and bools in `_text` are already JSON
+                return ("null" if value is None else _text(value) if isinstance(value, int)
+                        else quote(_text(value)))
+
+            # the separators of `json.dumps`
+            template = "{" + ", ".join(quote(f) + ": %s" for f in fields) + "}\n"
+        lines = (template % tuple(map(cell, row)) for row in rows)
     write, chunk, size = sys.stdout.write, [], 0
     for line in lines:
         chunk.append(line)

@@ -317,8 +317,11 @@ _DIGITS_CAP = 150_000
 
 @lru_cache(maxsize=8)
 def _ten_to(digits: int) -> int:
-    """10**digits, refused with `BudgetExceeded` past ``_DIGITS_CAP`` before
-    it is built; every power of ten sized by a caller's count comes here."""
+    """10**digits, refused before it is built: a negative count with
+    `ValueError` (``10 ** -1`` is a float), one past ``_DIGITS_CAP`` with
+    `BudgetExceeded`; every power of ten sized by a caller's count comes here."""
+    if digits < 0:
+        raise ValueError("digit count must be nonnegative")
     if digits > _DIGITS_CAP:
         raise BudgetExceeded(requested=digits, cap=_DIGITS_CAP)
     return 10 ** digits
@@ -515,35 +518,37 @@ def render_reciprocal(r: Reciprocal) -> str:
 # decimal rendering (always truncation, never rounding)
 
 
+def _truncate(value: Fraction, digits: int) -> tuple[int, int]:
+    """(floor(value * 10**digits), the remainder's numerator) for a
+    nonnegative rational: the one truncation behind every decimal."""
+    if value.numerator < 0:
+        raise ValueError("decimals are written for nonnegative values")
+    return divmod(value.numerator * _ten_to(digits), value.denominator)
+
+
+def _fixed(scaled: int, digits: int) -> str:
+    """``scaled / 10**digits`` written as whole.frac with `digits` places."""
+    text = f"{scaled:0{digits + 1}d}"
+    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
+
+
 def decimal_string(value: Fraction, digits: int) -> str:
     """Decimal expansion of a nonnegative rational, truncated to `digits`
     fractional places; a trailing ``...`` marks a nonzero cut remainder."""
-    if value < 0:
-        raise ValueError("decimal_string handles nonnegative values")
-    if digits < 0:
-        raise ValueError("digits must be nonnegative")
-    whole, rem = divmod(value.numerator, value.denominator)
-    if digits == 0:
-        return str(whole) + ("..." if rem else "")
-    frac, tail = divmod(rem * _ten_to(digits), value.denominator)
-    text = f"{whole}.{frac:0{digits}d}"
-    return text + ("..." if tail else "")
+    scaled, tail = _truncate(value, digits)
+    return _fixed(scaled, digits) + ("..." if tail else "")
 
 
 def decimal_digit(value: Fraction, place: int) -> int:
-    """Digit at 10**-place (place >= 1) of the truncated expansion."""
+    """Digit at 10**-place (place >= 1) of the truncated expansion of a
+    nonnegative rational."""
     if place < 1:
         raise ValueError("place starts at 1")
-    return (value.numerator * _ten_to(place) // value.denominator) % 10
+    return _truncate(value, place)[0] % 10
 
 
 def pinned_decimals(interval: RationalInterval, digits: int) -> Optional[str]:
-    """The first `digits` decimal places shared by every point of the
-    interval, or None if the endpoints disagree that early."""
-    scale = _ten_to(digits)
-    lo_floor = interval.lo.numerator * scale // interval.lo.denominator
-    hi_floor = interval.hi.numerator * scale // interval.hi.denominator
-    if lo_floor != hi_floor:
-        return None
-    whole, frac = divmod(lo_floor, scale)
-    return f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+    """The first `digits` decimal places shared by every point of a
+    nonnegative interval, or None if the endpoints disagree that early."""
+    lo, hi = _truncate(interval.lo, digits)[0], _truncate(interval.hi, digits)[0]
+    return _fixed(lo, digits) if lo == hi else None

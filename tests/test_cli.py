@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import enumerant
-from enumerant.cli import _CHUNK_CHARS, main
+from enumerant.cli import PRINT_DIGIT_LIMIT, _CHUNK_CHARS, _emit, _text, main
+from enumerant.exactnum import DyadicRational
 
 
 def run(capsys, *argv):
@@ -748,3 +749,80 @@ class TestFuzz:
             assert "false" in out.getvalue().splitlines()[-1], argv
         elif code == 1:
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+
+
+# Cells of every kind a row carries, and some no command prints yet: ints
+# past the default int->str digit cap, exact rationals, bit tuples, and text
+# that JSON and csv must quote or escape.
+_CELLS = st.one_of(
+    st.integers(),
+    st.builds(lambda sign, digits, low: sign * (10 ** digits + low),
+              st.sampled_from([1, -1]), st.integers(4290, 4400), st.integers(0, 10 ** 9)),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    st.integers(0, 64).flatmap(
+        lambda e: st.integers(1, 1 << e).map(lambda n: DyadicRational(n, e))),
+    st.lists(st.integers(), max_size=4).map(tuple),
+    st.text(st.one_of(st.sampled_from('"\\,= \n\r\té\u2028\U0001f600'), st.characters())),
+)
+
+
+@st.composite
+def _tables(draw):
+    fields = tuple(f"f{i}" for i in range(draw(st.integers(1, 4))))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * len(fields)), max_size=5))
+    return fields, rows
+
+
+def _emitted(fields, rows, fmt, report=False):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(fields, rows, fmt, report)
+    return out.getvalue()
+
+
+@contextlib.contextmanager
+def _print_digit_limit():
+    """The int->str digit cap lifted as `main` lifts it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(PRINT_DIGIT_LIMIT)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+class TestEmit:
+    @given(_tables())
+    def test_json_lines_are_json_dumps_of_each_row(self, table):
+        fields, rows = table
+        with _print_digit_limit():
+            # ints and bools stay JSON numbers and booleans, None is null,
+            # and everything else is its text
+            want = "".join(json.dumps({f: v if v is None or isinstance(v, int) else _text(v)
+                                       for f, v in zip(fields, row)}) + "\n" for row in rows)
+            assert _emitted(fields, rows, "json-lines") == want
+
+    @given(_tables())
+    def test_plain_cells_are_text(self, table):
+        fields, rows = table
+        with _print_digit_limit():
+            want = "".join(" ".join(map(_text, row)) + "\n" for row in rows)
+            assert _emitted(fields, rows, "plain") == want
+            for row in rows:
+                want = "".join(f"{f}={_text(v)}\n" for f, v in zip(fields, row))
+                assert _emitted(fields, [row], "plain", report=True) == want
+
+    @given(_tables())
+    def test_csv_cells_are_text(self, table):
+        fields, rows = table
+        with _print_digit_limit():
+            want = io.StringIO()
+            # a writer on a real file, not `_emit`'s route through its return value
+            csv.writer(want, lineterminator="\n").writerows(
+                [fields, *([_text(v) for v in row] for row in rows)])
+            assert _emitted(fields, rows, "csv") == want.getvalue()

@@ -797,3 +797,37 @@ class TestDecimals:
         assert pinned_decimals(iv, 2) is None
         point = RationalInterval(Fraction(1, 4), Fraction(1, 4))
         assert pinned_decimals(point, 3) == "0.250"
+
+    @pytest.mark.parametrize("call", [
+        lambda: decimal_digit(Fraction(-1, 3), 1),
+        lambda: pinned_decimals(RationalInterval(Fraction(-1, 3), Fraction(-1, 3)), 2),
+        lambda: pinned_decimals(RationalInterval(Fraction(-1, 3), Fraction(-1, 3)), 0),
+        lambda: pinned_decimals(RationalInterval(Fraction(-1, 3), Fraction(1, 3)), 0),
+    ], ids=["decimal_digit", "pinned_point_2", "pinned_point_0", "pinned_across_0"])
+    def test_every_decimal_refuses_a_negative_value(self, call):
+        # truncation, not a floor: these once read 6, "-1.66" and "-1"
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: decimal_string(Fraction(1, 3), -1),
+        lambda: pinned_decimals(RationalInterval(Fraction(0), Fraction(20)), -1),
+        lambda: canonicalize(Tower(2, Exact(3)), -1),
+        lambda: magnitude_cmp(Exact(3), Tower(2, Exact(3)), -2),
+    ], ids=["decimal_string", "pinned_decimals", "canonicalize", "magnitude_cmp"])
+    def test_a_negative_digit_count_is_refused(self, call):
+        # 10 ** -1 is a float: refused before it is built
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+
+    @given(st.fractions(min_value=0, max_denominator=10 ** 6), st.integers(0, 40))
+    def test_agrees_with_long_division(self, x, digits):
+        whole, rem = divmod(x.numerator, x.denominator)
+        places = []
+        for _ in range(digits):
+            digit, rem = divmod(rem * 10, x.denominator)
+            places.append(digit)
+        text = str(whole) + ("." if digits else "") + "".join(map(str, places))
+        assert decimal_string(x, digits) == text + ("..." if rem else "")
+        assert pinned_decimals(RationalInterval(x, x), digits) == text
+        assert [decimal_digit(x, p) for p in range(1, digits + 1)] == places

@@ -387,6 +387,11 @@ class TestTableTwo:
         with pytest.raises(ValueError):
             table2_row(0)
 
+    def test_a_negative_digit_budget_is_refused(self):
+        # once 10 ** -1, a float, reached the magnitude sandwich
+        with pytest.raises(ValueError, match="nonnegative"):
+            table2_row(3, -1)
+
     def test_log2_precision_cap(self):
         at_cap = table2_row(3, log2_precision_bits=1 << 15)
         assert at_cap.log2_n.width == Fraction(1, 1 << (1 << 15))
