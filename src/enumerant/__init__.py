@@ -44,8 +44,6 @@ _EXPORTS = {
         "log2_interval",
         "magnitude_cmp",
         "pinned_decimals",
-        "render_magnitude",
-        "render_reciprocal",
     ),
     "enumeration": (
         "ApproximationReport",

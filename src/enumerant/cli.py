@@ -132,6 +132,7 @@ def _cmd_approx(args) -> int:
 
 def _cmd_diag(args) -> int:
     from .diagonal import (
+        _TEXT_CHARS,
         MismatchRecord,
         certificate_from_text,
         certificate_to_text,
@@ -143,7 +144,8 @@ def _cmd_diag(args) -> int:
     if args.verify is not None:
         try:
             with open(args.verify, "r", encoding="ascii") as fh:
-                cert = certificate_from_text(fh.read())
+                # one character past the bound is enough to refuse the text
+                cert = certificate_from_text(fh.read(_TEXT_CHARS + 1))
         except (OSError, ValueError) as err:
             print(f"unreadable certificate: {err}", file=sys.stderr)
             return 1

@@ -16,7 +16,7 @@ from operator import eq, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import _EXPORTS
-from .errors import BudgetExceeded, EnumerationExhausted
+from .errors import EnumerationExhausted, _within
 
 __all__ = _EXPORTS["diagonal"]
 
@@ -29,6 +29,12 @@ EnumerationSource = Union[Iterable[str], Callable[[], Iterable[str]]]
 # --count` 0.45 s wall and 63 MiB in plain, 0.8 s in csv and 0.9 s in
 # json-lines (CPython 3.11, one Xeon core, median of 5)
 _STAGE_CAP = 200_000
+# bounds on a certificate's text and on each of its lines, checked before any
+# field is parsed: under the CLI's lifted int-to-str digit limit, `int` takes
+# time quadratic in a field's length.  At the stage cap `certificate_to_text`
+# writes 3 377 808 characters, none of its lines longer than 17
+_TEXT_CHARS = 1 << 22
+_LINE_CHARS = 80
 
 
 def _fresh(source: EnumerationSource) -> Iterator[str]:
@@ -93,8 +99,7 @@ def certify_absence(source: EnumerationSource, stage: int) -> DiagonalCertificat
     """
     if stage < 1:
         raise ValueError("stage must be at least 1")
-    if stage > _STAGE_CAP:
-        raise BudgetExceeded(requested=stage, cap=_STAGE_CAP)
+    _within(stage, _STAGE_CAP)
     feed = _fresh(source)
     positions = range(1, stage + 1)
     entries = list(islice(feed, stage))
@@ -162,12 +167,20 @@ def certificate_to_text(cert: DiagonalCertificate) -> str:
 def certificate_from_text(text: str) -> DiagonalCertificate:
     """Parse the text form; derived flags stay unset until verification.
 
-    The first fault in text order is the one reported: a bad integer in
-    a well-formed record line ahead of a line without four fields wins.
+    A text past `_TEXT_CHARS` characters, or with a line past
+    `_LINE_CHARS`, is refused before any field is parsed.  Past those
+    bounds, the first fault in text order is the one reported: a bad
+    integer in a well-formed record line ahead of a line without four
+    fields wins.
     """
+    if len(text) > _TEXT_CHARS:
+        raise ValueError(f"certificate longer than {_TEXT_CHARS} characters")
     lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ValueError("empty certificate")
+    longest = max(map(len, lines))
+    if longest > _LINE_CHARS:
+        raise ValueError(f"a line of {longest} characters, over {_LINE_CHARS}")
     head = lines[0].split()
     if len(head) != 2 or not head[0].startswith("N=") or not head[1].startswith("pad="):
         raise ValueError(f"malformed header: {lines[0]!r}")

@@ -85,3 +85,10 @@ class NotEvenPositiveDistinct(DomainError):
 
 class BudgetExceeded(DomainError):
     """A growth guard tripped: the work asked for is past a fixed budget."""
+
+
+def _within(requested: int, cap: int) -> None:
+    """Refuse a count past its cap: every growth guard that sizes work by a
+    count calls this before the work starts."""
+    if requested > cap:
+        raise BudgetExceeded(requested=requested, cap=cap)

@@ -19,9 +19,10 @@ The hand-built types are the ones no stdlib type covers:
   being written out.
 
 The value types are small immutable ``__slots__`` classes, each with its
-own ``__init__``, on one base that states equality, hashing, copying and
-repr once from the fields; importing this module (and the package's CLI)
-never loads ``dataclasses``.
+own ``__init__`` and ``__str__`` (the exact text the package prints), on
+one base that states equality, hashing, copying and repr once from the
+fields; importing this module (and the package's CLI) never loads
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _EXPORTS
-from .errors import BudgetExceeded, EmptyString, OutOfRange, _Text
+from .errors import EmptyString, OutOfRange, _Text, _within
 
 __all__ = _EXPORTS["exactnum"]
 
@@ -60,10 +61,7 @@ class _Immutable:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        for name in self.__slots__:  # magnitude_cmp is slower on a built tuple
-            if getattr(self, name) != getattr(other, name):
-                return False
-        return True
+        return self._fields() == other._fields()
 
     def __hash__(self):
         return hash(self._fields())
@@ -97,7 +95,9 @@ class DyadicRational(_Immutable):
             zeros = (numerator & -numerator).bit_length() - 1
             numerator >>= zeros
             exponent -= zeros
-        if exponent < 0 or numerator > (1 << exponent):
+        # odd n <= 2**e is bitlen(n) <= e, or n = 1 at e = 0; a negative e
+        # fails too, with no e-bit power built
+        if numerator.bit_length() > (exponent or 1):
             raise OutOfRange(value=_Text("{}/2^{}", numerator, exponent))
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "exponent", exponent)
@@ -179,10 +179,8 @@ class RationalInterval(_Immutable):
     def strictly_encloses(self, other: "RationalInterval") -> bool:
         return self.lo < other.lo and other.hi < self.hi
 
-    def render(self) -> str:
-        if self.is_point:
-            return str(self.lo)
-        return f"[{self.lo}, {self.hi}]"
+    def __str__(self) -> str:
+        return str(self.lo) if self.is_point else f"[{self.lo}, {self.hi}]"
 
 
 def _atanh_sum(a: int, b: int, w: int) -> tuple[int, int]:
@@ -253,8 +251,7 @@ def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
         raise ValueError("log2 needs n >= 1")
     if precision_bits < 1:
         raise ValueError("precision must be at least one bit")
-    if precision_bits > _LOG2_BITS_CAP:
-        raise BudgetExceeded(requested=precision_bits, cap=_LOG2_BITS_CAP)
+    _within(precision_bits, _LOG2_BITS_CAP)
     k = n.bit_length() - 1
     if n == 1 << k:
         point = Fraction(k)
@@ -294,6 +291,9 @@ class Exact(Magnitude):
     def __init__(self, value: int):
         object.__setattr__(self, "value", value)
 
+    def __str__(self) -> str:
+        return str(self.value)
+
 
 class Tower(Magnitude):
     """Symbolic ``base ** exponent`` with a natural base >= 2."""
@@ -303,6 +303,9 @@ class Tower(Magnitude):
     def __init__(self, base: int, exponent: Magnitude):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
+
+    def __str__(self) -> str:
+        return f"{self.base}^({self.exponent})"
 
 
 DEFAULT_DIGIT_BUDGET = 10_000
@@ -322,8 +325,7 @@ def _ten_to(digits: int) -> int:
     `BudgetExceeded`; every power of ten sized by a caller's count comes here."""
     if digits < 0:
         raise ValueError("digit count must be nonnegative")
-    if digits > _DIGITS_CAP:
-        raise BudgetExceeded(requested=digits, cap=_DIGITS_CAP)
+    _within(digits, _DIGITS_CAP)
     return 10 ** digits
 
 
@@ -492,13 +494,6 @@ def magnitude_cmp(a: Magnitude, b: Magnitude,
     return _cmp_scaled(1, canonicalize(a, digit_budget), 1, canonicalize(b, digit_budget))
 
 
-def render_magnitude(m: Magnitude) -> str:
-    """`Exact` prints as digits, towers as ``base^(exponent)``."""
-    if isinstance(m, Exact):
-        return str(m.value)
-    return f"{m.base}^({render_magnitude(m.exponent)})"
-
-
 class Reciprocal(_Immutable):
     """Exact ``1 / denominator`` where the denominator may stay symbolic."""
 
@@ -507,11 +502,8 @@ class Reciprocal(_Immutable):
     def __init__(self, denominator: Magnitude):
         object.__setattr__(self, "denominator", denominator)
 
-
-def render_reciprocal(r: Reciprocal) -> str:
-    if isinstance(r.denominator, Exact) and r.denominator.value == 1:
-        return "1"
-    return f"1/{render_magnitude(r.denominator)}"
+    def __str__(self) -> str:
+        return "1" if self.denominator == Exact(1) else f"1/{self.denominator}"
 
 
 # ---------------------------------------------------------------------------

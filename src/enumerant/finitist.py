@@ -20,10 +20,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _EXPORTS
 from .errors import (
-    BudgetExceeded,
     EmptySet,
     EnumerationExhausted,
     NotEvenPositiveDistinct,
+    _within,
 )
 from .exactnum import (
     Exact,
@@ -120,8 +120,7 @@ def induction_trace(m: int) -> InductionTrace:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if m > _INDUCTION_CAP:
-        raise BudgetExceeded(requested=m, cap=_INDUCTION_CAP)
+    _within(m, _INDUCTION_CAP)
     universe = tuple(range(2, 2 * m + 1, 2))
     levels = []
     total = 0
@@ -265,18 +264,9 @@ class Table2Row:
     tower: Magnitude  # 2**(2**(n!))
 
     def cells(self) -> tuple[str, ...]:
-        from .exactnum import render_magnitude, render_reciprocal
-
-        return (
-            render_reciprocal(self.recip_two_pow_fact),
-            str(self.recip_fact),
-            self.log2_n.render(),
-            render_magnitude(self.n_value),
-            render_magnitude(self.two_pow),
-            render_magnitude(self.fact),
-            render_magnitude(self.two_pow_fact),
-            render_magnitude(self.tower),
-        )
+        return tuple(map(str, (self.recip_two_pow_fact, self.recip_fact, self.log2_n,
+                               self.n_value, self.two_pow, self.fact,
+                               self.two_pow_fact, self.tower)))
 
 
 def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,

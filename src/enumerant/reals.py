@@ -27,7 +27,7 @@ from math import isqrt
 from typing import Optional
 
 from . import _EXPORTS
-from .errors import BudgetExceeded, DepthZero
+from .errors import DepthZero, _within
 from .exactnum import DyadicRational
 from .series import _e_enclosure, _e_terms, _tau_enclosure, _tau_terms
 
@@ -71,8 +71,7 @@ class ComputableReal:
         """
         if depth < 1:
             raise DepthZero(depth=depth)
-        if depth > _DEPTH_CAP:
-            raise BudgetExceeded(requested=depth, cap=_DEPTH_CAP)
+        _within(depth, _DEPTH_CAP)
         if depth > self._depth:
             scaled = self._floor(depth)
             if not self._holds(scaled, depth):

@@ -15,8 +15,8 @@ from itertools import accumulate, compress, count
 from math import factorial, gcd, isqrt
 
 from . import _EXPORTS
-from .errors import BudgetExceeded
-from .exactnum import Exact, RationalInterval, Tower, canonicalize, render_magnitude
+from .errors import BudgetExceeded, _within
+from .exactnum import Exact, RationalInterval, Tower, canonicalize
 
 __all__ = _EXPORTS["series"]
 
@@ -60,13 +60,14 @@ _LIOUVILLE_CAP = 7
 
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
-# n/d with exactly that numerator and denominator, for coprime n and d > 0,
-# built with no gcd: the constructor's own private path on each version
-if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
-    _coprime_fraction = Fraction._from_coprime_ints
-else:  # 3.10-3.11
-    def _coprime_fraction(n: int, d: int) -> Fraction:
-        return Fraction(n, d, _normalize=False)
+
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """n/d with exactly that numerator and denominator, for coprime n and
+    d > 0, built with no gcd: the two slot writes of 3.12's private
+    ``Fraction._from_coprime_ints``, which fill the same slots on 3.10-3.13."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = n, d
+    return value
 
 
 def _prime_reciprocals(primes: list[int], i: int, j: int) -> tuple[int, int]:
@@ -115,8 +116,7 @@ def _harmonic_range(lo: int, hi: int) -> Fraction:
 
     hi past `_HARMONIC_CAP` raises `BudgetExceeded` before any work.
     """
-    if hi > _HARMONIC_CAP:
-        raise BudgetExceeded(requested=hi, cap=_HARMONIC_CAP)
+    _within(hi, _HARMONIC_CAP)
     r = isqrt(hi)
     sieve = bytearray(b"\1") * (hi + 1)
     sieve[:2] = b"\0\0"
@@ -160,12 +160,12 @@ def _harmonic_range(lo: int, hi: int) -> Fraction:
 def oresme_block(k: int) -> OresmeBlock:
     """Block k of the harmonic series.  A last denominator 2**k past
     `_HARMONIC_CAP` raises `BudgetExceeded` before 2**k is built; its
-    `requested` is 2**k as `render_magnitude` writes it, digits within the
-    default digit budget and 2^(k) past it."""
+    `requested` is the text of 2**k: digits within the default digit budget
+    and 2^(k) past it."""
     if k < 1:
         raise ValueError("blocks start at k=1")
     if k >= _HARMONIC_CAP.bit_length():
-        hi = render_magnitude(canonicalize(Tower(2, Exact(k))))
+        hi = str(canonicalize(Tower(2, Exact(k))))
         raise BudgetExceeded(requested=hi, cap=_HARMONIC_CAP)
     first, last = (1 << (k - 1)) + 1, 1 << k
     return OresmeBlock(k, first, last, _harmonic_range(first, last))
@@ -185,8 +185,7 @@ def geometric_partial(n: int) -> Fraction:
     raises `BudgetExceeded` before 2**n is built."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > _GEOMETRIC_CAP:
-        raise BudgetExceeded(requested=n, cap=_GEOMETRIC_CAP)
+    _within(n, _GEOMETRIC_CAP)
     return 1 - Fraction(1, 1 << n)
 
 
@@ -221,8 +220,7 @@ def _e_enclosure(n: int) -> tuple[int, int, int]:
     sum 2 + p/n! of 1/v! over v <= n.  The tail 1/(n+1)! * (1 + 1/(n+2) +
     ...) is positive and below (n+2)/((n+1)*(n+1)!) < 1/(n*n!).  n past
     `_E_TERMS_CAP` raises `BudgetExceeded` before any work."""
-    if n > _E_TERMS_CAP:
-        raise BudgetExceeded(requested=n, cap=_E_TERMS_CAP)
+    _within(n, _E_TERMS_CAP)
     p, fact = _factorial_series(0, n)
     lo = n * (p - fact)
     return lo, lo + 1, n * fact
@@ -291,8 +289,7 @@ def liouville_partial(m: int) -> LiouvillePartial:
     """Exact m-term partial sum; m past `_LIOUVILLE_CAP` raises `BudgetExceeded`."""
     if m < 1:
         raise ValueError("need m >= 1")
-    if m > _LIOUVILLE_CAP:
-        raise BudgetExceeded(requested=m, cap=_LIOUVILLE_CAP)
+    _within(m, _LIOUVILLE_CAP)
     places = tuple(factorial(v) for v in range(1, m + 1))
     tail = Fraction(2, 10 ** factorial(m + 1))
     return LiouvillePartial(m, Fraction(*_liouville_series(m)), places, tail)

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -272,6 +273,36 @@ class TestDiag:
 
         rc, out, err = run(capsys, "diag", "--verify", str(tmp_path / "absent"))
         assert rc == 1 and err.startswith("unreadable certificate:")
+
+    def test_verify_reads_a_bounded_prefix_of_an_endless_file(self):
+        # the address-space limit is set in the child, so a reader that
+        # grows without bound fails there fast instead of filling the host
+        probe = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+                 "from enumerant.cli import main\n"
+                 "sys.exit(main(['diag', '--verify', '/dev/zero']))\n")
+        start = time.perf_counter()
+        proc = run_python("-c", probe)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "unreadable certificate: certificate longer than 4194304 characters\n"
+        assert elapsed < 2
+
+    def test_verify_refuses_a_long_field_before_parsing_it(self, capsys, tmp_path):
+        path = tmp_path / "cert.txt"
+        path.write_text("N=1 pad=zero\n" + "1" * 800_000 + " 1 0 1\n", encoding="ascii")
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "diag", "--verify", str(path))
+        assert time.perf_counter() - start < 1
+        assert (rc, out, err) == (1, "", "unreadable certificate: a line of 800006 characters, over 80\n")
+
+    def test_verify_the_certificate_at_the_stage_cap(self, capsys, tmp_path):
+        rc, text, _ = run(capsys, "diag", "--count", "200000")
+        assert (rc, len(text)) == (0, 3_377_808)
+        path = tmp_path / "cert.txt"
+        path.write_text(text, encoding="ascii")
+        rc, out, err = run(capsys, "diag", "--verify", str(path))
+        assert (rc, out, err) == (0, "200000 true\n", "")
 
 
 class TestHarmonic:

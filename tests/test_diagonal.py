@@ -2,7 +2,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from enumerant.diagonal import (
+    _LINE_CHARS,
     _STAGE_CAP,
+    _TEXT_CHARS,
     DiagonalCertificate,
     MismatchRecord,
     certificate_from_text,
@@ -304,6 +306,21 @@ class TestTextFormat:
     def test_parsed_certificates_verify(self):
         text = certificate_to_text(certify_absence(all_strings, 40))
         assert verify_certificate(certificate_from_text(text), all_strings)
+
+    def test_bounds_are_checked_before_any_field_is_parsed(self):
+        head, record = "N=1 pad=zero\n", "1 1 1 0\n"
+        # at each bound the text parses; one character past it, it is refused
+        wide = "0" * (_LINE_CHARS - len(record) + 1) + record
+        assert certificate_from_text(head + wide).records == ((1, 1, 1, 0),)
+        with pytest.raises(ValueError, match=f"^a line of {_LINE_CHARS + 1} characters, over {_LINE_CHARS}$"):
+            certificate_from_text(head + "0" + wide)
+        long = head + record + "\n" * (_TEXT_CHARS - len(head + record))
+        assert certificate_from_text(long).records == ((1, 1, 1, 0),)
+        with pytest.raises(ValueError, match=f"^certificate longer than {_TEXT_CHARS} characters$"):
+            certificate_from_text(long + "\n")
+        # a long header is refused by length too, not quoted back whole
+        with pytest.raises(ValueError, match="^a line of"):
+            certificate_from_text("N=" + "1" * 100 + " pad=zero\n")
 
     def test_malformed_inputs(self):
         for bad in (

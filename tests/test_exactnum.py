@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt, log2
 
@@ -28,8 +29,6 @@ from enumerant.exactnum import (
     log2_interval,
     magnitude_cmp,
     pinned_decimals,
-    render_magnitude,
-    render_reciprocal,
 )
 
 class TestDyadicRational:
@@ -49,6 +48,28 @@ class TestDyadicRational:
             DyadicRational(9, 3)  # 9/8 > 1
         with pytest.raises(OutOfRange):
             DyadicRational(4, 1)  # strips to 2/1
+
+    def test_range_check_builds_no_power_of_two(self):
+        tracemalloc.start()
+        try:
+            DyadicRational(1, 10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @given(st.integers(1, 1 << 13), st.integers(-3, 14))
+    def test_range_check_against_the_power_rule(self, n, e):
+        # the rule as first written: strip to odd n, then refuse e < 0 or n > 2**e
+        odd, exp = n, e
+        while not odd & 1:
+            odd, exp = odd >> 1, exp - 1
+        if exp < 0 or odd > 1 << exp:
+            with pytest.raises(OutOfRange):
+                DyadicRational(n, e)
+        else:
+            d = DyadicRational(n, e)
+            assert (d.numerator, d.exponent) == (odd, exp)
 
     def test_from_fraction(self):
         assert DyadicRational.from_fraction(Fraction(3, 8)) == DyadicRational(3, 3)
@@ -156,8 +177,8 @@ class TestRationalInterval:
         assert not iv.encloses(outer)
 
     def test_render(self):
-        assert RationalInterval(Fraction(2), Fraction(2)).render() == "2"
-        assert RationalInterval(Fraction(1, 3), Fraction(1, 2)).render() == "[1/3, 1/2]"
+        assert str(RationalInterval(Fraction(2), Fraction(2))) == "2"
+        assert str(RationalInterval(Fraction(1, 3), Fraction(1, 2))) == "[1/3, 1/2]"
 
 
 # (class, the fields of one instance in slot order, that instance's repr)
@@ -736,23 +757,57 @@ class TestMagnitudeCmp:
             Tower(2, Tower(2, Exact(40000))), Exact(97),
         ]
         ordered = sorted(bag, key=functools.cmp_to_key(magnitude_cmp))
-        rendered = [render_magnitude(canonicalize(m)) for m in ordered]
+        rendered = [str(canonicalize(m)) for m in ordered]
         assert rendered == [
             "1", "97", str(2 ** 64), str(10 ** 60),
             "2^(1000000)", "3^(1000000)", "2^(2^(40000))",
         ]
 
 
+def _render_magnitude(m):
+    # the free functions the text came from before it moved into __str__
+    if isinstance(m, Exact):
+        return str(m.value)
+    return f"{m.base}^({_render_magnitude(m.exponent)})"
+
+
+def _render_reciprocal(r):
+    if isinstance(r.denominator, Exact) and r.denominator.value == 1:
+        return "1"
+    return f"1/{_render_magnitude(r.denominator)}"
+
+
+def _render_interval(iv):
+    if iv.is_point:
+        return str(iv.lo)
+    return f"[{iv.lo}, {iv.hi}]"
+
+
+_FRACTIONS = st.fractions(min_value=0, max_value=10 ** 6)
+
+
 class TestRendering:
+    @given(st.integers(0, 3).flatmap(_towers), st.integers(1, 30))
+    def test_str_is_the_render_rule(self, m, budget):
+        m = canonicalize(m, budget)
+        assert str(m) == _render_magnitude(m)
+        assert str(Reciprocal(m)) == _render_reciprocal(Reciprocal(m))
+        assert str(Reciprocal(Exact(1))) == _render_reciprocal(Reciprocal(Exact(1)))
+
+    @given(_FRACTIONS, _FRACTIONS, st.booleans())
+    def test_interval_str_is_the_render_rule(self, x, y, point):
+        iv = RationalInterval(x, x) if point else RationalInterval(min(x, y), max(x, y))
+        assert str(iv) == _render_interval(iv)
+
     def test_magnitudes(self):
-        assert render_magnitude(Exact(64)) == "64"
-        assert render_magnitude(Tower(2, Exact(64))) == "2^(64)"
-        assert render_magnitude(Tower(2, Tower(2, Exact(120)))) == "2^(2^(120))"
+        assert str(Exact(64)) == "64"
+        assert str(Tower(2, Exact(64))) == "2^(64)"
+        assert str(Tower(2, Tower(2, Exact(120)))) == "2^(2^(120))"
 
     def test_reciprocals(self):
-        assert render_reciprocal(Reciprocal(Exact(64))) == "1/64"
-        assert render_reciprocal(Reciprocal(Tower(2, Exact(120)))) == "1/2^(120)"
-        assert render_reciprocal(Reciprocal(Exact(1))) == "1"
+        assert str(Reciprocal(Exact(64))) == "1/64"
+        assert str(Reciprocal(Tower(2, Exact(120)))) == "1/2^(120)"
+        assert str(Reciprocal(Exact(1))) == "1"
 
 
 class TestDecimals:

@@ -232,12 +232,9 @@ class TestCoprimeFraction:
         assert hash(value) == hash(Fraction(n, d))
 
     def test_takes_no_gcd(self):
-        # a pair with a common factor stays as given, on every version's
-        # path: the helper never normalizes
+        # a pair with a common factor stays as given: the helper never normalizes
         value = _coprime_fraction(6, 4)
         assert (value.numerator, value.denominator) == (6, 4)
-        if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
-            assert _coprime_fraction == Fraction._from_coprime_ints
 
 
 class TestGeometric:
