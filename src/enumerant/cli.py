@@ -31,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, _within
 
 # printing exact values is the point; undo the int->str safety cap
 PRINT_DIGIT_LIMIT = 50_000_000
@@ -165,14 +165,13 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_harmonic(args) -> int:
-    from .series import oresme_block
+    from .series import harmonic_partial, oresme_block
 
     # the last block first: past the budget it refuses before any block is summed
     blocks = [oresme_block(k) for k in range(args.blocks, 0, -1)]
     rows = []
-    cumulative = Fraction(1)
     for k, block in enumerate(reversed(blocks), 1):
-        cumulative += block.total
+        cumulative = harmonic_partial(1 << k)
         rows.append((k, block.first, block.last, block.terms, block.total, cumulative,
                      block.at_least_half, cumulative >= 1 + Fraction(k, 2)))
     _emit(("k", "first", "last", "terms", "block", "cumulative", "at_least_half",
@@ -237,14 +236,21 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .finitist import TABLE2_DIGIT_BUDGET, Table1Row, table1_row, table2_row
+    from .finitist import (
+        _TABLE2_ROWS_CAP,
+        TABLE2_DIGIT_BUDGET,
+        Table1Row,
+        table1_row,
+        table2_row,
+    )
 
     span = range(1, args.rows + 1)
     if args.id == 1:
         _emit(Table1Row.__match_args__, (_attrs(table1_row(n)) for n in span), args.format)
         return 0
+    _within(args.rows, _TABLE2_ROWS_CAP)
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
-    # every budget refuses on row 1, before `_emit` writes its first chunk
+    # every other budget refuses on row 1, before `_emit` writes its first chunk
     rows = (table2_row(n, budget, args.log2_bits).cells() for n in span)
     _emit(("recip_two_pow_fact", "recip_fact", "log2_n", "n", "two_pow", "fact",
            "two_pow_fact", "tower"), rows, args.format)

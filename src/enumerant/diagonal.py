@@ -168,10 +168,11 @@ def certificate_from_text(text: str) -> DiagonalCertificate:
     """Parse the text form; derived flags stay unset until verification.
 
     A text past `_TEXT_CHARS` characters, or with a line past
-    `_LINE_CHARS`, is refused before any field is parsed.  Past those
-    bounds, the first fault in text order is the one reported: a bad
-    integer in a well-formed record line ahead of a line without four
-    fields wins.
+    `_LINE_CHARS`, is refused before any field is parsed, and a claimed
+    stage past `_STAGE_CAP` raises `BudgetExceeded` before any record line
+    is split.  Past those bounds, the first fault in text order is the one
+    reported: a bad integer in a well-formed record line ahead of a line
+    without four fields wins.
     """
     if len(text) > _TEXT_CHARS:
         raise ValueError(f"certificate longer than {_TEXT_CHARS} characters")
@@ -185,6 +186,7 @@ def certificate_from_text(text: str) -> DiagonalCertificate:
     if len(head) != 2 or not head[0].startswith("N=") or not head[1].startswith("pad="):
         raise ValueError(f"malformed header: {lines[0]!r}")
     stage = int(head[0][2:])
+    _within(stage, _STAGE_CAP)
     padding = head[1][4:]
     # each line is split once, and parsing stops at the first line without
     # four fields; the lines before it are parsed first, so a bad int there wins

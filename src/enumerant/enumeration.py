@@ -177,16 +177,12 @@ def approximate(x: "ComputableReal", depth: int) -> ApproximationReport:
     if member:
         best = exact
         bound = Fraction(0)
-    elif scaled == 0:
-        best = DyadicRational(1, depth)  # upper endpoint; 0 is not enumerated
-        bound = Fraction(1, top)
-    elif scaled == top - 1:
-        best = DyadicRational(scaled, depth)  # upper endpoint would be 1
-        bound = Fraction(1, top)
     else:
-        lower_half = bits[depth] == "0"
-        best = DyadicRational(scaled if lower_half else scaled + 1, depth)
-        bound = Fraction(1, 2 * top)
+        # the nearer endpoint, kept off 0 and 1, which are not enumerated;
+        # an end cell may so take its far endpoint
+        near = scaled + (bits[depth] == "1")
+        best = DyadicRational(min(max(near, 1), top - 1), depth)
+        bound = Fraction(1, top if scaled in (0, top - 1) else 2 * top)
     best_bits = best.bits()
     index = string_to_index(best_bits)
     return ApproximationReport(

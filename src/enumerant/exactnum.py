@@ -240,12 +240,13 @@ def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
     cell, since log2 n is irrational.  When the floors differ, w doubles
     and both sums are redone.
 
-    For a long n (k > w + 2), x is taken at m = n >> (k - w), the top
-    w + 1 bits: with n' = n / 2**(k - w), m <= n' < m + 1 and x depends
-    on n' alone.  atanh is monotone, x grows by at most 2**-(w+1) from
-    m to m + 1 and atanh' <= 9/8 below 1/3, so 2**w * atanh(x) lies in
-    [A, A + E_A + 1).  Integer arithmetic throughout.  A precision past
-    ``_LOG2_BITS_CAP`` raises `BudgetExceeded` before any work.
+    x depends on n / 2**s alone, for any shift s, so n is cut to its top
+    bits m = n >> s with s = max(k - w, 0).  For k > w, m has w + 1 bits
+    and n' = n / 2**s has m <= n' < m + 1: atanh is monotone, and with
+    m >= 2**w, x grows by at most 2**-(w+1) from m to m + 1, while
+    atanh' <= 9/8 below 1/3, so 2**w * atanh(x) lies in [A, A + E_A + 1).
+    Integer arithmetic throughout.  A precision past ``_LOG2_BITS_CAP``
+    raises `BudgetExceeded` before any work.
     """
     if n < 1:
         raise ValueError("log2 needs n >= 1")
@@ -259,10 +260,8 @@ def log2_interval(n: int, precision_bits: int = 32) -> RationalInterval:
     p = precision_bits
     w = p + 2 * p.bit_length() + 8
     while True:
-        if k > w + 2:
-            m, e, cut = n >> (k - w), w, 1  # cutting n costs one unit
-        else:
-            m, e, cut = n, k, 0
+        s = max(k - w, 0)
+        m, e, cut = n >> s, k - s, s > 0  # cutting n costs one unit
         low, err = _atanh_sum(m - (1 << e), m + (1 << e), w)
         third, third_err = _atanh_third(w)
         frac = (low << p) // (third + third_err)
@@ -331,13 +330,11 @@ def _ten_to(digits: int) -> int:
 
 def _pow_vs_limit(base: int, exp: int, limit: int) -> Optional[int]:
     """``base**exp`` if it is < limit, else None.  Never builds huge values:
-    a bit-length sandwich filters the clear cases and only the narrow gray
-    zone (result within 2x of the limit's size) is computed exactly."""
-    bl = base.bit_length()
-    if (bl - 1) * exp >= limit.bit_length():
+    a power of at least 2**bitlen(limit) is refused by bit lengths alone,
+    and any other is below 2**(2 * bitlen(limit)), so it is built and
+    compared exactly."""
+    if (base.bit_length() - 1) * exp >= limit.bit_length():
         return None
-    if bl * exp < limit.bit_length():
-        return base ** exp
     value = base ** exp
     return value if value < limit else None
 

@@ -194,6 +194,10 @@ FAILURE = [
     ["series", "--name", "geometric", "--terms", "500001"],
     ["diag", "--count", "200001"],
     ["harmonic", "--blocks", "1000000"],
+    # a certificate claiming one stage past the cap, refused at its header,
+    # and one row past the table-2 row cap, refused before the first row
+    ["diag", "--verify", "stage-past-cap.txt"],
+    ["table", "--id", "2", "--rows", "1501"],
 ]
 
 # the first domain errors again in json-lines
@@ -223,6 +227,7 @@ FAILURE_TABULAR = [
     ["table", "--id", "2", "--rows", "9", "--log2-bits", "32769"],
     ["table", "--id", "2", "--rows", "9", "--digit-budget", "100000000"],
     ["diag", "--count", "200001"],
+    ["table", "--id", "2", "--rows", "1501"],
 ]
 
 # outputs of several `_emit` chunks each, so a row split across a chunk

@@ -296,6 +296,16 @@ class TestDiag:
         assert time.perf_counter() - start < 1
         assert (rc, out, err) == (1, "", "unreadable certificate: a line of 800006 characters, over 80\n")
 
+    def test_verify_refuses_a_stage_past_the_cap_before_reading_records(self, capsys,
+                                                                        tmp_path):
+        # 524 000 records fit the text bound; the header alone refuses them
+        path = tmp_path / "cert.txt"
+        path.write_text("N=524000 pad=zero\n" + "0 0 0 0\n" * 524_000, encoding="ascii")
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "diag", "--verify", str(path))
+        assert time.perf_counter() - start < 1
+        assert (rc, out, err) == (1, "", "BudgetExceeded requested=524000 cap=200000\n")
+
     def test_verify_the_certificate_at_the_stage_cap(self, capsys, tmp_path):
         rc, text, _ = run(capsys, "diag", "--count", "200000")
         assert (rc, len(text)) == (0, 3_377_808)
@@ -337,6 +347,17 @@ class TestHarmonic:
         assert err == "BudgetExceeded requested=524288 cap=262144\n"
         # the refused block is the only one asked for: none was summed
         assert summed == [19]
+
+    def test_cumulative_column_is_the_left_fold_of_the_blocks(self, capsys):
+        rc, out, _ = run(capsys, "harmonic", "--blocks", "12")
+        assert rc == 0
+        folded = Fraction(1)
+        for k, line in enumerate(out.splitlines(), 1):
+            cells = line.split()
+            folded += Fraction(cells[4])
+            assert (int(cells[0]), Fraction(cells[5])) == (k, folded)
+            assert cells[7] == ("true" if folded >= 1 + Fraction(k, 2) else "false")
+        assert k == 12
 
     def test_huge_block_count_is_one_short_line(self, capsys):
         rc, out, err = run(capsys, "harmonic", "--blocks", "100000000000")
@@ -491,6 +512,19 @@ class TestTable:
             finally:
                 tracemalloc.stop()
         assert peak < 1 << 19
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+    def test_table_two_refuses_rows_past_the_cap_before_any_row(self, capsys, monkeypatch,
+                                                                 fmt):
+        import enumerant.finitist as finitist
+
+        built = []
+        monkeypatch.setattr(finitist, "table2_row", lambda n, *rest: built.append(n))
+        cap = finitist._TABLE2_ROWS_CAP
+        rc, out, err = run(capsys, "table", "--id", "2", "--rows", str(cap + 1),
+                           "--format", fmt)
+        assert (rc, out, err) == (1, "", f"BudgetExceeded requested={cap + 1} cap={cap}\n")
+        assert built == []
 
     def test_table_two_keeps_the_u64_cell_symbolic(self, capsys):
         rc, out, _ = run(capsys, "table", "--id", "2", "--rows", "3")
@@ -717,7 +751,7 @@ def _series(name):
 
 def _table(table_id):
     return [("--id", _value(st.just(str(table_id)))),
-            ("--rows", _number(1, 1000 if table_id == 1 else 12)),
+            ("--rows", _number(1, 1000 if table_id == 1 else 12, huge=table_id == 2)),
             ("--digit-budget", _number(1, 60, huge=True)),
             ("--log2-bits", _number(1, 200, huge=True))]
 

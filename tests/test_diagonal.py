@@ -322,6 +322,12 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="^a line of"):
             certificate_from_text("N=" + "1" * 100 + " pad=zero\n")
 
+    def test_a_stage_past_the_cap_is_refused_before_any_record_is_split(self):
+        # the record line would be a ValueError if it were read
+        with pytest.raises(BudgetExceeded) as exc:
+            certificate_from_text(f"N={_STAGE_CAP + 1} pad=zero\n1 1 x\n")
+        assert exc.value.payload == {"requested": _STAGE_CAP + 1, "cap": _STAGE_CAP}
+
     def test_malformed_inputs(self):
         for bad in (
             "",

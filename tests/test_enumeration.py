@@ -247,3 +247,39 @@ class TestApproximate:
         assert rep.prefix == "111"
         assert rep.best_value == DyadicRational(7, 3)
         assert rep.error_bound == Fraction(1, 8)
+
+    def test_every_cell_against_the_three_case_rule(self):
+        # the end cells spelled as their own cases: 0 and 1 are not
+        # enumerated, so both take their inner endpoint, at twice the bound
+        def three_cases(scaled, extra, depth):
+            top = 1 << depth
+            if scaled == 0:
+                return DyadicRational(1, depth), Fraction(1, top)
+            if scaled == top - 1:
+                return DyadicRational(scaled, depth), Fraction(1, top)
+            lower_half = extra == "0"
+            best = DyadicRational(scaled if lower_half else scaled + 1, depth)
+            return best, Fraction(1, 2 * top)
+
+        for depth in range(1, 13):
+            for scaled in range(1 << depth):
+                for extra in "01":
+                    rep = approximate(_Bits(format(scaled, f"0{depth}b") + extra), depth)
+                    assert (rep.best_value, rep.error_bound) == three_cases(
+                        scaled, extra, depth), (depth, scaled, extra)
+                    assert rep.best_index == string_to_index(rep.best_value.bits())
+
+
+class _Bits:
+    """A stand-in real: a fixed bit prefix, never a dyadic."""
+
+    name = "bits"
+
+    def __init__(self, bits):
+        self.bits = bits
+
+    def prefix(self, n):
+        return self.bits[:n]
+
+    def exact_dyadic(self):
+        return None

@@ -281,6 +281,25 @@ def log2_by_squaring(n: int, p: int) -> RationalInterval:
         guard *= 2
 
 
+def log2_forked(n: int, p: int) -> RationalInterval:
+    """Oracle for the cut in `log2_interval`, as a fork: n is cut to its top
+    w + 1 bits only when k > w + 2, and read whole below."""
+    k = n.bit_length() - 1
+    w = p + 2 * p.bit_length() + 8
+    while True:
+        if k > w + 2:
+            m, e, cut = n >> (k - w), w, 1
+        else:
+            m, e, cut = n, k, 0
+        low, err = exactnum._atanh_sum(m - (1 << e), m + (1 << e), w)
+        third, third_err = exactnum._atanh_third(w)
+        frac = (low << p) // (third + third_err)
+        if frac == ((low + err + cut) << p) // third:
+            lo = Fraction((k << p) + frac, 1 << p)
+            return RationalInterval(lo, lo + Fraction(1, 1 << p))
+        w *= 2
+
+
 def _mp_contains(iv, x):
     lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
     hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
@@ -355,6 +374,21 @@ class TestLog2Interval:
     def test_long_n_is_cut_outward(self, n, p):
         # n longer than the working width plus two bits is cut to its top bits
         assert log2_interval(n, p) == log2_by_squaring(n, p)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 16, 32, 64, 200, 1000])
+    def test_cut_band_against_mpmath(self, p):
+        # bit lengths around the working width w, where n is first cut:
+        # the cell is the one the forked rule gave, and it holds log2 n
+        w = p + 2 * p.bit_length() + 8
+        rnd = random.Random(p)
+        for bits in range(w - 3, w + 7):
+            low, high = 1 << (bits - 1), (1 << bits) - 1
+            for n in (low + 1, high, *(rnd.randint(low, high) for _ in range(4))):
+                iv = log2_interval(n, p)
+                assert iv == log2_forked(n, p), (n, p)
+                assert iv.width == Fraction(1, 1 << p)
+                with mpmath.workprec(p + 256):
+                    assert _mp_contains(iv, mpmath.log(n, 2)), (n, p)
 
     @pytest.mark.parametrize("n", [3, 0x2B3C_4D5E_6F70_8192_A3])
     @pytest.mark.parametrize("p", [2048, 4096])
@@ -449,6 +483,14 @@ class TestCanonicalize:
     def test_rejects_a_non_magnitude(self):
         with pytest.raises(TypeError):
             canonicalize("x")
+
+    @given(st.integers(2, 1 << 40), st.integers(1, 64), st.integers(-2, 2), st.data())
+    def test_pow_vs_limit_is_the_exact_rule(self, base, exp, shift, data):
+        # limits on both sides of the power, from far below to far above it
+        v = base ** exp
+        limit = data.draw(st.sampled_from([max(v + shift, 1), max((v >> 3) + shift, 1),
+                                           (v << 3) + shift, max(v.bit_length() + shift, 1)]))
+        assert exactnum._pow_vs_limit(base, exp, limit) == (v if v < limit else None)
 
 
 def _mp_log2(m):

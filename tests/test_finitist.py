@@ -392,6 +392,13 @@ class TestTableTwo:
         with pytest.raises(ValueError, match="nonnegative"):
             table2_row(3, -1)
 
+    def test_row_cap(self):
+        cap = finitist._TABLE2_ROWS_CAP
+        assert table2_row(cap).fact == Exact(factorial(cap))
+        with pytest.raises(BudgetExceeded) as exc:
+            table2_row(cap + 1)
+        assert str(exc.value) == f"BudgetExceeded requested={cap + 1} cap={cap}"
+
     def test_log2_precision_cap(self):
         at_cap = table2_row(3, log2_precision_bits=1 << 15)
         assert at_cap.log2_n.width == Fraction(1, 1 << (1 << 15))
