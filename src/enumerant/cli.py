@@ -31,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DomainError, _within
+from .errors import DomainError, _within
 
 # printing exact values is the point; undo the int->str safety cap
 PRINT_DIGIT_LIMIT = 50_000_000
@@ -288,10 +288,9 @@ def _fraction(text: str) -> Fraction:
     # a decimal exponent at the end of the text, as `Fraction` reads one
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     try:
-        places = abs(int(exponent[1])) if exponent else 0
-        if places > _DIGITS_CAP:
+        if exponent:
             Fraction(text[:exponent.start()] + "e0")  # a malformed head stays a usage error
-            raise BudgetExceeded(requested=places, cap=_DIGITS_CAP)
+            _within(abs(int(exponent[1])), _DIGITS_CAP)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
@@ -318,33 +317,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", parents=[shared],
                        help="first N entries with their dyadic values")
     p.add_argument("--count", type=_nonnegative, required=True)
-    p.set_defaults(func=_cmd_enum, parser=p)
+    p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("locate", parents=[shared],
                        help="index of a bit string or of a dyadic value")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--bits")
     g.add_argument("--value", type=_fraction, help="dyadic rational like 3/8")
-    p.set_defaults(func=_cmd_locate, parser=p)
+    p.set_defaults(func=_cmd_locate)
 
     p = sub.add_parser("approx", parents=[shared],
                        help="hunt a real through the enumeration to a depth")
     p.add_argument("--real", type=parse_real, required=True,
                    help="sqrt2, e, tau, or rat:P/Q")
     p.add_argument("--depth", type=_positive, required=True)
-    p.set_defaults(func=_cmd_approx, parser=p)
+    p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("diag", parents=[shared],
                        help="stage-N diagonal certificate, or verify one")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--count", type=_positive)
     g.add_argument("--verify", metavar="FILE")
-    p.set_defaults(func=_cmd_diag, parser=p)
+    p.set_defaults(func=_cmd_diag)
 
     p = sub.add_parser("harmonic", parents=[shared],
                        help="doubling blocks of the harmonic series")
     p.add_argument("--blocks", type=_positive, required=True)
-    p.set_defaults(func=_cmd_harmonic, parser=p)
+    p.set_defaults(func=_cmd_harmonic)
 
     p = sub.add_parser("series", parents=[shared],
                        help="exact partial sums and enclosures")
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=_positive, required=True)
     p.add_argument("--digits", type=_nonnegative, default=30,
                    help="decimal places to print (truncated, default 30)")
-    p.set_defaults(func=_cmd_series, parser=p)
+    p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("theorem", parents=[shared],
                        help="even-set counting check, single or exhaustive")
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--set", type=_even_list, metavar="E1,E2,...")
     g.add_argument("--exhaustive", type=_positive, metavar="M",
                    help="check every nonempty subset of {2, 4, ..., 2M}")
-    p.set_defaults(func=_cmd_theorem, parser=p)
+    p.set_defaults(func=_cmd_theorem)
 
     p = sub.add_parser("pair", parents=[shared],
                        help="diagonal pairing code of (i, j), or its inverse")
@@ -377,40 +376,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decimal digits past which table-2 cells stay symbolic")
     p.add_argument("--log2-bits", type=_positive, dest="log2_bits", default=32,
                    help="fractional bits certified for the log2 column")
-    p.set_defaults(func=_cmd_table, parser=p)
+    p.set_defaults(func=_cmd_table)
 
     return parser
 
 
 def main(argv=None) -> int:
     # the cap is process-wide; restore it on every exit, SystemExit included
-    capped = hasattr(sys, "set_int_max_str_digits")
-    if capped:
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(PRINT_DIGIT_LIMIT)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(PRINT_DIGIT_LIMIT)
     try:
-        try:
-            # a type function's budget refuses during parsing, as a DomainError
-            args = build_parser().parse_args(argv)
-            code = args.func(args)
-            sys.stdout.flush()  # a closed stdout shows here, not at exit
-            return code
-        except DomainError as err:
-            print(str(err), file=sys.stderr)
-            return 1
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        except BrokenPipeError:
-            import os
+        # a type function's budget refuses during parsing, as a DomainError
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except DomainError as err:
+        print(str(err), file=sys.stderr)
+        return 1
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        import os
 
-            # the interpreter flushes stdout once more on exit: send it nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print("error: stdout closed before the output ended", file=sys.stderr)
-            return 1
+        # the interpreter flushes stdout once more on exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output ended", file=sys.stderr)
+        return 1
     finally:
-        if capped:
-            sys.set_int_max_str_digits(previous)
+        sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

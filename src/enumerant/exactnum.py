@@ -409,7 +409,7 @@ def _cmp_scaled(k1: int, m1: Magnitude, k2: int, m2: Magnitude,
         return -_cmp_scaled(k2, m2, k1, m1)
     if isinstance(m2, Exact):
         # k2*n = k1*q + r (0 <= r < k1), so k1*V - k2*n = k1*(V - q) - r
-        q, r = divmod(k2 * m2.value, k1) if k1 * k2 > 1 else (m2.value, 0)
+        q, r = divmod(k2 * m2.value, k1)
         e = m1.exponent
         if isinstance(e, Tower) and _cmp_scaled(1, e, 1, Exact(q.bit_length())) >= 0:
             return 1  # V >= 2**E > q once E >= bitlen(q)

@@ -693,8 +693,6 @@ def default_cap():
     sys.set_int_max_str_digits(previous)
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="no int->str digit cap in this Python")
 class TestDigitCap:
     @pytest.mark.parametrize("argv, code", [
         (["pair", "--i", "1", "--j", "2"], 0),
@@ -850,9 +848,6 @@ def _emitted(fields, rows, fmt, report=False):
 @contextlib.contextmanager
 def _print_digit_limit():
     """The int->str digit cap lifted as `main` lifts it."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(PRINT_DIGIT_LIMIT)
     try:

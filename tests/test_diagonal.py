@@ -222,6 +222,13 @@ class TestCertificates:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_equality_with_another_type_is_refused(self):
+        assert certify_absence(all_strings, 4) != object()
+
+    def test_repr(self):
+        assert repr(certify_absence(all_strings, 4)) == (
+            "DiagonalCertificate(stage=4, diagonal='0011', padding='zero')")
+
 
 class TestTamperDetection:
     def _records(self, stage=30):

@@ -1,6 +1,6 @@
 import pytest
 
-from enumerant import diagonal, exactnum, finitist, reals, series
+from enumerant import cli, diagonal, exactnum, finitist, reals, series
 from enumerant.errors import BudgetExceeded, DomainError, OutOfRange
 
 
@@ -37,6 +37,7 @@ GUARDS = {
     # the source is read first, so it is the first step of work
     "stage": (diagonal, "_STAGE_CAP", lambda n: diagonal.certify_absence(_reached, n), None),
     "induction": (finitist, "_INDUCTION_CAP", finitist.induction_trace, "combinations"),
+    "value_exponent": (exactnum, "_DIGITS_CAP", lambda n: cli._fraction(f"1e{n}"), None),
 }
 
 
