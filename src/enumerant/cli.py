@@ -5,15 +5,19 @@ byte-identical output.  Each command builds a header of column names
 and rows, each row a tuple in header order, most of them straight from
 the library's records; one emitter prints them in the ``--format``
 chosen: plain (space-separated values, or key=value lines for a single
-report), csv (with a header row), or json-lines (one object per row;
-ints and bools stay JSON numbers and booleans, a missing value is null,
-and everything else, exact rationals included, is its text, like
-"7/12").  Decimals are truncated, never rounded; the library refuses a
-negative value or digit count, which argparse already keeps out.
+report), csv (with a header row; a cell that holds a comma, a quote or
+a line break, CR or LF, is quoted, the same on every supported Python),
+or json-lines (one object per row; ints and bools stay JSON numbers and
+booleans, a missing value is null, and everything else, exact rationals
+included, is its text, like "7/12").  Decimals are truncated, never
+rounded; the library refuses a negative value or digit count, which
+argparse already keeps out.
 
 Exit codes: 0 success, 1 domain error (a typed one-line report on
 stderr, e.g. ``NotInImage equivalent=1``) or a stdout closed before the
-output ended (one stderr line), 2 usage error.
+output ended (one stderr line), 2 usage error.  Only the commands whose
+verdict can fail, ``diag --verify`` and ``theorem --exhaustive``, return
+a status of their own; every other command returns nothing, which is 0.
 
 A CLI call is mostly process start and import, so each command imports
 its own library modules when it runs; the module level imports only
@@ -33,18 +37,16 @@ from fractions import Fraction
 
 from .errors import DomainError, _within
 
-# printing exact values is the point; undo the int->str safety cap
-PRINT_DIGIT_LIMIT = 50_000_000
+# a cell's text by its exact type; a type not listed is its `str`
+_TEXTS = {
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "",
+    tuple: lambda items: ",".join(map(str, items)),
+}
 
 
 def _text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, tuple):
-        return ",".join(map(str, value))
-    return str(value)
+    return _TEXTS.get(type(value), str)(value)
 
 
 # characters of rows joined into one write: a stream of rows is held one
@@ -69,8 +71,11 @@ def _emit(fields, rows, fmt, report=False) -> None:
         from itertools import chain
         from types import SimpleNamespace
 
-        # writerow returns what its file's write returns: here, the line
-        writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+        # writerow returns what its file's write returns: here, the line.  Every
+        # Python quotes a cell that holds a character of the terminator, so
+        # "\r\n" quotes both line breaks; the line then ends in "\n" alone
+        writerow = csv.writer(SimpleNamespace(write=lambda line: line[:-2] + "\n"),
+                              lineterminator="\r\n").writerow
         lines = map(writerow, chain([fields], (map(_text, row) for row in rows)))
     else:
         if fmt == "plain":
@@ -103,14 +108,13 @@ def _attrs(record) -> tuple:
     return tuple(getattr(record, f) for f in record.__match_args__)
 
 
-def _cmd_enum(args) -> int:
+def _cmd_enum(args) -> None:
     from .enumeration import Entry, entries
 
     _emit(Entry._fields, entries(args.count), args.format)
-    return 0
 
 
-def _cmd_locate(args) -> int:
+def _cmd_locate(args) -> None:
     from .enumeration import locate_value, string_to_index
     from .exactnum import DyadicRational
 
@@ -119,18 +123,16 @@ def _cmd_locate(args) -> int:
     else:
         index = locate_value(DyadicRational.from_fraction(args.value))
     _emit(("index",), [(index,)], args.format)
-    return 0
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> None:
     from .enumeration import approximate
 
     report = approximate(args.real, args.depth)
     _emit(report.__match_args__, [_attrs(report)], args.format, report=True)
-    return 0
 
 
-def _cmd_diag(args) -> int:
+def _cmd_diag(args) -> int | None:
     from .diagonal import (
         _TEXT_CHARS,
         MismatchRecord,
@@ -155,16 +157,15 @@ def _cmd_diag(args) -> int:
     cert = certify_absence(all_strings, args.count)
     if args.format == "plain":
         sys.stdout.write(certificate_to_text(cert))
-        return 0
+        return
     if args.format == "json-lines":
         _emit(("stage", "pad", "diagonal", "ends_in_one", "occurs_in_prefix"),
               [(cert.stage, cert.padding, cert.diagonal, cert.ends_in_one,
                 cert.occurs_in_prefix)], args.format)
     _emit(MismatchRecord._fields, cert.records, args.format)
-    return 0
 
 
-def _cmd_harmonic(args) -> int:
+def _cmd_harmonic(args) -> None:
     from .series import harmonic_partial, oresme_block
 
     # the last block first: past the budget it refuses before any block is summed
@@ -176,10 +177,9 @@ def _cmd_harmonic(args) -> int:
                      block.at_least_half, cumulative >= 1 + Fraction(k, 2)))
     _emit(("k", "first", "last", "terms", "block", "cumulative", "at_least_half",
            "meets_bound"), rows, args.format)
-    return 0
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> None:
     from math import factorial
 
     from .exactnum import decimal_string, pinned_decimals
@@ -205,37 +205,35 @@ def _cmd_series(args) -> int:
         fields = ("terms", "value", "matches_closed_form")
         row = (args.terms, value, written and not q & (q - 1))
     _emit(fields, [row], args.format, report=True)
-    return 0
 
 
-def _cmd_theorem(args) -> int:
+def _cmd_theorem(args) -> int | None:
     from .finitist import check_even_set, induction_trace
 
     if args.set is not None:
         report = check_even_set(args.set)
         _emit(report.__match_args__, [_attrs(report)], args.format, report=True)
-        return 0
+        return
     trace = induction_trace(args.exhaustive)
     total = ("total", trace.total_checked, sum(lv.failures for lv in trace.levels))
     _emit(("size", "checked", "failures"), [*trace.levels, total], args.format)
     return 0 if trace.all_hold else 1
 
 
-def _cmd_pair(args) -> int:
+def _cmd_pair(args) -> None:
     from .finitist import cantor_pair, cantor_unpair
 
     if args.unpair is not None:
         if args.i is not None or args.j is not None:
             args.parser.error("--unpair does not combine with --i/--j")
         _emit(("i", "j"), [cantor_unpair(args.unpair)], args.format)
-        return 0
+        return
     if args.i is None or args.j is None:
         args.parser.error("pair needs either --unpair N or both --i and --j")
     _emit(("code",), [(cantor_pair(args.i, args.j),)], args.format)
-    return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     from .finitist import (
         _TABLE2_ROWS_CAP,
         TABLE2_DIGIT_BUDGET,
@@ -247,14 +245,13 @@ def _cmd_table(args) -> int:
     span = range(1, args.rows + 1)
     if args.id == 1:
         _emit(Table1Row.__match_args__, (_attrs(table1_row(n)) for n in span), args.format)
-        return 0
+        return
     _within(args.rows, _TABLE2_ROWS_CAP)
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
     # every other budget refuses on row 1, before `_emit` writes its first chunk
     rows = (table2_row(n, budget, args.log2_bits).cells() for n in span)
     _emit(("recip_two_pow_fact", "recip_fact", "log2_n", "n", "two_pow", "fact",
            "two_pow_fact", "tower"), rows, args.format)
-    return 0
 
 
 def parse_real(text: str):
@@ -382,15 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # the cap is process-wide; restore it on every exit, SystemExit included
+    # printing exact values is the point: no int->str digit limit (0).  The
+    # limit is process-wide; restore it on every exit, SystemExit included
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(PRINT_DIGIT_LIMIT)
+    sys.set_int_max_str_digits(0)
     try:
         # a type function's budget refuses during parsing, as a DomainError
         args = build_parser().parse_args(argv)
+        # only a command whose verdict can fail returns a status
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
-        return code
+        return code or 0
     except DomainError as err:
         print(str(err), file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ EnumerationSource = Union[Iterable[str], Callable[[], Iterable[str]]]
 # json-lines (CPython 3.11, one Xeon core, median of 5)
 _STAGE_CAP = 200_000
 # bounds on a certificate's text and on each of its lines, checked before any
-# field is parsed: under the CLI's lifted int-to-str digit limit, `int` takes
+# field is parsed: with the CLI's int-to-str digit limit removed, `int` takes
 # time quadratic in a field's length.  At the stage cap `certificate_to_text`
 # writes 3 377 808 characters, none of its lines longer than 17
 _TEXT_CHARS = 1 << 22
@@ -164,30 +164,43 @@ def certificate_to_text(cert: DiagonalCertificate) -> str:
     return f"N={cert.stage} pad={cert.padding}\n" + body
 
 
+def _refuse_line(length: int) -> None:
+    if length > _LINE_CHARS:
+        raise ValueError(f"a line of {length} characters, over {_LINE_CHARS}")
+
+
 def certificate_from_text(text: str) -> DiagonalCertificate:
     """Parse the text form; derived flags stay unset until verification.
 
-    A text past `_TEXT_CHARS` characters, or with a line past
-    `_LINE_CHARS`, is refused before any field is parsed, and a claimed
-    stage past `_STAGE_CAP` raises `BudgetExceeded` before any record line
-    is split.  Past those bounds, the first fault in text order is the one
+    A text past `_TEXT_CHARS` characters is refused first.  The header,
+    the first non-blank line, is read next, alone: past `_LINE_CHARS`,
+    malformed, or claiming a stage past `_STAGE_CAP` (`BudgetExceeded`),
+    it is refused before the rest of the text is split into lines.  Then
+    a line past `_LINE_CHARS` is refused before any record field is
+    parsed.  Past those bounds, the first fault in text order is the one
     reported: a bad integer in a well-formed record line ahead of a line
     without four fields wins.
     """
     if len(text) > _TEXT_CHARS:
         raise ValueError(f"certificate longer than {_TEXT_CHARS} characters")
-    lines = list(filter(str.strip, text.splitlines()))
-    if not lines:
+    rest = text.lstrip()  # the text itself, not a copy, when nothing is stripped
+    if not rest:
         raise ValueError("empty certificate")
-    longest = max(map(len, lines))
-    if longest > _LINE_CHARS:
-        raise ValueError(f"a line of {longest} characters, over {_LINE_CHARS}")
-    head = lines[0].split()
+    # the header: the blanks after the last line break that `lstrip` took,
+    # then `rest` up to its first line break (one character past the bound
+    # is enough to refuse it; the whole line is measured only for the report)
+    indent = (text[:len(text) - len(rest)] + ".").splitlines()[-1][:-1]
+    header = indent + rest[:_LINE_CHARS + 1].splitlines()[0]
+    if len(header) > _LINE_CHARS:
+        _refuse_line(len(indent + rest.splitlines()[0]))
+    head = header.split()
     if len(head) != 2 or not head[0].startswith("N=") or not head[1].startswith("pad="):
-        raise ValueError(f"malformed header: {lines[0]!r}")
+        raise ValueError(f"malformed header: {header!r}")
     stage = int(head[0][2:])
     _within(stage, _STAGE_CAP)
     padding = head[1][4:]
+    lines = list(filter(str.strip, text.splitlines()))
+    _refuse_line(max(map(len, lines)))
     # each line is split once, and parsing stops at the first line without
     # four fields; the lines before it are parsed first, so a bad int there wins
     rows = takewhile(lambda row: len(row) == 4, map(str.split, islice(lines, 1, None)))

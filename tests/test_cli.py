@@ -15,10 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import enumerant
-from enumerant.cli import PRINT_DIGIT_LIMIT, _CHUNK_CHARS, _emit, _text, main
+from enumerant.cli import _CHUNK_CHARS, _emit, _text, main
 from enumerant.exactnum import DyadicRational
 
 
@@ -847,16 +847,45 @@ def _emitted(fields, rows, fmt, report=False):
 
 @contextlib.contextmanager
 def _print_digit_limit():
-    """The int->str digit cap lifted as `main` lifts it."""
+    """No int->str digit limit, as in `main`."""
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(PRINT_DIGIT_LIMIT)
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(previous)
 
 
+def _ladder_text(value) -> str:
+    """`_text` as a chain of type tests, the rule its table states."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _csv_text(rows) -> str:
+    """Rows of text as a `csv.writer` on a real file writes them, one row at
+    a time, with a "\r\n" terminator that is then swapped for "\n"."""
+    lines = []
+    for row in rows:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        line = out.getvalue()
+        assert line.endswith("\r\n")
+        lines.append(line[:-2] + "\n")
+    return "".join(lines)
+
+
 class TestEmit:
+    @given(_CELLS)
+    def test_text_is_the_type_ladder(self, value):
+        with _print_digit_limit():
+            assert _text(value) == _ladder_text(value)
+
     @given(_tables())
     def test_json_lines_are_json_dumps_of_each_row(self, table):
         fields, rows = table
@@ -878,11 +907,18 @@ class TestEmit:
                 assert _emitted(fields, [row], "plain", report=True) == want
 
     @given(_tables())
+    @example((("f0", "f1"), [("c\r\nd", "\r"), (None, "")]))
     def test_csv_cells_are_text(self, table):
         fields, rows = table
         with _print_digit_limit():
-            want = io.StringIO()
             # a writer on a real file, not `_emit`'s route through its return value
-            csv.writer(want, lineterminator="\n").writerows(
-                [fields, *([_text(v) for v in row] for row in rows)])
-            assert _emitted(fields, rows, "csv") == want.getvalue()
+            texts = [list(fields), *([_text(v) for v in row] for row in rows)]
+            out = _emitted(fields, rows, "csv")
+            assert out == _csv_text(texts)
+            assert list(csv.reader(io.StringIO(out, newline=""))) == texts
+
+    def test_csv_bytes_are_fixed(self):
+        # a carriage return is quoted like a line feed, on every Python
+        rows = [("a\rb",), ("c\r\nd",), ("e,f",), ('g"h',), ("",)]
+        assert _emitted(("cell",), rows, "csv") == (
+            'cell\n"a\rb"\n"c\r\nd"\n"e,f"\n"g""h"\n""\n')

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -334,6 +336,47 @@ class TestTextFormat:
         with pytest.raises(BudgetExceeded) as exc:
             certificate_from_text(f"N={_STAGE_CAP + 1} pad=zero\n1 1 x\n")
         assert exc.value.payload == {"requested": _STAGE_CAP + 1, "cap": _STAGE_CAP}
+
+    def test_the_header_is_refused_before_the_text_is_split(self):
+        # 524 000 records fit the text bound; splitting them would take tens of MiB
+        text = "N=524000 pad=zero\n" + "0 0 0 0\n" * 524_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as exc:
+                certificate_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.payload == {"requested": 524_000, "cap": _STAGE_CAP}
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("header, fault", [
+        (f"N={_STAGE_CAP + 1} pad=zero", BudgetExceeded),
+        ("pad=zero N=1", ValueError),
+    ])
+    def test_a_header_fault_wins_over_a_long_line_after_it(self, header, fault):
+        with pytest.raises(fault) as exc:
+            certificate_from_text(header + "\n1 1 1 0\n" + "1" * (_LINE_CHARS + 1) + "\n")
+        assert not str(exc.value).startswith("a line of")
+
+    @pytest.mark.parametrize("text, header", [
+        ("  pad=zero N=3\n", "  pad=zero N=3"),
+        ("\n \r\n\x0b\t pad=zero\r\n1 1 1 0\n", "\t pad=zero"),
+        ("\x85\u2028 \x1f pad=zero N=1\n", " \x1f pad=zero N=1"),
+    ])
+    def test_the_header_is_the_first_non_blank_line_as_split(self, text, header):
+        assert [line for line in text.splitlines() if line.strip()][0] == header
+        with pytest.raises(ValueError) as exc:
+            certificate_from_text(text)
+        assert str(exc.value) == f"malformed header: {header!r}"
+
+    @pytest.mark.parametrize("text, length", [
+        ("N=" + "1" * 100 + " pad=zero", 111),
+        ("\n\n  N=" + "1" * 100 + " pad=zero\n" + "1" * 500, 113),
+    ])
+    def test_a_long_header_reports_its_whole_length(self, text, length):
+        with pytest.raises(ValueError, match=f"^a line of {length} characters, over {_LINE_CHARS}$"):
+            certificate_from_text(text)
 
     def test_malformed_inputs(self):
         for bad in (
