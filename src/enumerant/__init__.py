@@ -46,7 +46,6 @@ _EXPORTS = {
         "pinned_decimals",
     ),
     "enumeration": (
-        "ApproximationReport",
         "ColumnPosition",
         "Entry",
         "all_strings",
@@ -61,6 +60,7 @@ _EXPORTS = {
         "string_to_index",
     ),
     "reals": (
+        "ApproximationReport",
         "ComputableReal",
         "EulerStream",
         "LiouvilleStream",

@@ -25,7 +25,9 @@ its own library modules when it runs; the module level imports only
 and the package's ``errors``.
 ``enum`` loads ``enumeration`` and ``table`` loads ``finitist``, but
 neither loads the other, and only the csv and json-lines formats import
-``csv`` and ``json``.
+``csv`` and ``json``.  ``enum``, ``locate`` and ``diag`` load no
+``dataclasses``; the other six commands still do, through the report
+records of ``reals``, ``series`` and ``finitist``.
 """
 
 from __future__ import annotations

@@ -14,18 +14,17 @@ plus the nearest enumerated value at the requested depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
 from operator import add
-from typing import Iterator, NamedTuple, Optional, TYPE_CHECKING
+from typing import Iterator, NamedTuple, TYPE_CHECKING
 
 from . import _EXPORTS
 from .errors import DepthZero, NotInImage, ZeroIndex
 from .exactnum import DyadicRational, _check_bits
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .reals import ComputableReal
+    from .reals import ApproximationReport, ComputableReal
 
 __all__ = _EXPORTS["enumeration"]
 
@@ -137,35 +136,17 @@ def locate_value(value: DyadicRational) -> int:
     return string_to_index(value.bits())  # value 1 is rejected by bits()
 
 
-@dataclass(frozen=True)
-class ApproximationReport:
-    """Outcome of hunting a real number through the enumeration.
-
-    `verdict` is "exact-member" when the target is a dyadic rational in
-    (0, 1) (then `member_index` is its index), else "no-finite-index"
-    with a `reason`.  In both cases `best_*` give the enumerated value
-    nearest the target at the examined depth, with a proven error bound.
-    """
-
-    target: str
-    depth: int
-    prefix: str
-    verdict: str
-    member_index: Optional[int]
-    reason: Optional[str]
-    best_index: int
-    best_bits: str
-    best_value: DyadicRational
-    error_bound: Fraction
-
-
-def approximate(x: "ComputableReal", depth: int) -> ApproximationReport:
+def approximate(x: ComputableReal, depth: int) -> ApproximationReport:
     """Search the enumeration for a real x in (0, 1) to a given depth.
 
     The depth-d prefix of x's certified bit stream pins x inside a
     half-open dyadic interval of width 2**-d; one extra bit picks the
     nearer endpoint as the best enumerated approximation.
     """
+    # the report is a dataclass beside the streams, so that the rest of
+    # this module loads no `dataclasses`
+    from .reals import ApproximationReport
+
     if depth < 1:
         raise DepthZero(depth=depth)
     bits = x.prefix(depth + 1)

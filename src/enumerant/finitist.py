@@ -220,8 +220,7 @@ def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[Union
 # the two growth tables
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     """Row n of the everywhere-defined bijection table: n, 2n, n**2, 1/n."""
 
     n: int

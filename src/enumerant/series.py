@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
 from math import factorial, gcd, isqrt
+from typing import NamedTuple
 
 from . import _EXPORTS
 from .errors import BudgetExceeded, _within
@@ -189,8 +190,7 @@ def geometric_partial(n: int) -> Fraction:
     return 1 - Fraction(1, 1 << n)
 
 
-@dataclass(frozen=True)
-class EulerEnclosure:
+class EulerEnclosure(NamedTuple):
     """S_n <= e <= S_n + 1/(n*n!) with S_n the factorial series through 1/n!."""
 
     n: int

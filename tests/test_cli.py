@@ -641,6 +641,11 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 FINITIST_ONLY = {"errors", "exactnum", "finitist"}
 ENUMERATION_ONLY = {"errors", "exactnum", "enumeration"}
+# `dataclasses` and the modules it loads, compiled on every cold start
+DATACLASS_LOAD = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# the modules that still define a dataclass: `enum`, `locate` and `diag` run none
+DATACLASS_MODULES = {"reals", "series", "finitist"}
+CERT = str(Path(__file__).resolve().parent / "golden" / "inputs" / "cert.txt")
 
 
 def loaded_modules(argv):
@@ -660,18 +665,22 @@ class TestLoadSets:
         (["theorem", "--set", "2,4,6"], FINITIST_ONLY),
         (["pair", "--i", "1", "--j", "2"], FINITIST_ONLY),
         (["table", "--id", "2", "--rows", "3"], FINITIST_ONLY),
+        (["locate", "--bits", "0101"], ENUMERATION_ONLY),
+        (["diag", "--verify", CERT], ENUMERATION_ONLY | {"diagonal"}),
     ])
     def test_a_plain_command_loads_only_what_it_runs(self, argv, package):
         loaded = loaded_modules(argv)
         submodules = {m.split(".", 1)[1] for m in loaded if m.startswith("enumerant.")}
         assert submodules == package | {"cli"}
         assert not loaded & {"csv", "json"}
+        assert bool(loaded & DATACLASS_LOAD) == bool(package & DATACLASS_MODULES)
 
-    @pytest.mark.parametrize("module", ["enumerant.cli", "enumerant.exactnum"])
+    @pytest.mark.parametrize("module", ["enumerant.cli", "enumerant.exactnum",
+                                        "enumerant.enumeration", "enumerant.diagonal"])
     def test_the_import_loads_no_dataclasses(self, module):
         proc = run_python("-c", f"import sys, {module}; print(' '.join(sys.modules))")
         assert proc.returncode == 0, proc.stderr
-        assert not set(proc.stdout.split()) & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+        assert not set(proc.stdout.split()) & DATACLASS_LOAD
 
     @pytest.mark.parametrize("fmt, writer", [("csv", "csv"), ("json-lines", "json")])
     def test_only_the_chosen_format_loads_its_writer(self, fmt, writer):
