@@ -173,10 +173,10 @@ def _cmd_harmonic(args) -> None:
     # the last block first: past the budget it refuses before any block is summed
     blocks = [oresme_block(k) for k in range(args.blocks, 0, -1)]
     rows = []
-    for k, block in enumerate(reversed(blocks), 1):
-        cumulative = harmonic_partial(1 << k)
-        rows.append((k, block.first, block.last, block.terms, block.total, cumulative,
-                     block.at_least_half, cumulative >= 1 + Fraction(k, 2)))
+    for block in reversed(blocks):
+        cumulative = harmonic_partial(block.last)
+        rows.append((block.k, block.first, block.last, block.terms, block.total, cumulative,
+                     block.at_least_half, cumulative >= 1 + Fraction(block.k, 2)))
     _emit(("k", "first", "last", "terms", "block", "cumulative", "at_least_half",
            "meets_bound"), rows, args.format)
 
@@ -246,7 +246,7 @@ def _cmd_table(args) -> None:
 
     span = range(1, args.rows + 1)
     if args.id == 1:
-        _emit(Table1Row.__match_args__, (_attrs(table1_row(n)) for n in span), args.format)
+        _emit(Table1Row._fields, map(table1_row, span), args.format)
         return
     _within(args.rows, _TABLE2_ROWS_CAP)
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget

@@ -25,14 +25,18 @@ __all__ = _EXPORTS["diagonal"]
 EnumerationSource = Union[Iterable[str], Callable[[], Iterable[str]]]
 
 # a certificate holds every record, so the stage bounds the time and memory
-# of one call: at this stage `certify_absence` takes 0.25 s and `diag
-# --count` 0.45 s wall and 63 MiB in plain, 0.8 s in csv and 0.9 s in
-# json-lines (CPython 3.11, one Xeon core, median of 5)
+# of one call: at this stage `certify_absence` takes 0.13-0.15 s, and `diag
+# --count` 0.31-0.44 s wall in plain and 0.54-0.96 s in csv or json-lines,
+# at a 61-62 MiB peak RSS (CPython 3.11, 2 shared cores, 5 runs each)
 _STAGE_CAP = 200_000
 # bounds on a certificate's text and on each of its lines, checked before any
 # field is parsed: with the CLI's int-to-str digit limit removed, `int` takes
 # time quadratic in a field's length.  At the stage cap `certificate_to_text`
-# writes 3 377 808 characters, none of its lines longer than 17
+# writes 3 377 808 characters, none of its lines longer than 17.  The worst
+# text within both bounds claims a stage at the cap and holds more records:
+# 524 000 lines of "0 0 0 0" are all parsed before the count is refused, so
+# `diag --verify` takes about 1.0-1.2 s and a 100 MiB peak RSS, against
+# 0.6-0.7 s and 66 MiB for the valid certificate at the cap (same host)
 _TEXT_CHARS = 1 << 22
 _LINE_CHARS = 80
 
@@ -170,7 +174,8 @@ def _refuse_line(length: int) -> None:
 
 
 def certificate_from_text(text: str) -> DiagonalCertificate:
-    """Parse the text form; derived flags stay unset until verification.
+    """Parse the text form; the derived flags stay `None`, which the
+    verifier reads as no claim.
 
     A text past `_TEXT_CHARS` characters is refused first.  The header,
     the first non-blank line, is read next, alone: past `_LINE_CHARS`,
@@ -186,13 +191,12 @@ def certificate_from_text(text: str) -> DiagonalCertificate:
     rest = text.lstrip()  # the text itself, not a copy, when nothing is stripped
     if not rest:
         raise ValueError("empty certificate")
-    # the header: the blanks after the last line break that `lstrip` took,
-    # then `rest` up to its first line break (one character past the bound
-    # is enough to refuse it; the whole line is measured only for the report)
-    indent = (text[:len(text) - len(rest)] + ".").splitlines()[-1][:-1]
-    header = indent + rest[:_LINE_CHARS + 1].splitlines()[0]
+    # the header, read from the blanks that `lstrip` took and one line's bound
+    # past them (one character past the bound is enough to refuse it; the
+    # whole line is measured only for the report)
+    header = next(filter(str.strip, text[:len(text) - len(rest) + _LINE_CHARS + 1].splitlines()))
     if len(header) > _LINE_CHARS:
-        _refuse_line(len(indent + rest.splitlines()[0]))
+        _refuse_line(len(next(filter(str.strip, text.splitlines()))))
     head = header.split()
     if len(head) != 2 or not head[0].startswith("N=") or not head[1].startswith("pad="):
         raise ValueError(f"malformed header: {header!r}")

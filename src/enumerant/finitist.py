@@ -192,18 +192,18 @@ def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[Union
     out: list[UnionItem] = []
     if total == 0:
         return out
-    live: list[tuple[int, Iterator]] = []  # rows not yet run dry, ascending
+    live: list[tuple[int, Iterator]] = []  # rows not yet run dry, highest first
     bounded = False  # a family(k) raised IndexError: no row past k exists
     for s in count(0):
         if not bounded:
             try:
-                live.append((s, iter(family(s))))
+                live.insert(0, (s, iter(family(s))))
             except IndexError:
                 bounded = True
         if bounded and not live:
             raise EnumerationExhausted(requested=total, available=len(out))
         kept = []
-        for pair in reversed(live):
+        for pair in live:
             i, row = pair
             element = next(row, _DRY)
             if element is _DRY:
@@ -212,7 +212,6 @@ def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[Union
             out.append(_new_tuple(UnionItem, (i, s - i, element)))
             if len(out) == total:
                 return out
-        kept.reverse()
         live = kept
 
 
@@ -229,8 +228,7 @@ class Table1Row(NamedTuple):
     reciprocal: Fraction
 
     def cells(self) -> tuple[str, ...]:
-        return (str(self.n), str(self.double), str(self.square),
-                str(self.reciprocal))
+        return tuple(map(str, self))
 
 
 def table1_row(n: int) -> Table1Row:

@@ -889,6 +889,15 @@ def _csv_text(rows) -> str:
     return "".join(lines)
 
 
+def _csv_outcome(write, *args):
+    """What `write(*args)` gives: its text, or the type and message of the
+    `csv.Error` it raises."""
+    try:
+        return write(*args)
+    except csv.Error as err:
+        return type(err), str(err)
+
+
 class TestEmit:
     @given(_CELLS)
     def test_text_is_the_type_ladder(self, value):
@@ -917,14 +926,18 @@ class TestEmit:
 
     @given(_tables())
     @example((("f0", "f1"), [("c\r\nd", "\r"), (None, "")]))
+    @example((("f0",), [("a\x00b",)]))
     def test_csv_cells_are_text(self, table):
         fields, rows = table
         with _print_digit_limit():
-            # a writer on a real file, not `_emit`'s route through its return value
+            # a writer on a real file, not `_emit`'s route through its return value.
+            # CPython 3.10's writer refuses a cell that holds NUL, where later
+            # versions write it bare: both routes must give the same outcome
             texts = [list(fields), *([_text(v) for v in row] for row in rows)]
-            out = _emitted(fields, rows, "csv")
-            assert out == _csv_text(texts)
-            assert list(csv.reader(io.StringIO(out, newline=""))) == texts
+            out = _csv_outcome(_emitted, fields, rows, "csv")
+            assert out == _csv_outcome(_csv_text, texts)
+            if isinstance(out, str):
+                assert list(csv.reader(io.StringIO(out, newline=""))) == texts
 
     def test_csv_bytes_are_fixed(self):
         # a carriage return is quoted like a line feed, on every Python

@@ -363,6 +363,8 @@ class TestTextFormat:
         ("  pad=zero N=3\n", "  pad=zero N=3"),
         ("\n \r\n\x0b\t pad=zero\r\n1 1 1 0\n", "\t pad=zero"),
         ("\x85\u2028 \x1f pad=zero N=1\n", " \x1f pad=zero N=1"),
+        # a header at the line bound, after a file-separator break
+        ("\x1cpad=zero N=" + "1" * 69 + "\r\n", "pad=zero N=" + "1" * 69),
     ])
     def test_the_header_is_the_first_non_blank_line_as_split(self, text, header):
         assert [line for line in text.splitlines() if line.strip()][0] == header
@@ -373,6 +375,8 @@ class TestTextFormat:
     @pytest.mark.parametrize("text, length", [
         ("N=" + "1" * 100 + " pad=zero", 111),
         ("\n\n  N=" + "1" * 100 + " pad=zero\n" + "1" * 500, 113),
+        # one past the bound, and the tab after the last break counts too
+        ("\x0b \x1c\tN=" + "1" * 70 + " pad=zero", 82),
     ])
     def test_a_long_header_reports_its_whole_length(self, text, length):
         with pytest.raises(ValueError, match=f"^a line of {length} characters, over {_LINE_CHARS}$"):
