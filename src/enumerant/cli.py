@@ -371,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="growth tables: 1 (n, 2n, n^2, 1/n) or 2 (towers)")
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
     p.add_argument("--rows", type=_positive, required=True)
-    p.add_argument("--digit-budget", type=_positive, dest="digit_budget",
+    p.add_argument("--digit-budget", type=_positive,
                    help="decimal digits past which table-2 cells stay symbolic")
-    p.add_argument("--log2-bits", type=_positive, dest="log2_bits", default=32,
+    p.add_argument("--log2-bits", type=_positive, default=32,
                    help="fractional bits certified for the log2 column")
     p.set_defaults(func=_cmd_table)
 

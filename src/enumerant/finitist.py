@@ -104,7 +104,8 @@ class InductionTrace:
     all_hold: bool
 
 
-# m = 20 takes about 0.65 s (CPython 3.11, one Xeon core); each step doubles it
+# m = 20 takes 0.23-0.43 s in process (10 runs, CPython 3.11, two shared Xeon
+# cores); each step doubles it
 _INDUCTION_CAP = 20
 
 
@@ -232,6 +233,7 @@ class Table1Row(NamedTuple):
 
 
 def table1_row(n: int) -> Table1Row:
+    """Row n of table 1, (n, 2n, n**2, 1/n), for n >= 1."""
     if n < 1:
         raise ValueError("rows start at n=1")
     return Table1Row(n, 2 * n, n * n, Fraction(1, n))
@@ -240,8 +242,8 @@ def table1_row(n: int) -> Table1Row:
 # the u64 scale: row cells up to 19 digits print in full, 2**64 stays symbolic
 TABLE2_DIGIT_BUDGET = 19
 # row n prints n! and 1/n! in full, so rows 1..N take time about cubic in N:
-# `table --id 2 --rows` at this cap takes 0.95 s wall in plain and 1.1-1.3 s
-# in csv and json-lines (CPython 3.11, one Xeon core)
+# `table --id 2 --rows` at this cap takes 0.71-0.90 s wall in plain and
+# 0.94-1.41 s in csv and json-lines (CPython 3.11, two shared Xeon cores)
 _TABLE2_ROWS_CAP = 1500
 
 @dataclass(frozen=True)
@@ -265,9 +267,8 @@ class Table2Row:
     tower: Magnitude  # 2**(2**(n!))
 
     def cells(self) -> tuple[str, ...]:
-        return tuple(map(str, (self.recip_two_pow_fact, self.recip_fact, self.log2_n,
-                               self.n_value, self.two_pow, self.fact,
-                               self.two_pow_fact, self.tower)))
+        # the fields after n, in declaration order, are the cells in order
+        return tuple(str(getattr(self, name)) for name in self.__match_args__[1:])
 
 
 def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,

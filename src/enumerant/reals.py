@@ -47,10 +47,10 @@ class ComputableReal:
     """Base class: the deepest certified prefix and its shorter views."""
 
     name = "real"
-
-    def __init__(self):
-        self._depth = 0
-        self._scaled = 0  # the certified depth-_depth prefix as an integer
+    # nothing is certified until a prefix is asked for; the start is stated
+    # on the class, so a subclass's own __init__ need not call the base's
+    _depth = 0
+    _scaled = 0  # the certified depth-_depth prefix as an integer
 
     @property
     def depth(self) -> int:
@@ -108,7 +108,6 @@ class RationalStream(ComputableReal):
     """Exact expansion of a rational p/q in (0, 1) by integer division."""
 
     def __init__(self, numerator: int, denominator: int):
-        super().__init__()
         value = Fraction(numerator, denominator)
         if not 0 < value < 1:
             raise ValueError("rational streams live strictly inside (0, 1)")
@@ -140,7 +139,6 @@ class SqrtStream(ComputableReal):
     """
 
     def __init__(self, a: int, b: int):
-        super().__init__()
         ratio = Fraction(a, b)
         if ratio <= 0:
             raise ValueError("need a positive radicand")
@@ -176,12 +174,14 @@ class _EnclosureStream(ComputableReal):
     enclosure already fits one cell, since a cell lies inside one cell at
     every shallower depth, and `sandwich_holds` tightens at any other, so
     it judges a recorded prefix of any depth whatever the stream's own.
+
+    A stream holds nothing until the first prefix is asked for: e and tau
+    both start from the unit interval 0/1 < x < 1/1 at zero terms, which
+    strictly holds every stream's value, and the first request tightens
+    from there by the same loop as every later one.
     """
 
-    def __init__(self):
-        super().__init__()
-        self._terms = self._terms_for(1)
-        self._lo, self._hi, self._den = self._enclosure(self._terms)
+    _terms, _lo, _hi, _den = 0, 0, 1, 1
 
     def _floor(self, depth: int) -> int:
         """Tighten until the enclosure fits one cell of width 2**-depth
@@ -225,8 +225,7 @@ def parse_real(text: str) -> ComputableReal:
     if text == "tau":
         return LiouvilleStream()
     if text.startswith("rat:"):
-        body = text[4:]
-        num, sep, den = body.partition("/")
+        num, sep, den = text[4:].partition("/")
         if sep and num.isdigit() and den.isdigit() and int(den) > 0:
             return RationalStream(int(num), int(den))
         raise ValueError(f"malformed rational: {text!r}")

@@ -46,12 +46,13 @@ class OresmeBlock:
 
 
 # a growth guard on hi, the last denominator of a harmonic range, whose sieve
-# takes hi bytes: oresme_block(18) takes about 0.14 s and block 19 would take
-# 0.4 s (best of 5, CPython 3.11), while `harmonic --blocks 18` takes 1.7 s
-# wall, most of it writing the sums out.  The golden `harmonic-blocks-19`
-# transcripts record the refusal of block 19, so the cap stays
+# takes hi bytes: oresme_block(18) takes 0.09-0.12 s and block 19 would take
+# 0.26-0.29 s (5 runs, CPython 3.11), while `harmonic --blocks 18` takes
+# 1.41-1.74 s wall, most of it writing the sums out.  The golden
+# `harmonic-blocks-19` transcripts record the refusal of block 19, so the cap
+# stays
 _HARMONIC_CAP = 1 << 18
-# `series --name geometric --terms 500000` takes 0.92-0.96 s wall in each
+# `series --name geometric --terms 500000` takes 0.72-0.89 s wall in each
 # format, most of it writing out the 2**n denominator
 _GEOMETRIC_CAP = 500_000
 # `series --name e --terms 24000` takes about 1.0 s in process
@@ -243,6 +244,9 @@ def _e_terms(bits: int) -> int:
 
 
 def e_enclosure(n: int) -> EulerEnclosure:
+    """The reduced interval S_n <= e <= S_n + 1/(n*n!) about e, with S_n the
+    sum of 1/v! over 0 <= v <= n, for n >= 1.  An n past `_E_TERMS_CAP`
+    raises `BudgetExceeded` before any work."""
     if n < 1:
         raise ValueError("need n >= 1")
     lo, hi, den = _e_enclosure(n)

@@ -3,6 +3,7 @@ but ``import enumerant`` itself loads no submodule (PEP 562)."""
 
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -43,6 +44,14 @@ def test_names_once_left_out_of_the_package_resolve():
     assert enumerant.InductionLevel is finitist.InductionLevel
     assert enumerant.TABLE2_DIGIT_BUDGET is finitist.TABLE2_DIGIT_BUDGET
     assert enumerant.EnumerationSource is diagonal.EnumerationSource
+
+
+def test_every_public_function_and_class_has_a_docstring():
+    # a record's generated signature text counts: its fields document it
+    missing = [name for name in PUBLIC
+               if (inspect.isfunction(obj := getattr(enumerant, name)) or inspect.isclass(obj))
+               and not obj.__doc__]
+    assert missing == []
 
 
 def test_every_public_name_is_listed_before_first_use():

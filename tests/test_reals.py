@@ -8,6 +8,7 @@ from enumerant.errors import BudgetExceeded, DepthZero
 from enumerant.exactnum import DyadicRational
 from enumerant.reals import (
     _DEPTH_CAP,
+    ComputableReal,
     EulerStream,
     LiouvilleStream,
     RationalStream,
@@ -127,6 +128,44 @@ class TestSeriesStreams:
         # both brackets contain e - 2, so they must overlap
         assert Fraction(scaled, 1 << 40) < iv.hi - 2
         assert iv.lo - 2 < Fraction(scaled + 1, 1 << 40)
+
+
+class TestNothingBeforeTheFirstPrefix:
+    SERIES = ((EulerStream, EULER_BITS), (LiouvilleStream, TAU_BITS))
+
+    def test_construction_sums_no_series(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("a stream summed a series before any prefix")
+
+        for cls, _ in self.SERIES:
+            monkeypatch.setattr(cls, "_enclosure", staticmethod(reached))
+            monkeypatch.setattr(cls, "_terms_for", staticmethod(reached))
+            x = cls()
+            assert (x.depth, x.scaled_prefix) == (0, 0), cls.name
+
+    def test_first_prefix_at_every_depth_keeps_the_bits(self):
+        # a first request tightens from the start, however shallow it is
+        for cls, bits in self.SERIES:
+            for depth in range(1, 65):
+                x = cls()
+                assert x.prefix(depth) == bits[:depth], (cls.name, depth)
+                assert x.scaled_prefix == int(bits[:depth], 2), (cls.name, depth)
+
+    def test_subclass_init_need_not_call_the_base(self):
+        class Third(ComputableReal):
+            def __init__(self):
+                self.q = 3
+
+            def _floor(self, depth):
+                return (1 << depth) // self.q
+
+            def _holds(self, scaled, depth):
+                return scaled * self.q <= 1 << depth < (scaled + 1) * self.q
+
+        x = Third()
+        assert x.prefix(12) == "010101010101"
+        assert x.sandwich_holds(int("0101", 2), 4)
+        assert x.depth == 12
 
 
 def fraction_e_enclosures(last):
