@@ -170,6 +170,14 @@ class UnionItem(NamedTuple):
     element: object
 
 
+# the returned list holds `total` items, so the count bounds its memory and,
+# for a dense family, its time: a million items of `lambda k: count()` take
+# 0.71-0.87 s at a 140 MiB peak RSS, and 100 000 items 0.05-0.07 s at 25 MiB
+# (CPython 3.11, 2 shared Xeon cores, 3 runs each).  It does not bound the
+# diagonals that a sparse family walks, dead rows included: with one live
+# row, a million items take 1.0 s, and a family whose every row is empty
+# never ends.  The bench draws at most 30 000 items, the tests a few hundred
+_UNION_CAP = 1_000_000
 _DRY = object()  # end-of-row marker: rows may yield any value, None included
 # tuple.__new__ is all that UnionItem.__new__ does, minus its frame
 _new_tuple = tuple.__new__
@@ -190,6 +198,7 @@ def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[Union
     """
     if total < 0:
         raise ValueError("need a nonnegative count")
+    _within(total, _UNION_CAP)
     out: list[UnionItem] = []
     if total == 0:
         return out

@@ -15,9 +15,10 @@ non-membership.  Dyadic rationals follow the terminating convention (the
 expansion ends in repeating 0s); `boundary_depth` reports the depth at
 which the value meets the lower endpoint exactly rather than raising.
 
-`_floor` computes P (an enclosure tightens first) and writes nothing else.
-Each kind's pure `_holds` is its certificate; it never reads `_floor`'s
-answer, so a wrong `_floor` cannot certify itself.
+`_floor` computes P (an enclosure tightens first) and writes nothing else;
+its one caller is `prefix`, so every route to a deeper depth passes the
+same depth checks.  Each kind's pure `_holds` is its certificate; it never
+reads `_floor`'s answer, so a wrong `_floor` cannot certify itself.
 
 `ApproximationReport`, what `enumeration.approximate` finds for a stream,
 is defined here beside the streams, so that a command which never reads
@@ -38,8 +39,9 @@ from .series import _e_enclosure, _e_terms, _tau_enclosure, _tau_terms
 
 __all__ = _EXPORTS["reals"]
 
-# a growth guard on depth, below 120 952 bits, where tau would need an 8th
-# term: `approx --depth 99999` takes 0.06 s for rat:1/3 and 0.14 s for e
+# a growth guard on depth for both `prefix` and `sandwich_holds`, below
+# 120 952 bits, where tau would need an 8th term: `approx --depth 99999`
+# takes 0.06 s for rat:1/3 and 0.14 s for e
 _DEPTH_CAP = 100_000
 
 
@@ -91,12 +93,13 @@ class ComputableReal:
     def sandwich_holds(self, scaled: int, depth: int) -> bool:
         """Exact check that the value lies in [scaled/2**d, (scaled+1)/2**d).
 
-        Pure integer arithmetic, usable by outside verifiers on any
-        recorded prefix, not just the stream's own state: `_floor` runs
-        only at a depth not yet certified, to tighten, and `_holds` decides.
+        Usable by outside verifiers on any recorded prefix, not just the
+        stream's own: the stream is first certified to `depth` through
+        `prefix`, with the same refusals (`DepthZero` below 1,
+        `BudgetExceeded` past `_DEPTH_CAP`, before any work), and then
+        `_holds` judges the recorded prefix in pure integer arithmetic.
         """
-        if depth > self._depth:
-            self._floor(depth)
+        self.prefix(depth)
         return self._holds(scaled, depth)
 
     def _floor(self, depth: int) -> int:
@@ -172,8 +175,8 @@ class _EnclosureStream(ComputableReal):
     cell.  Both decisions are integer cross-multiplications.  `_holds` is
     containment in the current enclosure.  At a certified depth the
     enclosure already fits one cell, since a cell lies inside one cell at
-    every shallower depth, and `sandwich_holds` tightens at any other, so
-    it judges a recorded prefix of any depth whatever the stream's own.
+    every shallower depth, so `_holds` judges a recorded prefix at any
+    depth the stream has certified.
 
     A stream holds nothing until the first prefix is asked for: e and tau
     both start from the unit interval 0/1 < x < 1/1 at zero terms, which

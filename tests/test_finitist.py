@@ -18,6 +18,7 @@ from enumerant.exactnum import Exact, Tower, magnitude_cmp
 from enumerant.finitist import (
     TABLE2_DIGIT_BUDGET,
     UnionItem,
+    _UNION_CAP,
     _witnesses,
     cantor_pair,
     cantor_unpair,
@@ -243,6 +244,15 @@ class TestUnionEnumeration:
     def test_domain(self):
         with pytest.raises(ValueError):
             union_enumerate(column_family, -1)
+
+    def test_cap_refuses_before_the_family_is_called(self):
+        # no command reaches this cap, so it is frozen here
+        def fam(k):
+            raise AssertionError("the budget was checked after the walk began")
+
+        with pytest.raises(BudgetExceeded) as exc:
+            union_enumerate(fam, _UNION_CAP + 1)
+        assert exc.value.payload == {"requested": _UNION_CAP + 1, "cap": _UNION_CAP}
 
     def test_items_are_union_items(self):
         def bounded(k):

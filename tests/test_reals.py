@@ -269,6 +269,10 @@ class TestStreamInvariants:
                 make().prefix(0)
             with pytest.raises(DepthZero):
                 make().prefix(-3)
+            with pytest.raises(DepthZero):
+                make().sandwich_holds(0, 0)
+            with pytest.raises(DepthZero):
+                make().sandwich_holds(0, -3)
 
 
 class TestDepthBudget:
@@ -281,6 +285,9 @@ class TestDepthBudget:
             monkeypatch.setattr(x, "_floor", reached)
             with pytest.raises(BudgetExceeded) as refused:
                 x.prefix(_DEPTH_CAP + 1)
+            assert refused.value.payload == {"requested": _DEPTH_CAP + 1, "cap": _DEPTH_CAP}
+            with pytest.raises(BudgetExceeded) as refused:
+                x.sandwich_holds(0, _DEPTH_CAP + 1)
             assert refused.value.payload == {"requested": _DEPTH_CAP + 1, "cap": _DEPTH_CAP}
             assert x.depth == 0
 
@@ -391,6 +398,8 @@ class TestOneShotPrefixes:
             x = OffByOne(*args)
             with pytest.raises(AssertionError, match="certificate failed at depth 20"):
                 x.prefix(20)
+            with pytest.raises(AssertionError, match="certificate failed at depth 20"):
+                x.sandwich_holds(0, 20)
             assert x.depth == 0
 
 
@@ -429,6 +438,18 @@ class TestOutsideVerification:
             assert x.sandwich_holds(int(bits, 2), 200)
             assert x.sandwich_holds(int(bits[:64], 2), 64)
             assert not x.sandwich_holds(int(bits, 2) + 1, 200)
+
+    def test_uncertified_depth_is_floored_once_and_kept(self, monkeypatch):
+        for make in TestStreamInvariants.KINDS:
+            bits = make().prefix(300)
+            x = make()
+            calls = []
+            floor = x._floor
+            monkeypatch.setattr(x, "_floor", lambda d: calls.append(d) or floor(d))
+            assert x.sandwich_holds(int(bits, 2), 300), x.name
+            assert (calls, x.depth) == ([300], 300), x.name
+            assert x.prefix(300) == bits
+            assert calls == [300], x.name
 
     def test_deep_stream_accepts_a_shallow_prefix(self):
         for cls, bits, _ in self.SERIES:
