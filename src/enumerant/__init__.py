@@ -50,6 +50,8 @@ _EXPORTS = {
         "Entry",
         "all_strings",
         "approximate",
+        "cantor_pair",
+        "cantor_unpair",
         "column_entries",
         "column_index",
         "column_of",
@@ -96,8 +98,6 @@ _EXPORTS = {
         "Table1Row",
         "Table2Row",
         "UnionItem",
-        "cantor_pair",
-        "cantor_unpair",
         "check_even_set",
         "induction_trace",
         "table1_row",

@@ -21,13 +21,16 @@ a status of their own; every other command returns nothing, which is 0.
 
 A CLI call is mostly process start and import, so each command imports
 its own library modules when it runs; the module level imports only
-``argparse``, ``re`` (which ``argparse`` loads), ``sys``, ``fractions``
-and the package's ``errors``.
-``enum`` loads ``enumeration`` and ``table`` loads ``finitist``, but
-neither loads the other, and only the csv and json-lines formats import
-``csv`` and ``json``.  ``enum``, ``locate`` and ``diag`` load no
-``dataclasses``; the other six commands still do, through the report
-records of ``reals``, ``series`` and ``finitist``.
+``argparse``, ``re`` (which ``argparse`` loads), ``sys`` and the
+package's ``errors``.  The CLI itself builds a ``Fraction`` only in
+``_fraction`` (``locate --value``) and ``harmonic``, and imports
+``fractions`` there.  ``pair`` and ``locate --bits`` load ``enumeration``
+alone, and ``diag`` adds ``diagonal``.  ``enum`` loads ``enumeration``
+and ``table`` loads ``finitist``, but neither loads the other, and only
+the csv and json-lines formats import ``csv`` and ``json``.  ``enum``,
+``locate``, ``diag`` and ``pair`` load no ``dataclasses``; the other
+five commands still do, through the report records of ``reals``,
+``series`` and ``finitist``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, _within
 
@@ -118,11 +120,12 @@ def _cmd_enum(args) -> None:
 
 def _cmd_locate(args) -> None:
     from .enumeration import locate_value, string_to_index
-    from .exactnum import DyadicRational
 
     if args.bits is not None:
         index = string_to_index(args.bits)
     else:
+        from .exactnum import DyadicRational
+
         index = locate_value(DyadicRational.from_fraction(args.value))
     _emit(("index",), [(index,)], args.format)
 
@@ -168,6 +171,8 @@ def _cmd_diag(args) -> int | None:
 
 
 def _cmd_harmonic(args) -> None:
+    from fractions import Fraction
+
     from .series import harmonic_partial, oresme_block
 
     # the last block first: past the budget it refuses before any block is summed
@@ -223,7 +228,7 @@ def _cmd_theorem(args) -> int | None:
 
 
 def _cmd_pair(args) -> None:
-    from .finitist import cantor_pair, cantor_unpair
+    from .enumeration import cantor_pair, cantor_unpair
 
     if args.unpair is not None:
         if args.i is not None or args.j is not None:
@@ -282,6 +287,8 @@ def _fraction(text: str) -> Fraction:
     # through as a traceback; both faults get argparse's own wording.  A
     # well-formed value whose exponent N would build 10**|N| past the digit
     # cap is refused before `Fraction` builds it.
+    from fractions import Fraction
+
     from .exactnum import _DIGITS_CAP
 
     # a decimal exponent at the end of the text, as `Fraction` reads one

@@ -7,23 +7,31 @@ a 1 bit.  Read as binary fractions (bit i after the point contributing
 2**-i), the entries are exactly the odd-numerator dyadic rationals in
 (0, 1), each appearing at exactly one index.
 
+The diagonal pairing `cantor_pair` and its inverse `cantor_unpair`, the
+bijection between naturals and pairs of naturals, sit beside the string
+bijection.
+
 `approximate` runs the enumeration against a certified real bit stream:
 dyadic targets get their exact index, everything else gets a refutation
 plus the nearest enumerated value at the requested depth.
+
+The module level imports neither `exactnum` nor `fractions`: `entries`
+and `approximate` import the value types in their bodies, so `pair`,
+`diag` and `locate --bits` load neither.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count, repeat
+from math import isqrt
 from operator import add
 from typing import Iterator, NamedTuple, TYPE_CHECKING
 
 from . import _EXPORTS
-from .errors import DepthZero, NotInImage, ZeroIndex
-from .exactnum import DyadicRational, _check_bits
+from .errors import DepthZero, NotInImage, ZeroIndex, _check_bits
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .exactnum import DyadicRational
     from .reals import ApproximationReport, ComputableReal
 
 __all__ = _EXPORTS["enumeration"]
@@ -72,6 +80,23 @@ def string_to_index(bits: str) -> int:
     return int(bits[::-1], 2)
 
 
+def cantor_pair(i: int, j: int) -> int:
+    """Diagonal pairing code of (i, j), a bijection on pairs of naturals."""
+    if i < 0 or j < 0:
+        raise ValueError("pairing is defined on naturals")
+    s = i + j
+    return s * (s + 1) // 2 + j
+
+
+def cantor_unpair(n: int) -> tuple[int, int]:
+    """Inverse of `cantor_pair` via one integer square root."""
+    if n < 0:
+        raise ValueError("codes are naturals")
+    w = (isqrt(8 * n + 1) - 1) // 2
+    j = n - w * (w + 1) // 2
+    return w - j, j
+
+
 class ColumnPosition(NamedTuple):
     column: int
     position: int  # 1-based within the column
@@ -112,6 +137,8 @@ _new_tuple = tuple.__new__
 
 def entries(count: int) -> Iterator[Entry]:
     """The first `count` entries with their dyadic values."""
+    from .exactnum import DyadicRational
+
     if count < 0:
         raise ValueError("count must be nonnegative")
     # an entry ends in 1, so its value is (int(bits, 2), len(bits)) as read
@@ -144,8 +171,9 @@ def approximate(x: ComputableReal, depth: int) -> ApproximationReport:
     nearer endpoint as the best enumerated approximation.
     """
     # the report is a dataclass beside the streams, so that the rest of
-    # this module loads no `dataclasses`
-    from .reals import ApproximationReport
+    # this module loads no `dataclasses`.  `reals` binds the two value types
+    # too: one statement costs a shallow call less than one per module
+    from .reals import ApproximationReport, DyadicRational, Fraction
 
     if depth < 1:
         raise DepthZero(depth=depth)

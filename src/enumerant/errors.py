@@ -92,3 +92,11 @@ def _within(requested: int, cap: int) -> None:
     count calls this before the work starts."""
     if requested > cap:
         raise BudgetExceeded(requested=requested, cap=cap)
+
+
+def _check_bits(bits: str) -> None:
+    """Reject the empty string and anything but ``0`` and ``1``."""
+    if not bits:
+        raise EmptyString()
+    if bits.count("0") + bits.count("1") != len(bits):
+        raise ValueError(f"not a bit string: {bits!r}")

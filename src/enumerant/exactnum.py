@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _EXPORTS
-from .errors import EmptyString, OutOfRange, _Text, _within
+from .errors import OutOfRange, _Text, _check_bits, _within
 
 __all__ = _EXPORTS["exactnum"]
 
@@ -125,14 +125,6 @@ class DyadicRational(_Immutable):
 
     def __repr__(self) -> str:
         return f"DyadicRational({self.numerator}, {self.exponent})"
-
-
-def _check_bits(bits: str) -> None:
-    """Reject the empty string and anything but ``0`` and ``1``."""
-    if not bits:
-        raise EmptyString()
-    if bits.count("0") + bits.count("1") != len(bits):
-        raise ValueError(f"not a bit string: {bits!r}")
 
 
 def dyadic_from_string(bits: str) -> DyadicRational:

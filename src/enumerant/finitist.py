@@ -1,5 +1,5 @@
-"""Finite witnesses: the even-set counting theorem, the pairing bijection
-on pairs of naturals, enumeration of countable unions, and the two
+"""Finite witnesses: the even-set counting theorem, enumeration of
+countable unions in the order of `enumeration.cantor_pair`, and the two
 side-by-side growth tables.
 
 Everything is checked on concrete finite objects; the theorem checker
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from math import factorial, isqrt
+from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _EXPORTS
@@ -144,24 +144,7 @@ def induction_trace(m: int) -> InductionTrace:
 
 
 # ---------------------------------------------------------------------------
-# pairing and countable unions
-
-
-def cantor_pair(i: int, j: int) -> int:
-    """Diagonal pairing code of (i, j), a bijection on pairs of naturals."""
-    if i < 0 or j < 0:
-        raise ValueError("pairing is defined on naturals")
-    s = i + j
-    return s * (s + 1) // 2 + j
-
-
-def cantor_unpair(n: int) -> tuple[int, int]:
-    """Inverse of `cantor_pair` via one integer square root."""
-    if n < 0:
-        raise ValueError("codes are naturals")
-    w = (isqrt(8 * n + 1) - 1) // 2
-    j = n - w * (w + 1) // 2
-    return w - j, j
+# countable unions
 
 
 class UnionItem(NamedTuple):

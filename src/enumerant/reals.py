@@ -16,9 +16,10 @@ expansion ends in repeating 0s); `boundary_depth` reports the depth at
 which the value meets the lower endpoint exactly rather than raising.
 
 `_floor` computes P (an enclosure tightens first) and writes nothing else;
-its one caller is `prefix`, so every route to a deeper depth passes the
-same depth checks.  Each kind's pure `_holds` is its certificate; it never
-reads `_floor`'s answer, so a wrong `_floor` cannot certify itself.
+its one caller is `_certify`, which `prefix` and `sandwich_holds` both
+call, so every route to a deeper depth passes the same depth checks.  Each
+kind's pure `_holds` is its certificate; it never reads `_floor`'s answer,
+so a wrong `_floor` cannot certify itself.
 
 `ApproximationReport`, what `enumeration.approximate` finds for a stream,
 is defined here beside the streams, so that a command which never reads
@@ -76,6 +77,12 @@ class ComputableReal:
         of the deepest certified prefix.  A depth past `_DEPTH_CAP` raises
         `BudgetExceeded` before any work.
         """
+        self._certify(depth)
+        return format(self._scaled >> (self._depth - depth), f"0{depth}b")
+
+    def _certify(self, depth: int) -> None:
+        """Certify the stream to at least `depth`, after the depth checks:
+        `DepthZero` below 1, then `BudgetExceeded` past `_DEPTH_CAP`."""
         if depth < 1:
             raise DepthZero(depth=depth)
         _within(depth, _DEPTH_CAP)
@@ -84,7 +91,6 @@ class ComputableReal:
             if not self._holds(scaled, depth):
                 raise AssertionError(f"{self.name}: certificate failed at depth {depth}")
             self._depth, self._scaled = depth, scaled
-        return format(self._scaled >> (self._depth - depth), f"0{depth}b")
 
     def exact_dyadic(self) -> Optional[DyadicRational]:
         """The value as a dyadic rational, when it is one (else None)."""
@@ -94,12 +100,13 @@ class ComputableReal:
         """Exact check that the value lies in [scaled/2**d, (scaled+1)/2**d).
 
         Usable by outside verifiers on any recorded prefix, not just the
-        stream's own: the stream is first certified to `depth` through
-        `prefix`, with the same refusals (`DepthZero` below 1,
-        `BudgetExceeded` past `_DEPTH_CAP`, before any work), and then
-        `_holds` judges the recorded prefix in pure integer arithmetic.
+        stream's own: the stream is first certified to `depth` by
+        `_certify`, as in `prefix`, with the same refusals (`DepthZero`
+        below 1, `BudgetExceeded` past `_DEPTH_CAP`, before any work), and
+        then `_holds` judges the recorded prefix in pure integer
+        arithmetic; no prefix text is formatted.
         """
-        self.prefix(depth)
+        self._certify(depth)
         return self._holds(scaled, depth)
 
     def _floor(self, depth: int) -> int:

@@ -5,6 +5,10 @@ All values are exact Fractions.  Nothing here estimates: enclosures come
 with proven tail bounds, and every shortcut (closed forms, balanced
 summation, binary splitting) is checked against an independent route in
 the tests.
+
+The module level imports no `exactnum`: `e_enclosure` imports its
+interval type, and `oresme_block` the symbolic towers of its refusal, in
+their bodies, so `harmonic` loads no `exactnum`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
 from math import factorial, gcd, isqrt
-from typing import NamedTuple
+from typing import NamedTuple, TYPE_CHECKING
 
 from . import _EXPORTS
 from .errors import BudgetExceeded, _within
-from .exactnum import Exact, RationalInterval, Tower, canonicalize
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .exactnum import RationalInterval
 
 __all__ = _EXPORTS["series"]
 
@@ -167,6 +173,8 @@ def oresme_block(k: int) -> OresmeBlock:
     if k < 1:
         raise ValueError("blocks start at k=1")
     if k >= _HARMONIC_CAP.bit_length():
+        from .exactnum import Exact, Tower, canonicalize
+
         hi = str(canonicalize(Tower(2, Exact(k))))
         raise BudgetExceeded(requested=hi, cap=_HARMONIC_CAP)
     first, last = (1 << (k - 1)) + 1, 1 << k
@@ -247,6 +255,8 @@ def e_enclosure(n: int) -> EulerEnclosure:
     """The reduced interval S_n <= e <= S_n + 1/(n*n!) about e, with S_n the
     sum of 1/v! over 0 <= v <= n, for n >= 1.  An n past `_E_TERMS_CAP`
     raises `BudgetExceeded` before any work."""
+    from .exactnum import RationalInterval
+
     if n < 1:
         raise ValueError("need n >= 1")
     lo, hi, den = _e_enclosure(n)

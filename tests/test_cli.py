@@ -117,15 +117,25 @@ class TestLocate:
     ])
     def test_huge_exponent_is_refused_before_the_power(self, capsys, monkeypatch,
                                                        value, head, places):
-        import enumerant.cli as cli
+        import fractions
+
+        # `_fraction` reads `fractions.Fraction` when it runs.  The modules
+        # `locate --value` imports are loaded first, so none binds the recorder
+        import enumerant.enumeration
+        import enumerant.exactnum
 
         parsed = []
 
         def recording(text):
             parsed.append(text)
-            return Fraction(text)
+            # `Fraction.__new__` looks its own class up by this name
+            fractions.Fraction = Fraction
+            try:
+                return Fraction(text)
+            finally:
+                fractions.Fraction = recording
 
-        monkeypatch.setattr(cli, "Fraction", recording)
+        monkeypatch.setattr(fractions, "Fraction", recording)
         rc, out, err = run(capsys, "locate", "--value", value)
         assert (rc, out) == (1, "")
         assert err == f"BudgetExceeded requested={places} cap=150000\n"
@@ -641,10 +651,16 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 FINITIST_ONLY = {"errors", "exactnum", "finitist"}
 ENUMERATION_ONLY = {"errors", "exactnum", "enumeration"}
+# `enumeration` without the value types: the string and pairing bijections
+PAIRING_ONLY = {"errors", "enumeration"}
 # `dataclasses` and the modules it loads, compiled on every cold start
 DATACLASS_LOAD = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-# the modules that still define a dataclass: `enum`, `locate` and `diag` run none
+# the modules that still define a dataclass: `enum`, `locate`, `diag` and
+# `pair` run none
 DATACLASS_MODULES = {"reals", "series", "finitist"}
+# the modules that import `fractions` at module level: `pair`, `diag` and
+# `locate --bits` run none
+FRACTION_MODULES = {"exactnum", "series", "reals", "finitist"}
 CERT = str(Path(__file__).resolve().parent / "golden" / "inputs" / "cert.txt")
 
 
@@ -659,14 +675,14 @@ class TestLoadSets:
         (["enum", "--count", "3"], ENUMERATION_ONLY),
         (["locate", "--value", "3/8"], ENUMERATION_ONLY),
         (["approx", "--real", "sqrt2", "--depth", "8"], ENUMERATION_ONLY | {"reals", "series"}),
-        (["diag", "--count", "4"], ENUMERATION_ONLY | {"diagonal"}),
-        (["harmonic", "--blocks", "3"], {"errors", "exactnum", "series"}),
+        (["diag", "--count", "4"], PAIRING_ONLY | {"diagonal"}),
+        (["harmonic", "--blocks", "3"], {"errors", "series"}),
         (["series", "--name", "e", "--terms", "12"], {"errors", "exactnum", "series"}),
         (["theorem", "--set", "2,4,6"], FINITIST_ONLY),
-        (["pair", "--i", "1", "--j", "2"], FINITIST_ONLY),
+        (["pair", "--i", "1", "--j", "2"], PAIRING_ONLY),
         (["table", "--id", "2", "--rows", "3"], FINITIST_ONLY),
-        (["locate", "--bits", "0101"], ENUMERATION_ONLY),
-        (["diag", "--verify", CERT], ENUMERATION_ONLY | {"diagonal"}),
+        (["locate", "--bits", "0101"], PAIRING_ONLY),
+        (["diag", "--verify", CERT], PAIRING_ONLY | {"diagonal"}),
     ])
     def test_a_plain_command_loads_only_what_it_runs(self, argv, package):
         loaded = loaded_modules(argv)
@@ -674,6 +690,7 @@ class TestLoadSets:
         assert submodules == package | {"cli"}
         assert not loaded & {"csv", "json"}
         assert bool(loaded & DATACLASS_LOAD) == bool(package & DATACLASS_MODULES)
+        assert ("fractions" in loaded) == bool(package & FRACTION_MODULES)
 
     @pytest.mark.parametrize("module", ["enumerant.cli", "enumerant.exactnum",
                                         "enumerant.enumeration", "enumerant.diagonal"])

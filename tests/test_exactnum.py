@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from enumerant import exactnum
-from enumerant.errors import BudgetExceeded, EmptyString, OutOfRange
+from enumerant.errors import BudgetExceeded, EmptyString, OutOfRange, _check_bits
 from enumerant.exactnum import (
     DEFAULT_DIGIT_BUDGET,
     DyadicRational,
@@ -20,7 +20,6 @@ from enumerant.exactnum import (
     Reciprocal,
     Tower,
     _DIGITS_CAP,
-    _check_bits,
     _common_base,
     canonicalize,
     decimal_digit,

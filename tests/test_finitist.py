@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from enumerant import finitist
-from enumerant.enumeration import column_entries, column_index, index_to_string
+from enumerant.enumeration import (
+    cantor_pair,
+    cantor_unpair,
+    column_entries,
+    column_index,
+    index_to_string,
+)
 from enumerant.errors import (
     BudgetExceeded,
     EmptySet,
@@ -20,8 +26,6 @@ from enumerant.finitist import (
     UnionItem,
     _UNION_CAP,
     _witnesses,
-    cantor_pair,
-    cantor_unpair,
     check_even_set,
     induction_trace,
     table1_row,

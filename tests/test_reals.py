@@ -4,6 +4,7 @@ from math import factorial, isqrt
 import mpmath
 import pytest
 
+from enumerant import reals
 from enumerant.errors import BudgetExceeded, DepthZero
 from enumerant.exactnum import DyadicRational
 from enumerant.reals import (
@@ -438,6 +439,24 @@ class TestOutsideVerification:
             assert x.sandwich_holds(int(bits, 2), 200)
             assert x.sandwich_holds(int(bits[:64], 2), 64)
             assert not x.sandwich_holds(int(bits, 2) + 1, 200)
+
+    def test_sandwich_holds_formats_no_prefix(self, monkeypatch):
+        # at a certified depth and at an uncertified one, the verdict is
+        # an integer check: no prefix text is built only to be dropped
+        def reached(*args):
+            raise AssertionError("sandwich_holds formatted a prefix")
+
+        for make in TestStreamInvariants.KINDS:
+            bits = make().prefix(200)
+            x = make()
+            monkeypatch.setattr(reals, "format", reached, raising=False)
+            assert x.sandwich_holds(int(bits[:100], 2), 100)
+            assert x.depth == 100
+            assert x.sandwich_holds(int(bits[:64], 2), 64)
+            assert not x.sandwich_holds(int(bits[:64], 2) + 1, 64)
+            assert x.sandwich_holds(int(bits, 2), 200)
+            assert x.depth == 200
+            monkeypatch.undo()
 
     def test_uncertified_depth_is_floored_once_and_kept(self, monkeypatch):
         for make in TestStreamInvariants.KINDS:
