@@ -16,7 +16,7 @@ from operator import eq, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import _EXPORTS
-from .errors import EnumerationExhausted, _within
+from .errors import EnumerationExhausted, _paused_gc, _within
 
 __all__ = _EXPORTS["diagonal"]
 
@@ -25,9 +25,9 @@ __all__ = _EXPORTS["diagonal"]
 EnumerationSource = Union[Iterable[str], Callable[[], Iterable[str]]]
 
 # a certificate holds every record, so the stage bounds the time and memory
-# of one call: at this stage `certify_absence` takes 0.13-0.15 s, and `diag
-# --count` 0.31-0.44 s wall in plain and 0.54-0.96 s in csv or json-lines,
-# at a 61-62 MiB peak RSS (CPython 3.11, 2 shared cores, 5 runs each)
+# of one call: at this stage `certify_absence` takes 0.065-0.067 s, and `diag
+# --count` 0.15-0.16 s wall in plain and 0.29-0.32 s in csv or json-lines,
+# at a 61 MiB peak RSS (CPython 3.11.7, 2 shared cores, 5 runs each)
 _STAGE_CAP = 200_000
 # bounds on a certificate's text and on each of its lines, checked before any
 # field is parsed: with the CLI's int-to-str digit limit removed, `int` takes
@@ -35,8 +35,8 @@ _STAGE_CAP = 200_000
 # writes 3 377 808 characters, none of its lines longer than 17.  The worst
 # text within both bounds claims a stage at the cap and holds more records:
 # 524 000 lines of "0 0 0 0" are all parsed before the count is refused, so
-# `diag --verify` takes about 1.0-1.2 s and a 100 MiB peak RSS, against
-# 0.6-0.7 s and 66 MiB for the valid certificate at the cap (same host)
+# `diag --verify` takes about 0.40-0.41 s and a 99 MiB peak RSS, against
+# 0.25-0.30 s and 65 MiB for the valid certificate at the cap (same host)
 _TEXT_CHARS = 1 << 22
 _LINE_CHARS = 80
 
@@ -94,12 +94,19 @@ def diagonal_prefix(source: EnumerationSource, stage: int) -> str:
     return certify_absence(source, stage).diagonal
 
 
+@_paused_gc
 def certify_absence(source: EnumerationSource, stage: int) -> DiagonalCertificate:
     """Build the stage-N diagonal plus one mismatch witness per entry.
 
     Reads the first N entries once; the records, the diagonal and both
     flags all come from that one read, column by column.  A stage past
     `_STAGE_CAP` raises `BudgetExceeded` before the source is read.
+
+    The cyclic collector is paused for the call, the source's reads
+    included, and on again when it returns or raises (left off if it was
+    off): the records form no cycles, and each young pass would walk them
+    all.  A `gc.disable()` from another thread during the call may find
+    the collector on again when the call ends.
     """
     if stage < 1:
         raise ValueError("stage must be at least 1")
@@ -173,6 +180,7 @@ def _refuse_line(length: int) -> None:
         raise ValueError(f"a line of {length} characters, over {_LINE_CHARS}")
 
 
+@_paused_gc
 def certificate_from_text(text: str) -> DiagonalCertificate:
     """Parse the text form; the derived flags stay `None`, which the
     verifier reads as no claim.
@@ -185,6 +193,11 @@ def certificate_from_text(text: str) -> DiagonalCertificate:
     parsed.  Past those bounds, the first fault in text order is the one
     reported: a bad integer in a well-formed record line ahead of a line
     without four fields wins.
+
+    The cyclic collector is paused for the call and on again when it
+    returns or raises (left off if it was off), as for `certify_absence`;
+    a `gc.disable()` from another thread during the call may find the
+    collector on again when the call ends.
     """
     if len(text) > _TEXT_CHARS:
         raise ValueError(f"certificate longer than {_TEXT_CHARS} characters")

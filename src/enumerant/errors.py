@@ -8,6 +8,9 @@ flags, malformed numbers) are not domain errors and exit with status 2.
 
 from __future__ import annotations
 
+import functools
+import gc
+
 from . import _EXPORTS
 
 __all__ = _EXPORTS["errors"]
@@ -92,6 +95,31 @@ def _within(requested: int, cap: int) -> None:
     count calls this before the work starts."""
     if requested > cap:
         raise BudgetExceeded(requested=requested, cap=cap)
+
+
+def _paused_gc(fn):
+    """Run each call of `fn` with the cyclic collector off, and turn it on
+    again however the call ends.
+
+    For calls that fill a container with `count` tracked objects before
+    they return: CPython starts a young pass every few hundred to few
+    thousand tracked allocations, and each pass (every tenth an older one)
+    walks the container still being filled.  The records the package
+    builds form no cycles, so the pause frees nothing late.  A call made
+    while the collector is already off, by a caller or by an outer paused
+    call, leaves it off.  Never for a generator function: the pause would
+    last into the consumer's code.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def _check_bits(bits: str) -> None:

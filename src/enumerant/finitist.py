@@ -23,6 +23,7 @@ from .errors import (
     EmptySet,
     EnumerationExhausted,
     NotEvenPositiveDistinct,
+    _paused_gc,
     _within,
 )
 from .exactnum import (
@@ -155,17 +156,19 @@ class UnionItem(NamedTuple):
 
 # the returned list holds `total` items, so the count bounds its memory and,
 # for a dense family, its time: a million items of `lambda k: count()` take
-# 0.71-0.87 s at a 140 MiB peak RSS, and 100 000 items 0.05-0.07 s at 25 MiB
-# (CPython 3.11, 2 shared Xeon cores, 3 runs each).  It does not bound the
-# diagonals that a sparse family walks, dead rows included: with one live
-# row, a million items take 1.0 s, and a family whose every row is empty
-# never ends.  The bench draws at most 30 000 items, the tests a few hundred
+# 0.24-0.25 s at a 142 MiB peak RSS, and 100 000 items 0.021-0.022 s at
+# 26 MiB (CPython 3.11.7, 2 shared Xeon cores, 5 runs each).  It does not
+# bound the diagonals that a sparse family walks, dead rows included: with
+# one live row, a million items take 0.47-0.50 s, and a family whose every
+# row is empty never ends.  The bench draws at most 30 000 items, the tests
+# a few hundred
 _UNION_CAP = 1_000_000
 _DRY = object()  # end-of-row marker: rows may yield any value, None included
 # tuple.__new__ is all that UnionItem.__new__ does, minus its frame
 _new_tuple = tuple.__new__
 
 
+@_paused_gc
 def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[UnionItem]:
     """First `total` elements of a union of countably many sequences.
 
@@ -178,6 +181,13 @@ def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[Union
     finitely many rows signals the end by raising IndexError for
     out-of-range rows, and once every row has run dry the union itself
     is exhausted.
+
+    The cyclic collector is paused for the call, `family` and its rows
+    included, and on again when it returns or raises (left off if it was
+    off): each young pass would walk the items gathered so far.  So
+    cyclic garbage that `family` makes is collected only after the call
+    returns, and a `gc.disable()` from another thread during the call
+    may find the collector on again when the call ends.
     """
     if total < 0:
         raise ValueError("need a nonnegative count")
