@@ -231,10 +231,12 @@ FAILURE_TABULAR = [
 ]
 
 # outputs of several `_emit` chunks each, so a row split across a chunk
-# boundary shows (`diag --count` plain is the certificate text, not rows)
+# boundary shows (`diag --count` plain is the certificate text, not rows);
+# table 2 in csv quotes its log2_n intervals across two chunks
 LONG = [argv + ["--format", fmt] for argv, formats in (
     (["enum", "--count", "5000"], FORMATS),
-    (["diag", "--count", "5000"], FORMATS[1:])) for fmt in formats]
+    (["diag", "--count", "5000"], FORMATS[1:]),
+    (["table", "--id", "2", "--rows", "150"], ["csv"])) for fmt in formats]
 
 HELP = [["--help"]] + [[command, "--help"] for command in (
     "enum", "locate", "approx", "diag", "harmonic", "series", "theorem", "pair", "table")]
