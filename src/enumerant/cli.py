@@ -6,7 +6,8 @@ and rows, each row a tuple in header order, most of them straight from
 the library's records; one emitter prints them in the ``--format``
 chosen: plain (space-separated values, or key=value lines for a single
 report), csv (with a header row; a cell that holds a comma, a quote or
-a line break, CR or LF, is quoted, the same on every supported Python),
+a line break, CR or LF, is quoted, as is the empty cell of a one-column
+row, and a quote inside doubles, the same on every supported Python),
 or json-lines (one object per row; ints and bools stay JSON numbers and
 booleans, a missing value is null, and everything else, exact rationals
 included, is its text, like "7/12").  Decimals are truncated, never
@@ -27,10 +28,9 @@ package's ``errors``.  The CLI itself builds a ``Fraction`` only in
 ``fractions`` there.  ``pair`` and ``locate --bits`` load ``enumeration``
 alone, and ``diag`` adds ``diagonal``.  ``enum`` loads ``enumeration``
 and ``table`` loads ``finitist``, but neither loads the other, and only
-the csv and json-lines formats import ``csv`` and ``json``.  ``enum``,
-``locate``, ``diag`` and ``pair`` load no ``dataclasses``; the other
-five commands still do, through the report records of ``reals``,
-``series`` and ``finitist``.
+the json-lines format imports ``json``.  ``enum``, ``locate``, ``diag``
+and ``pair`` load no ``dataclasses``; the other five commands still do,
+through the report records of ``reals``, ``series`` and ``finitist``.
 """
 
 from __future__ import annotations
@@ -62,43 +62,45 @@ def _emit(fields, rows, fmt, report=False) -> None:
     """Print `rows`, tuples in `fields` order, in the format `fmt`.
 
     In plain, a single `report` prints as key=value lines, because
-    reports carry free-text fields.  Plain and json-lines build one ``%``
+    reports carry free-text fields.  Every format builds one ``%``
     template per call from the field names (identifiers, so no ``%`` to
-    escape) and fill it with each row's cells; csv goes through
-    `csv.writer`.  The lines go out in joined chunks of
+    escape) and fills it with each row's cells; csv's header is the field
+    names through that template.  The lines go out in joined chunks of
     about `_CHUNK_CHARS` characters, one write each, so `rows` may be a
     stream of any length.  A chunk is written only once every row in it
     is built, so a stream that raises on row 1 writes nothing at all.
     """
-    if fmt == "csv":
-        import csv
-        from itertools import chain
-        from types import SimpleNamespace
+    head = ""
+    if fmt == "plain":
+        cell = _text
+        template = ("".join(f"{f}=%s\n" for f in fields) if report
+                    else " ".join(["%s"] * len(fields)) + "\n")
+    elif fmt == "csv":
+        def cell(value) -> str:
+            if type(value) is int:  # not a bool, whose text is true or false
+                return str(value)
+            text = _text(value)
+            # an empty lone cell is quoted, or its line would read as a blank one
+            if ("," in text or '"' in text or "\r" in text or "\n" in text
+                    or not text and len(fields) == 1):
+                return '"%s"' % text.replace('"', '""')
+            return text
 
-        # writerow returns what its file's write returns: here, the line.  Every
-        # Python quotes a cell that holds a character of the terminator, so
-        # "\r\n" quotes both line breaks; the line then ends in "\n" alone
-        writerow = csv.writer(SimpleNamespace(write=lambda line: line[:-2] + "\n"),
-                              lineterminator="\r\n").writerow
-        lines = map(writerow, chain([fields], (map(_text, row) for row in rows)))
+        template = ",".join(["%s"] * len(fields)) + "\n"
+        head = template % tuple(fields)
     else:
-        if fmt == "plain":
-            cell = _text
-            template = ("".join(f"{f}=%s\n" for f in fields) if report
-                        else " ".join(["%s"] * len(fields)) + "\n")
-        else:
-            from json.encoder import encode_basestring_ascii as quote
+        from json.encoder import encode_basestring_ascii as quote
 
-            def cell(value) -> str:
-                # ints and bools in `_text` are already JSON
-                return ("null" if value is None else _text(value) if isinstance(value, int)
-                        else quote(_text(value)))
+        def cell(value) -> str:
+            # ints and bools in `_text` are already JSON
+            return ("null" if value is None else _text(value) if isinstance(value, int)
+                    else quote(_text(value)))
 
-            # the separators of `json.dumps`
-            template = "{" + ", ".join(quote(f) + ": %s" for f in fields) + "}\n"
-        lines = (template % tuple(map(cell, row)) for row in rows)
-    write, chunk, size = sys.stdout.write, [], 0
-    for line in lines:
+        # the separators of `json.dumps`
+        template = "{" + ", ".join(quote(f) + ": %s" for f in fields) + "}\n"
+    # the csv header opens the first chunk, so it too waits for that chunk's rows
+    write, chunk, size = sys.stdout.write, [head], len(head)
+    for line in (template % tuple(map(cell, row)) for row in rows):
         chunk.append(line)
         size += len(line)
         if size >= _CHUNK_CHARS:
@@ -284,16 +286,21 @@ def _nonnegative(text: str) -> int:
 
 def _fraction(text: str) -> Fraction:
     # Fraction("1/0") raises ZeroDivisionError, which argparse would let
-    # through as a traceback; both faults get argparse's own wording.  A
-    # well-formed value whose exponent N would build 10**|N| past the digit
-    # cap is refused before `Fraction` builds it.
+    # through as a traceback; both faults get argparse's own wording.  The
+    # grammar is that of Python 3.10's `Fraction` on every version: the "_"
+    # between digits that 3.11 reads and the blanks beside "/" that 3.12
+    # reads are refused the same way.  A well-formed value whose exponent N
+    # would build 10**|N| past the digit cap is refused before `Fraction`
+    # builds it.
     from fractions import Fraction
 
     from .exactnum import _DIGITS_CAP
 
     # a decimal exponent at the end of the text, as `Fraction` reads one
-    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    exponent = re.search(r"e([-+]?\d+)\s*\Z", text, re.IGNORECASE)
     try:
+        if "_" in text or re.search(r"\s/|/\s", text):
+            raise ValueError
         if exponent:
             Fraction(text[:exponent.start()] + "e0")  # a malformed head stays a usage error
             _within(abs(int(exponent[1])), _DIGITS_CAP)

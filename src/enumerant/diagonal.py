@@ -26,8 +26,8 @@ EnumerationSource = Union[Iterable[str], Callable[[], Iterable[str]]]
 
 # a certificate holds every record, so the stage bounds the time and memory
 # of one call: at this stage `certify_absence` takes 0.065-0.067 s, and `diag
-# --count` 0.15-0.16 s wall in plain and 0.29-0.32 s in csv or json-lines,
-# at a 61 MiB peak RSS (CPython 3.11.7, 2 shared cores, 5 runs each)
+# --count` 0.15-0.16 s wall in plain, 0.26 s in csv and 0.31-0.32 s in
+# json-lines, at a 61 MiB peak RSS (CPython 3.11.7, 2 shared cores, 5 runs each)
 _STAGE_CAP = 200_000
 # bounds on a certificate's text and on each of its lines, checked before any
 # field is parsed: with the CLI's int-to-str digit limit removed, `int` takes

@@ -97,7 +97,9 @@ class TestLocate:
         assert rc == 1
         assert err == "OutOfRange value=1/3 denominator=3\n"
 
-    @pytest.mark.parametrize("value", ["abc", "1/0", "0/0"])
+    # "_" between digits and blanks beside "/" are refused on every Python,
+    # as 3.10's `Fraction` refuses them
+    @pytest.mark.parametrize("value", ["abc", "1/0", "0/0", "1_0/16", "3 / 8"])
     def test_unreadable_value_is_a_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
             main(["locate", "--value", value])
@@ -113,7 +115,7 @@ class TestLocate:
     @pytest.mark.parametrize("value, head, places", [
         ("1e10000000", "1", 10 ** 7),
         ("1e-10000000", "1", 10 ** 7),
-        (" -2.5E+150_001 ", " -2.5", 150_001),
+        (" -2.5E+150001 ", " -2.5", 150_001),
     ])
     def test_huge_exponent_is_refused_before_the_power(self, capsys, monkeypatch,
                                                        value, head, places):
@@ -143,7 +145,7 @@ class TestLocate:
         assert parsed == [head + "e0"]
 
     @pytest.mark.parametrize("value", ["x1e10000000", "1e 10000000", "3/4e10000000",
-                                       "1e5e10000000"])
+                                       "1e5e10000000", "1e10_000_000"])
     def test_malformed_value_with_a_huge_exponent_is_a_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
             main(["locate", "--value", value])
@@ -699,10 +701,11 @@ class TestLoadSets:
         assert proc.returncode == 0, proc.stderr
         assert not set(proc.stdout.split()) & DATACLASS_LOAD
 
-    @pytest.mark.parametrize("fmt, writer", [("csv", "csv"), ("json-lines", "json")])
+    # csv builds its lines as plain does, with no writer module
+    @pytest.mark.parametrize("fmt, writer", [("csv", None), ("json-lines", "json")])
     def test_only_the_chosen_format_loads_its_writer(self, fmt, writer):
         loaded = loaded_modules(["enum", "--count", "3", "--format", fmt])
-        assert loaded & {"csv", "json"} == {writer}
+        assert loaded & {"csv", "json"} == ({writer} if writer else set())
 
     def test_the_cli_import_loads_only_the_errors_module(self):
         proc = run_python("-c", "import sys, enumerant.cli; print(' '.join(sys.modules))")
@@ -893,26 +896,33 @@ def _ladder_text(value) -> str:
     return str(value)
 
 
+def _csv_line(row) -> str:
+    """A row of text as a `csv.writer` on a real file writes it, with a
+    "\r\n" terminator that is then swapped for "\n"."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(row)
+    line = out.getvalue()
+    assert line.endswith("\r\n")
+    return line[:-2] + "\n"
+
+
 def _csv_text(rows) -> str:
-    """Rows of text as a `csv.writer` on a real file writes them, one row at
-    a time, with a "\r\n" terminator that is then swapped for "\n"."""
+    """Rows of text as `csv.writer` writes them, one row at a time.
+
+    CPython 3.10's writer refuses a cell that holds NUL, where later versions
+    write it bare; there the NUL stands in as a character the row lacks and
+    the writer needs no quotes for, and is put back in the line it writes."""
     lines = []
     for row in rows:
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\r\n").writerow(row)
-        line = out.getvalue()
-        assert line.endswith("\r\n")
-        lines.append(line[:-2] + "\n")
+        try:
+            lines.append(_csv_line(row))
+        except csv.Error:
+            assert sys.version_info < (3, 11) and any("\x00" in text for text in row)
+            stand_in = next(c for c in map(chr, range(0x4E00, 0xA000))
+                            if not any(c in text for text in row))
+            line = _csv_line([text.replace("\x00", stand_in) for text in row])
+            lines.append(line.replace(stand_in, "\x00"))
     return "".join(lines)
-
-
-def _csv_outcome(write, *args):
-    """What `write(*args)` gives: its text, or the type and message of the
-    `csv.Error` it raises."""
-    try:
-        return write(*args)
-    except csv.Error as err:
-        return type(err), str(err)
 
 
 class TestEmit:
@@ -944,20 +954,24 @@ class TestEmit:
     @given(_tables())
     @example((("f0", "f1"), [("c\r\nd", "\r"), (None, "")]))
     @example((("f0",), [("a\x00b",)]))
+    @example((("f0", "f1"), [("\x00", "")]))
     def test_csv_cells_are_text(self, table):
         fields, rows = table
         with _print_digit_limit():
-            # a writer on a real file, not `_emit`'s route through its return value.
-            # CPython 3.10's writer refuses a cell that holds NUL, where later
-            # versions write it bare: both routes must give the same outcome
             texts = [list(fields), *([_text(v) for v in row] for row in rows)]
-            out = _csv_outcome(_emitted, fields, rows, "csv")
-            assert out == _csv_outcome(_csv_text, texts)
-            if isinstance(out, str):
+            out = _emitted(fields, rows, "csv")
+            assert out == _csv_text(texts)
+            # 3.10's reader refuses NUL as its writer does
+            if "\x00" not in out or sys.version_info >= (3, 11):
                 assert list(csv.reader(io.StringIO(out, newline=""))) == texts
 
     def test_csv_bytes_are_fixed(self):
-        # a carriage return is quoted like a line feed, on every Python
-        rows = [("a\rb",), ("c\r\nd",), ("e,f",), ('g"h',), ("",)]
+        # a carriage return is quoted like a line feed, and NUL is written
+        # bare, on every Python
+        rows = [("a\rb",), ("c\r\nd",), ("e,f",), ('g"h',), ("",), ("i\x00j",)]
         assert _emitted(("cell",), rows, "csv") == (
-            'cell\n"a\rb"\n"c\r\nd"\n"e,f"\n"g""h"\n""\n')
+            'cell\n"a\rb"\n"c\r\nd"\n"e,f"\n"g""h"\n""\ni\x00j\n')
+        # an int, a bool, a missing value (empty beside other cells) and a
+        # tuple, whose commas quote it
+        assert _emitted(("a", "b", "c", "d"), [(-7, True, None, (1, 0, 1))], "csv") == (
+            'a,b,c,d\n-7,true,,"1,0,1"\n')
