@@ -20,12 +20,14 @@ output ended (one stderr line), 2 usage error.  Only the commands whose
 verdict can fail, ``diag --verify`` and ``theorem --exhaustive``, return
 a status of their own; every other command returns nothing, which is 0.
 
-A CLI call is mostly process start and import, so each command imports
-its own library modules when it runs; the module level imports only
-``argparse``, ``re`` (which ``argparse`` loads), ``sys`` and the
-package's ``errors``.  The CLI itself builds a ``Fraction`` only in
-``_fraction`` (``locate --value``) and ``harmonic``, and imports
-``fractions`` there.  ``pair`` and ``locate --bits`` load ``enumeration``
+A CLI call is mostly process start, import and exit.  Each command
+imports its own library modules when it runs, and the process entry,
+`run`, freezes the collector on its way out, so the interpreter's exit
+does not walk every object that start and import made.  The module
+level imports only ``argparse``, ``gc`` (built in), ``re`` (which
+``argparse`` loads), ``sys`` and the package's ``errors``.  The CLI
+itself builds a ``Fraction`` only in ``_fraction`` (``locate --value``)
+and ``harmonic``, and imports ``fractions`` there.  ``pair`` and ``locate --bits`` load ``enumeration``
 alone, and ``diag`` adds ``diagonal``.  ``enum`` loads ``enumeration``
 and ``table`` loads ``finitist``, but neither loads the other, and only
 the json-lines format imports ``json``.  ``enum``, ``locate``, ``diag``
@@ -36,6 +38,7 @@ through the report records of ``reals``, ``series`` and ``finitist``.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 
@@ -416,12 +419,31 @@ def main(argv=None) -> int:
         import os
 
         # the interpreter flushes stdout once more on exit: send it nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sink = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(sink, sys.stdout.fileno())
+        os.close(sink)
         print("error: stdout closed before the output ended", file=sys.stderr)
         return 1
     finally:
         sys.set_int_max_str_digits(previous)
 
 
+def run() -> None:
+    """The process entry of the ``enumerant`` script and of ``python -m
+    enumerant.cli``: exit with `main`'s status.
+
+    On every way out (a status, argparse's own `SystemExit` or a crash)
+    the objects still tracked move to the collector's permanent
+    generation, so the interpreter's last collections do not walk the
+    modules a command loaded.  Atexit callbacks and the flush of the
+    standard streams still run.  `main` called in process does not
+    freeze, so its caller keeps a collectable heap.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -3,6 +3,7 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -578,11 +579,18 @@ class TestDeterminism:
 
 @pytest.mark.skipif(shutil.which("enumerant") is None,
                     reason="console script not on PATH")
-def test_installed_console_script():
-    proc = subprocess.run(["enumerant", "enum", "--count", "1"],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert proc.stdout == "1 1 1/2\n"
+@pytest.mark.parametrize("argv, code, out", [
+    (["enum", "--count", "1"], 0, "1 1 1/2\n"),
+    (["locate", "--bits", "0110"], 1, ""),
+    (["enum", "--count", "-1"], 2, ""),
+])
+def test_installed_console_script(argv, code, out):
+    proc = subprocess.run(["enumerant", *argv], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if code == 1:
+        assert proc.stderr == "NotInImage equivalent=6\n"
+    elif code == 2:
+        assert proc.stderr.splitlines()[-1].startswith("enumerant enum: error:")
 
 
 SRC = Path(enumerant.__file__).resolve().parent.parent
@@ -598,7 +606,76 @@ def run_module(*argv):
     return run_python("-m", "enumerant.cli", *argv)
 
 
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", Path(__file__).resolve().parent / "golden" / "record.py")
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+
+
+def _one_transcript_per_command_and_format():
+    """The first golden transcript, by name, of each command in each
+    format, among those whose text is not argparse's."""
+    chosen = {}
+    for path in sorted(record.TRANSCRIPTS.glob("*.json")):
+        want = json.loads(path.read_text(encoding="utf-8"))
+        argv = want["argv"]
+        if not want["by_argparse"]:
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else "plain"
+            chosen.setdefault((argv[0], fmt), path)
+    return sorted(chosen.values())
+
+
+ROUTE_TRANSCRIPTS = _one_transcript_per_command_and_format()
+
+# main(argv) in a fresh interpreter, then run() on the same arguments
+RUN_PROBE = """
+import contextlib, gc, io, sys
+from enumerant.cli import main, run
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        status = main(sys.argv[1:])
+    except SystemExit as stop:
+        status = stop.code
+    frozen = gc.get_freeze_count()
+    try:
+        run()
+    except SystemExit as stop:
+        code = stop.code
+print(status, frozen, code, gc.get_freeze_count() > 0)
+"""
+
+
 class TestModuleRoute:
+    @pytest.mark.parametrize("path", ROUTE_TRANSCRIPTS,
+                             ids=[path.stem for path in ROUTE_TRANSCRIPTS])
+    def test_replays_a_golden_transcript(self, path):
+        # the cwd and COLUMNS of the recording; the transcripts hold text,
+        # and UTF-8 mode writes it as UTF-8 whatever the locale
+        want = json.loads(path.read_text(encoding="utf-8"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "enumerant.cli", *want["argv"]], capture_output=True,
+            timeout=60, cwd=record.INPUTS,
+            env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS=record.COLUMNS, PYTHONUTF8="1"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            want["exit"], want["stdout"].encode(), want["stderr"].encode())
+
+    @pytest.mark.parametrize("argv, status", [
+        (["pair", "--i", "1", "--j", "2"], 0),
+        (["locate", "--bits", "0110"], 1),
+        (["enum", "--count", "-1"], 2),
+    ])
+    def test_run_exits_with_mains_status_and_only_run_freezes(self, argv, status):
+        proc = run_python("-c", RUN_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{status} 0 {status} True\n"
+
+    def test_a_profiler_around_the_module_still_reports(self):
+        proc = run_python("-m", "cProfile", "-m", "enumerant.cli", "pair", "--i", "1", "--j", "2")
+        assert proc.returncode == 0, proc.stderr
+        head, _, profile = proc.stdout.partition("\n")
+        assert head == "8"
+        assert " function calls " in profile
+
     def test_readme_table_two(self):
         proc = run_module("table", "--id", "2", "--rows", "3")
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -640,6 +717,23 @@ class TestClosedStdout:
             proc.kill()
             proc.stderr.close()
         assert err == b"error: stdout closed before the output ended\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
+    def test_the_closed_stdout_branch_leaves_no_descriptor_open(self):
+        probe = ("import os, sys\n"
+                 "from enumerant.cli import main\n"
+                 "read, write = os.pipe()\n"
+                 "os.close(read)\n"
+                 "os.dup2(write, sys.stdout.fileno())\n"
+                 "os.close(write)\n"
+                 "before = len(os.listdir('/proc/self/fd'))\n"
+                 "code = main(['enum', '--count', '100000'])\n"
+                 "print(code, before, len(os.listdir('/proc/self/fd')), file=sys.stderr)\n")
+        proc = run_python("-c", probe)
+        closed, counts = proc.stderr.splitlines()
+        assert closed == "error: stdout closed before the output ended"
+        code, before, after = counts.split()
+        assert (proc.returncode, code, after) == (0, "1", before)
 
 
 # runs main(argv) in a fresh interpreter and prints the modules it loaded
