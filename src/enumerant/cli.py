@@ -20,19 +20,24 @@ output ended (one stderr line), 2 usage error.  Only the commands whose
 verdict can fail, ``diag --verify`` and ``theorem --exhaustive``, return
 a status of their own; every other command returns nothing, which is 0.
 
-A CLI call is mostly process start, import and exit.  Each command
-imports its own library modules when it runs, and the process entry,
-`run`, freezes the collector on its way out, so the interpreter's exit
-does not walk every object that start and import made.  The module
-level imports only ``argparse``, ``gc`` (built in), ``re`` (which
-``argparse`` loads), ``sys`` and the package's ``errors``.  The CLI
-itself builds a ``Fraction`` only in ``_fraction`` (``locate --value``)
-and ``harmonic``, and imports ``fractions`` there.  ``pair`` and ``locate --bits`` load ``enumeration``
-alone, and ``diag`` adds ``diagonal``.  ``enum`` loads ``enumeration``
-and ``table`` loads ``finitist``, but neither loads the other, and only
-the json-lines format imports ``json``.  ``enum``, ``locate``, ``diag``
-and ``pair`` load no ``dataclasses``; the other five commands still do,
-through the report records of ``reals``, ``series`` and ``finitist``.
+A CLI call is mostly process start, import and exit.  The parser lists
+all nine commands but builds the arguments of the invoked one alone.
+Each command imports its own library modules when it runs, and the
+process entry, `run`, freezes the collector on its way out, so the
+interpreter's exit does not walk every object that start and import
+made.  The module level imports only ``argparse``, ``gc`` (built in),
+``re`` (which ``argparse`` loads), ``sys`` and the package's ``errors``.
+The CLI itself builds a ``Fraction`` only in ``_fraction`` (``locate
+--value``) and ``harmonic``, and imports ``fractions`` there.  ``pair``
+and ``locate --bits`` load ``enumeration`` alone, and ``diag`` adds
+``diagonal``.  ``enum`` loads ``enumeration`` and ``table`` loads
+``finitist``, but neither loads the other, and only the json-lines
+format imports ``json``.  ``harmonic`` loads ``series`` alone, and so
+does ``series`` but for e and tau, whose rows print decimals: it loads
+``exactnum`` for those, and for no refused tau term count.
+``enum``, ``locate``, ``diag`` and ``pair`` load no ``dataclasses``; the
+other five commands still do, through the report records of ``reals``,
+``series`` and ``finitist``.
 """
 
 from __future__ import annotations
@@ -192,12 +197,12 @@ def _cmd_harmonic(args) -> None:
 
 
 def _cmd_series(args) -> None:
-    from math import factorial
-
-    from .exactnum import decimal_string, pinned_decimals
     from .series import e_enclosure, geometric_partial, liouville_partial
 
+    # only a printed decimal needs `exactnum`: geometric prints none
     if args.name == "e":
+        from .exactnum import decimal_string, pinned_decimals
+
         enc = e_enclosure(args.terms)
         iv = enc.interval
         fields = ("terms", "lo", "hi", "lo_decimal", "hi_decimal", "pinned")
@@ -206,6 +211,11 @@ def _cmd_series(args) -> None:
                decimal_string(iv.hi, args.digits), pinned_decimals(iv, args.digits) or "")
     elif args.name == "tau":
         part = liouville_partial(args.terms)
+        # after the sum, so a term count past the cap loads no `exactnum`
+        from math import factorial
+
+        from .exactnum import decimal_string
+
         fields = ("terms", "value", "decimal", "one_places", "tail_bound")
         row = (part.m, part.value, decimal_string(part.value, args.digits),
                part.one_places, f"2/10^{factorial(part.m + 1)}")
@@ -319,73 +329,61 @@ def _even_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="enumerant",
-        description="Exact arithmetic around a breadth-first enumeration of "
-                    "binary strings: bijections, certified reals, diagonal "
-                    "certificates, series, and growth tables.")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("plain", "csv", "json-lines"),
-                        default="plain", help="output shape (default plain)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enum", parents=[shared],
-                       help="first N entries with their dyadic values")
+def _fill_enum(p) -> None:
     p.add_argument("--count", type=_nonnegative, required=True)
     p.set_defaults(func=_cmd_enum)
 
-    p = sub.add_parser("locate", parents=[shared],
-                       help="index of a bit string or of a dyadic value")
+
+def _fill_locate(p) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--bits")
     g.add_argument("--value", type=_fraction, help="dyadic rational like 3/8")
     p.set_defaults(func=_cmd_locate)
 
-    p = sub.add_parser("approx", parents=[shared],
-                       help="hunt a real through the enumeration to a depth")
+
+def _fill_approx(p) -> None:
     p.add_argument("--real", type=parse_real, required=True,
                    help="sqrt2, e, tau, or rat:P/Q")
     p.add_argument("--depth", type=_positive, required=True)
     p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser("diag", parents=[shared],
-                       help="stage-N diagonal certificate, or verify one")
+
+def _fill_diag(p) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--count", type=_positive)
     g.add_argument("--verify", metavar="FILE")
     p.set_defaults(func=_cmd_diag)
 
-    p = sub.add_parser("harmonic", parents=[shared],
-                       help="doubling blocks of the harmonic series")
+
+def _fill_harmonic(p) -> None:
     p.add_argument("--blocks", type=_positive, required=True)
     p.set_defaults(func=_cmd_harmonic)
 
-    p = sub.add_parser("series", parents=[shared],
-                       help="exact partial sums and enclosures")
+
+def _fill_series(p) -> None:
     p.add_argument("--name", choices=("e", "tau", "geometric"), required=True)
     p.add_argument("--terms", type=_positive, required=True)
     p.add_argument("--digits", type=_nonnegative, default=30,
                    help="decimal places to print (truncated, default 30)")
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("theorem", parents=[shared],
-                       help="even-set counting check, single or exhaustive")
+
+def _fill_theorem(p) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--set", type=_even_list, metavar="E1,E2,...")
     g.add_argument("--exhaustive", type=_positive, metavar="M",
                    help="check every nonempty subset of {2, 4, ..., 2M}")
     p.set_defaults(func=_cmd_theorem)
 
-    p = sub.add_parser("pair", parents=[shared],
-                       help="diagonal pairing code of (i, j), or its inverse")
+
+def _fill_pair(p) -> None:
     p.add_argument("--i", type=_nonnegative)
     p.add_argument("--j", type=_nonnegative)
     p.add_argument("--unpair", type=_nonnegative, metavar="N")
     p.set_defaults(func=_cmd_pair, parser=p)
 
-    p = sub.add_parser("table", parents=[shared],
-                       help="growth tables: 1 (n, 2n, n^2, 1/n) or 2 (towers)")
+
+def _fill_table(p) -> None:
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
     p.add_argument("--rows", type=_positive, required=True)
     p.add_argument("--digit-budget", type=_positive,
@@ -394,6 +392,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fractional bits certified for the log2 column")
     p.set_defaults(func=_cmd_table)
 
+
+# each command's help line and the function that adds its arguments, in the
+# order `enumerant -h` lists them
+_COMMANDS = {
+    "enum": ("first N entries with their dyadic values", _fill_enum),
+    "locate": ("index of a bit string or of a dyadic value", _fill_locate),
+    "approx": ("hunt a real through the enumeration to a depth", _fill_approx),
+    "diag": ("stage-N diagonal certificate, or verify one", _fill_diag),
+    "harmonic": ("doubling blocks of the harmonic series", _fill_harmonic),
+    "series": ("exact partial sums and enclosures", _fill_series),
+    "theorem": ("even-set counting check, single or exhaustive", _fill_theorem),
+    "pair": ("diagonal pairing code of (i, j), or its inverse", _fill_pair),
+    "table": ("growth tables: 1 (n, 2n, n^2, 1/n) or 2 (towers)", _fill_table),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of the command line `argv`.
+
+    Every command is registered with its help line, so the top-level help,
+    usage and invalid-choice error list all nine, but only the command
+    named by the first word of `argv` that is a command name gets its
+    arguments, ``-h`` among them.  That word is the one argparse
+    dispatches on, if it dispatches at all: an option takes no word
+    after it (the top level's one option, ``-h``, takes no value, and an
+    unknown one is set aside), and a word before it that is not an
+    option is refused as an invalid choice before any command parses.
+    With no command word no command has arguments, and argparse's own
+    error, or the top-level help, is all that shows.
+    """
+    parser = argparse.ArgumentParser(
+        prog="enumerant",
+        description="Exact arithmetic around a breadth-first enumeration of "
+                    "binary strings: bijections, certified reals, diagonal "
+                    "certificates, series, and growth tables.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((word for word in argv if word in _COMMANDS), None)
+    for name, (summary, fill) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, add_help=name == command)
+        if name == command:
+            p.add_argument("--format", choices=("plain", "csv", "json-lines"),
+                           default="plain", help="output shape (default plain)")
+            fill(p)
     return parser
 
 
@@ -403,8 +444,9 @@ def main(argv=None) -> int:
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        argv = sys.argv[1:] if argv is None else argv
         # a type function's budget refuses during parsing, as a DomainError
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         # only a command whose verdict can fail returns a status
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit

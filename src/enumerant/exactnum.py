@@ -306,7 +306,7 @@ DEFAULT_DIGIT_BUDGET = 10_000
 # places: `series --name e --terms 20 --digits` this many takes 0.54 s wall
 # (5 runs, CPython 3.11.7, one Xeon core), most of it printing.  The series
 # sum has its own cap and runs first, so the costs add: with `--terms` at
-# `series._E_TERMS_CAP` the command takes 1.94-1.97 s wall
+# `series._E_TERMS_CAP` the command takes 1.80-1.83 s wall
 _DIGITS_CAP = 150_000
 
 

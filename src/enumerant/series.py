@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 from typing import NamedTuple, TYPE_CHECKING
 
 from . import _EXPORTS
@@ -61,10 +61,11 @@ _HARMONIC_CAP = 1 << 18
 # `series --name geometric --terms 500000` takes 0.72-0.89 s wall in each
 # format, most of it writing out the 2**n denominator
 _GEOMETRIC_CAP = 500_000
-# `series --name e --terms 24000` takes 0.63-0.64 s wall; with `--digits` at
-# `exactnum._DIGITS_CAP` too, the two costs add: 1.94-1.97 s wall in each
-# format (5 runs, CPython 3.11.7, one Xeon core).  The golden
-# `series-name-e-terms-24001` transcripts record the refusal, so the cap stays
+# `series --name e --terms 24000` takes 0.50 s wall, most of it printing the
+# ends; with `--digits` at `exactnum._DIGITS_CAP` too, the two costs add:
+# 1.80-1.83 s wall in each format (5 runs, CPython 3.11.7, one Xeon core).
+# The golden `series-name-e-terms-24001` transcripts record the refusal, so
+# the cap stays
 _E_TERMS_CAP = 24000
 # the m-th tau sum's denominator 10**(m!) has 40321 digits at m = 8
 _LIOUVILLE_CAP = 7
@@ -96,6 +97,38 @@ def _prime_reciprocals(primes: list[int], i: int, j: int) -> tuple[int, int]:
     return n1 * d2 + n2 * d1, d1 * d2
 
 
+def _sieve(hi: int) -> bytearray:
+    """sieve[i] is 1 exactly where i is a prime, for 0 <= i <= hi, hi >= 1."""
+    sieve = bytearray(b"\1") * (hi + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(hi) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi + 1, p)))
+    return sieve
+
+
+def _lowest_terms(num: int, den: int, r: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0 and an r > 0 that divides den
+    and has every prime that num and den share, with no gcd taken on two
+    full-size numbers.
+
+    Each pass takes h = gcd(num mod r, r), which is gcd(num, r), divides
+    num and den by h exactly (h divides num, and den as r does) and sets r
+    to gcd(h, den).  Both conditions on r hold again after a pass:
+    - gcd(h, den) divides the new den;
+    - a prime p that the new num and den share, they shared before, so p
+      divides r; as p divides num too, p divides h, and so the new r.
+    The passes stop at h = 1, where no prime of r divides num, so by the
+    second condition num and den share none.  Each pass with h > 1 divides
+    den by h, so they do stop.  A pass costs one division of the full-size
+    num by the short r and two exact divisions by the short h.
+    """
+    while (h := gcd(num % r, r)) > 1:
+        num, den = num // h, den // h
+        r = gcd(h, den)
+    return num, den
+
+
 def _harmonic_range(lo: int, hi: int) -> Fraction:
     """The sum of 1/i for lo <= i <= hi, reduced, with no gcd taken on two
     full-size numbers.
@@ -115,25 +148,20 @@ def _harmonic_range(lo: int, hi: int) -> Fraction:
     The sum is N/(c*d), with d the product of the primes p > r that have a
     multiple in the range and N = a*d + sum over them of coef(p)*(d/p).  c
     and d are coprime, so gcd(N, c*d) = gcd(N, c) * gcd(N, d), and:
-    - d is squarefree, so gcd(N, d) is the product of the p in d that
+    - d is squarefree, so gcd(N, d) is the product g of the p in d that
       divide N.  Modulo one such p every term of N but p's own vanishes,
       and d/p is prime to p, so p divides N exactly when p divides
       coef(p).  A run shares one coef, so it adds gcd(coef, d2), d2 the
       product of its primes: one division of d2 by the short coef.
-    - gcd(N, c) = gcd(N mod c, c): one division of N by the short c.
-    Their product g is short (at most 30 bits over blocks 1-17); N and c*d
-    are divided by it exactly, and the coprime pair becomes the `Fraction`
-    with no further gcd.
+    - N/g and c*d/g then share only primes of c, which divides c*d/g, so
+      `_lowest_terms` reduces them from residues mod the short c.
+    The coprime pair becomes the `Fraction` with no further gcd.
 
     hi past `_HARMONIC_CAP` raises `BudgetExceeded` before any work.
     """
     _within(hi, _HARMONIC_CAP)
     r = isqrt(hi)
-    sieve = bytearray(b"\1") * (hi + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, r + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, hi + 1, p)))
+    sieve = _sieve(hi)
     c = 1
     for p in compress(range(r + 1), sieve[:r + 1]):
         power = p
@@ -164,8 +192,7 @@ def _harmonic_range(lo: int, hi: int) -> Fraction:
             g *= gcd(coef, d2)
         p = end + 1
     n += a * d
-    g *= gcd(n % c, c)
-    return _coprime_fraction(n // g, c * d // g)
+    return _coprime_fraction(*_lowest_terms(n // g, c * d // g, c))
 
 
 def oresme_block(k: int) -> OresmeBlock:
@@ -257,13 +284,22 @@ def _e_terms(bits: int) -> int:
 def e_enclosure(n: int) -> EulerEnclosure:
     """The reduced interval S_n <= e <= S_n + 1/(n*n!) about e, with S_n the
     sum of 1/v! over 0 <= v <= n, for n >= 1.  An n past `_E_TERMS_CAP`
-    raises `BudgetExceeded` before any work."""
+    raises `BudgetExceeded` before any work.
+
+    The primes of the common denominator n*n! are those up to n, so
+    `_lowest_terms` reduces each end from its residues mod their product
+    (35 kbit at the cap, against 314-kbit ends), and 2 + num/den is
+    (num + 2*den)/den, still coprime."""
     from .exactnum import RationalInterval
 
     if n < 1:
         raise ValueError("need n >= 1")
     lo, hi, den = _e_enclosure(n)
-    return EulerEnclosure(n, RationalInterval(2 + Fraction(lo, den), 2 + Fraction(hi, den)))
+    primes = prod(compress(range(n + 1), _sieve(n)))
+    lo, lo_den = _lowest_terms(lo, den, primes)
+    hi, hi_den = _lowest_terms(hi, den, primes)
+    return EulerEnclosure(n, RationalInterval(_coprime_fraction(lo + 2 * lo_den, lo_den),
+                                              _coprime_fraction(hi + 2 * hi_den, hi_den)))
 
 
 @dataclass(frozen=True)

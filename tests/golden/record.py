@@ -238,6 +238,17 @@ LONG = [argv + ["--format", fmt] for argv, formats in (
     (["diag", "--count", "5000"], FORMATS[1:]),
     (["table", "--id", "2", "--rows", "150"], ["csv"])) for fmt in formats]
 
+# argv shapes in which the command is not the first word, or not the only
+# one: argparse dispatches on the first word that is not an option, so each
+# fails at the top level, or prints its help
+MISPLACED = [
+    ["--bogus", "pair", "--i", "1", "--j", "2"],
+    ["foo", "enum", "--count", "1"],
+    ["--", "enum", "--count", "1"],
+    ["-h", "enum"],
+    ["enum", "--count", "1", "locate"],
+]
+
 HELP = [["--help"]] + [[command, "--help"] for command in (
     "enum", "locate", "approx", "diag", "harmonic", "series", "theorem", "pair", "table")]
 
@@ -246,12 +257,14 @@ INVOCATIONS = ([argv + ["--format", fmt] for argv in EACH_FORMAT for fmt in FORM
                + [argv + ["--format", fmt] for argv in EACH_TABULAR for fmt in FORMATS[1:]]
                + FAILURE + [argv + ["--format", "json-lines"] for argv in FAILURE_JSON]
                + [argv + ["--format", fmt] for argv in FAILURE_TABULAR for fmt in FORMATS[1:]]
-               + LONG + HELP)
+               + LONG + MISPLACED + HELP)
 
 
 def name_of(argv) -> str:
-    """File stem of an invocation: its words joined by dashes."""
-    return re.sub(r"[^A-Za-z0-9.]+", "-", " ".join(argv)).strip("-") or "no-arguments"
+    """File stem of an invocation: its words joined by dashes, a lone
+    ``--`` spelled ``dashdash``."""
+    words = ("dashdash" if word == "--" else word for word in argv)
+    return re.sub(r"[^A-Za-z0-9.]+", "-", " ".join(words)).strip("-") or "no-arguments"
 
 
 def transcribe(argv) -> dict:

@@ -1,6 +1,7 @@
 """End-to-end command tests: every invocation runs in process through
 ``main(argv)`` and asserts on captured stdout/stderr plus the exit code."""
 
+import argparse
 import contextlib
 import csv
 import importlib.util
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import enumerant
-from enumerant.cli import _CHUNK_CHARS, _emit, _text, main
+from enumerant.cli import _CHUNK_CHARS, _emit, _text, build_parser, main
 from enumerant.exactnum import DyadicRational
 
 
@@ -774,6 +775,9 @@ class TestLoadSets:
         (["diag", "--count", "4"], PAIRING_ONLY | {"diagonal"}),
         (["harmonic", "--blocks", "3"], {"errors", "series"}),
         (["series", "--name", "e", "--terms", "12"], {"errors", "exactnum", "series"}),
+        # no decimal to print, and a refusal before the decimal
+        (["series", "--name", "geometric", "--terms", "5"], {"errors", "series"}),
+        (["series", "--name", "tau", "--terms", "9"], {"errors", "series"}),
         (["theorem", "--set", "2,4,6"], FINITIST_ONLY),
         (["pair", "--i", "1", "--j", "2"], PAIRING_ONLY),
         (["table", "--id", "2", "--rows", "3"], FINITIST_ONLY),
@@ -806,6 +810,26 @@ class TestLoadSets:
         assert proc.returncode == 0, proc.stderr
         loaded = {m for m in proc.stdout.split() if m.startswith("enumerant.")}
         assert loaded == {"enumerant.cli", "enumerant.errors"}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, filled", [
+        (["pair", "--i", "1", "--j", "2"], "pair"),
+        (["--bogus", "pair", "--i", "1"], "pair"),
+        (["foo", "enum", "--count", "1"], "enum"),
+        (["enum", "--count", "1", "locate"], "enum"),
+        (["--", "table", "--id", "1"], "table"),
+        (["--help"], None),
+        ([], None),
+    ])
+    def test_only_the_first_command_word_gets_arguments(self, argv, filled):
+        sub, = (action for action in build_parser(argv)._actions
+                if isinstance(action, argparse._SubParsersAction))
+        assert list(sub.choices) == ["enum", "locate", "approx", "diag", "harmonic",
+                                     "series", "theorem", "pair", "table"]
+        # the other commands' parsers hold no argument, not even -h
+        with_arguments = [name for name, p in sub.choices.items() if p._actions]
+        assert with_arguments == ([filled] if filled else [])
 
 
 @pytest.fixture
@@ -906,6 +930,9 @@ _GRAMMAR = {
 }
 
 
+_COMMANDS = sorted({key.split()[0] for key in _GRAMMAR})
+
+
 @st.composite
 def _invocations(draw):
     key = draw(st.sampled_from(sorted(_GRAMMAR)))
@@ -915,6 +942,13 @@ def _invocations(draw):
             argv += [flag, draw(values)]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["plain", "csv", "json-lines", "xml"]))]
+    # now and then a word the top level settles: an unknown option, a stray
+    # word, "--" or "-h" before the command, or a command name after it
+    before = draw(st.sampled_from([None] * 5 + ["--bogus", "foo", "--", "-h"]))
+    if before:
+        argv = [before, *argv]
+    elif not draw(st.integers(0, 5)):
+        argv += [draw(st.sampled_from(_COMMANDS))]
     return argv
 
 
@@ -926,10 +960,11 @@ class TestFuzz:
             try:
                 code = main(argv)
             except SystemExit as stop:
-                assert stop.code == 2, argv  # argparse's usage error
+                # argparse's help, or its usage error
+                assert stop.code == (0 if argv[0] == "-h" else 2), argv
                 return
         assert code in (0, 1, 2), argv
-        if code == 1 and argv[0] == "diag" and not err.getvalue():
+        if code == 1 and "diag" in argv and not err.getvalue():
             # the one exit 1 with no stderr line: an invalid certificate,
             # whose verdict is on stdout
             assert "false" in out.getvalue().splitlines()[-1], argv

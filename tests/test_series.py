@@ -1,6 +1,7 @@
+import random
 import tracemalloc
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm, prod
 
 import mpmath
 import pytest
@@ -15,8 +16,10 @@ from enumerant.series import (
     _GEOMETRIC_CAP,
     _HARMONIC_CAP,
     _coprime_fraction,
+    _e_enclosure,
     _e_terms,
     _harmonic_range,
+    _lowest_terms,
     e_enclosure,
     geometric_partial,
     harmonic_partial,
@@ -237,6 +240,23 @@ class TestCoprimeFraction:
         assert (value.numerator, value.denominator) == (6, 4)
 
 
+class TestLowestTerms:
+    _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+    # den over the primes below 30, each at least once, so that their
+    # product r divides it; high powers on both sides make the passes repeat
+    @example([12] * 10, [0] * 10, 1)
+    @example([0] * 10, [12] * 10, 31)
+    @given(st.lists(st.integers(0, 12), min_size=10, max_size=10),
+           st.lists(st.integers(0, 12), min_size=10, max_size=10),
+           st.integers(1, 10 ** 30))
+    def test_matches_the_fraction_constructor(self, num_powers, den_powers, cofactor):
+        num = cofactor * prod(p ** e for p, e in zip(self._PRIMES, num_powers))
+        den = prod(p ** (e + 1) for p, e in zip(self._PRIMES, den_powers))
+        want = Fraction(num, den)
+        assert _lowest_terms(num, den, prod(self._PRIMES)) == (want.numerator, want.denominator)
+
+
 class TestGeometric:
     def test_frozen_values(self):
         assert geometric_partial(1) == Fraction(1, 2)
@@ -293,6 +313,17 @@ class TestEulerEnclosures:
             iv = e_enclosure(n).interval
             assert iv.lo == fold
             assert iv.hi == fold + Fraction(1, n * fact)
+
+    def test_reduced_ends_match_the_fraction_constructor(self):
+        # the public constructor's full gcds against `_lowest_terms`: every n
+        # up to 300, then seeded n up to the cap and the cap itself
+        ns = [*range(1, 301), *random.Random(9).sample(range(301, _E_TERMS_CAP), 3),
+              _E_TERMS_CAP]
+        for n in ns:
+            lo, hi, den = _e_enclosure(n)
+            iv = e_enclosure(n).interval
+            for got, want in ((iv.lo, 2 + Fraction(lo, den)), (iv.hi, 2 + Fraction(hi, den))):
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator), n
 
     def test_width_at_twenty_five_terms(self):
         assert e_enclosure(25).interval.width < Fraction(1, 10 ** 26)
