@@ -29,9 +29,12 @@ _EXPORTS = {
         "OutOfRange",
         "ZeroIndex",
     ),
+    "dyadic": (
+        "DyadicRational",
+        "dyadic_from_string",
+    ),
     "exactnum": (
         "DEFAULT_DIGIT_BUDGET",
-        "DyadicRational",
         "Exact",
         "Magnitude",
         "RationalInterval",
@@ -40,7 +43,6 @@ _EXPORTS = {
         "canonicalize",
         "decimal_digit",
         "decimal_string",
-        "dyadic_from_string",
         "log2_interval",
         "magnitude_cmp",
         "pinned_decimals",

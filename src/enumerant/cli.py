@@ -22,18 +22,23 @@ a status of their own; every other command returns nothing, which is 0.
 
 A CLI call is mostly process start, import and exit.  The parser lists
 all nine commands but builds the arguments of the invoked one alone.
-Each command imports its own library modules when it runs, and the
-process entry, `run`, freezes the collector on its way out, so the
-interpreter's exit does not walk every object that start and import
+Each command imports its own library modules when it runs.  The process
+entry, `run`, runs the command with the cyclic collector paused and
+freezes the collector on its way out, so neither the command's imports
+nor the interpreter's exit walk every object that start and import
 made.  The module level imports only ``argparse``, ``gc`` (built in),
 ``re`` (which ``argparse`` loads), ``sys`` and the package's ``errors``.
 The CLI itself builds a ``Fraction`` only in ``_fraction`` (``locate
 --value``) and ``harmonic``, and imports ``fractions`` there.  ``pair``
 and ``locate --bits`` load ``enumeration`` alone, and ``diag`` adds
-``diagonal``.  ``enum`` loads ``enumeration`` and ``table`` loads
-``finitist``, but neither loads the other, and only the json-lines
-format imports ``json``.  ``harmonic`` loads ``series`` alone, and so
-does ``series`` but for e and tau, whose rows print decimals: it loads
+``diagonal``.  ``enum`` loads ``enumeration`` and ``dyadic``, the home
+of ``DyadicRational``, and no ``exactnum`` or ``fractions``; ``locate
+--value`` adds ``exactnum``, for the exponent cap ``_DIGITS_CAP``.
+``approx`` loads ``reals`` and ``series`` beside those two, but no
+``exactnum``.  ``table`` loads ``finitist``, which loads ``exactnum``
+and ``dyadic``, but no ``enumeration``.  Only the json-lines format
+imports ``json``.  ``harmonic`` loads ``series`` alone, and so does
+``series`` but for e and tau, whose rows print decimals: it loads
 ``exactnum`` for those, and for no refused tau term count.
 ``enum``, ``locate``, ``diag`` and ``pair`` load no ``dataclasses``; the
 other five commands still do, through the report records of ``reals``,
@@ -47,7 +52,7 @@ import gc
 import re
 import sys
 
-from .errors import DomainError, _within
+from .errors import DomainError, _paused_gc, _within
 
 # a cell's text by its exact type; a type not listed is its `str`
 _TEXTS = {
@@ -134,7 +139,7 @@ def _cmd_locate(args) -> None:
     if args.bits is not None:
         index = string_to_index(args.bits)
     else:
-        from .exactnum import DyadicRational
+        from .dyadic import DyadicRational
 
         index = locate_value(DyadicRational.from_fraction(args.value))
     _emit(("index",), [(index,)], args.format)
@@ -474,15 +479,19 @@ def run() -> None:
     """The process entry of the ``enumerant`` script and of ``python -m
     enumerant.cli``: exit with `main`'s status.
 
-    On every way out (a status, argparse's own `SystemExit` or a crash)
-    the objects still tracked move to the collector's permanent
-    generation, so the interpreter's last collections do not walk the
-    modules a command loaded.  Atexit callbacks and the flush of the
-    standard streams still run.  `main` called in process does not
-    freeze, so its caller keeps a collectable heap.
+    `main` runs with the cyclic collector paused (`errors._paused_gc`),
+    so no collection walks the modules the command imports, nor the
+    records it builds: no command leaves cyclic garbage behind per row,
+    so the pause frees nothing late.  On every way out (a status,
+    argparse's own `SystemExit` or a crash) the collector is on again
+    and the objects still tracked move to its permanent generation, so
+    the interpreter's last collections do not walk them either.  Atexit
+    callbacks and the flush of the standard streams still run.  `main`
+    called in process neither pauses nor freezes, so its caller keeps
+    its own collector and a collectable heap.
     """
     try:
-        sys.exit(main())
+        sys.exit(_paused_gc(main)())
     finally:
         gc.freeze()
 

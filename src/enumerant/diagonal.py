@@ -26,7 +26,7 @@ EnumerationSource = Union[Iterable[str], Callable[[], Iterable[str]]]
 
 # a certificate holds every record, so the stage bounds the time and memory
 # of one call: at this stage `certify_absence` takes 0.065-0.067 s, and `diag
-# --count` 0.15-0.16 s wall in plain, 0.26 s in csv and 0.31-0.32 s in
+# --count` 0.14-0.15 s wall in plain, 0.24-0.25 s in csv and 0.30 s in
 # json-lines, at a 61 MiB peak RSS (CPython 3.11.7, 2 shared cores, 5 runs each)
 _STAGE_CAP = 200_000
 # bounds on a certificate's text and on each of its lines, checked before any
@@ -35,8 +35,8 @@ _STAGE_CAP = 200_000
 # writes 3 377 808 characters, none of its lines longer than 17.  The worst
 # text within both bounds claims a stage at the cap and holds more records:
 # 524 000 lines of "0 0 0 0" are all parsed before the count is refused, so
-# `diag --verify` takes about 0.40-0.41 s and a 99 MiB peak RSS, against
-# 0.25-0.30 s and 65 MiB for the valid certificate at the cap (same host)
+# `diag --verify` takes about 0.36 s and a 99 MiB peak RSS, against
+# 0.23 s and 66 MiB for the valid certificate at the cap (same host)
 _TEXT_CHARS = 1 << 22
 _LINE_CHARS = 80
 

@@ -15,9 +15,11 @@ bijection.
 dyadic targets get their exact index, everything else gets a refutation
 plus the nearest enumerated value at the requested depth.
 
-The module level imports neither `exactnum` nor `fractions`: `entries`
+The module level imports neither `dyadic` nor `fractions`: `entries`
 and `approximate` import the value types in their bodies, so `pair`,
-`diag` and `locate --bits` load neither.
+`diag` and `locate --bits` load neither.  `entries` takes
+`DyadicRational` from `dyadic`, which loads no `fractions`, so `enum`
+loads neither `fractions` nor `exactnum`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import _EXPORTS
 from .errors import DepthZero, NotInImage, ZeroIndex, _check_bits
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .exactnum import DyadicRational
+    from .dyadic import DyadicRational
     from .reals import ApproximationReport, ComputableReal
 
 __all__ = _EXPORTS["enumeration"]
@@ -137,7 +139,7 @@ _new_tuple = tuple.__new__
 
 def entries(count: int) -> Iterator[Entry]:
     """The first `count` entries with their dyadic values."""
-    from .exactnum import DyadicRational
+    from .dyadic import DyadicRational
 
     if count < 0:
         raise ValueError("count must be nonnegative")

@@ -1,5 +1,5 @@
-"""Exact number kernel: rationals, unit-interval dyadics, certified log2
-enclosures, and symbolic power-tower magnitudes.
+"""Exact number kernel: rational intervals, certified log2 enclosures,
+symbolic power-tower magnitudes and truncated decimals.
 
 Everything in this module is exact.  Unbounded naturals and integers are
 Python ``int``; rationals are ``fractions.Fraction``, which already keeps
@@ -8,8 +8,6 @@ denominator).  No code path here ever touches a float.
 
 The hand-built types are the ones no stdlib type covers:
 
-* ``DyadicRational``: canonical ``m / 2**k`` with odd numerator, restricted
-  to (0, 1], the value domain of the binary-string enumeration;
 * ``RationalInterval``: closed interval with exact rational endpoints;
 * ``log2_interval``: a certified dyadic enclosure of log2(n), exact width
   ``2**-p``, from two atanh series summed with floors and proven error
@@ -22,7 +20,10 @@ The value types are small immutable ``__slots__`` classes, each with its
 own ``__init__`` and ``__str__`` (the exact text the package prints), on
 one base that states equality, hashing, copying and repr once from the
 fields; importing this module (and the package's CLI) never loads
-``dataclasses``.
+``dataclasses``.  That base, ``_Immutable``, lives in `dyadic` beside
+``DyadicRational``, the canonical ``m / 2**k`` in (0, 1] that the
+enumeration's entries hold, so that `enum` loads neither this module nor
+``fractions``.
 """
 
 from __future__ import annotations
@@ -32,111 +33,14 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _EXPORTS
-from .errors import OutOfRange, _Text, _check_bits, _within
+from .dyadic import _Immutable
+from .errors import _within
 
 __all__ = _EXPORTS["exactnum"]
 
 
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
-
-
-class _Immutable:
-    """Base of the value types: fields are ``__slots__`` set once by
-    ``__init__``, equal only within one class and hashed as a tuple.
-    Copies and pickles call the class on its fields in slot order, so
-    ``__init__`` must take them positionally in that order."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._fields()))
-        return f"{type(self).__name__}({fields})"
-
-
-# ---------------------------------------------------------------------------
-# dyadic rationals in (0, 1]
-
-
-class DyadicRational(_Immutable):
-    """Canonical ``numerator / 2**exponent`` with odd numerator, in (0, 1].
-
-    Trailing factors of two are stripped on construction, so equal values
-    are structurally equal.  The exceptional point 1 is represented as
-    ``1 / 2**0``; everything else lies strictly inside the unit interval.
-    """
-
-    __slots__ = ("numerator", "exponent")
-
-    def __init__(self, numerator: int, exponent: int):
-        if numerator <= 0:
-            raise OutOfRange(value=_Text("{}/2^{}", numerator, exponent))
-        if not numerator & 1:  # strip to the odd canonical form in one shift
-            zeros = (numerator & -numerator).bit_length() - 1
-            numerator >>= zeros
-            exponent -= zeros
-        # odd n <= 2**e is bitlen(n) <= e, or n = 1 at e = 0; a negative e
-        # fails too, with no e-bit power built
-        if numerator.bit_length() > (exponent or 1):
-            raise OutOfRange(value=_Text("{}/2^{}", numerator, exponent))
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "exponent", exponent)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "DyadicRational":
-        """Build from an exact rational; the denominator must be a power of 2."""
-        den = value.denominator
-        if den & (den - 1):
-            raise OutOfRange(value=_Text("{}", value), denominator=den)
-        return cls(value.numerator, den.bit_length() - 1)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def bits(self) -> str:
-        """Terminating binary expansion after the point (values < 1 only)."""
-        if self.exponent == 0:
-            raise OutOfRange(value="1", note="1 has no fractional expansion")
-        return format(self.numerator, f"0{self.exponent}b")
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{1 << self.exponent}" if self.exponent else "1"
-
-    def __repr__(self) -> str:
-        return f"DyadicRational({self.numerator}, {self.exponent})"
-
-
-def dyadic_from_string(bits: str) -> DyadicRational:
-    """Value of a finite bit string read as a binary fraction.
-
-    Bit i (1-based, left to right) contributes ``2**-i``; the empty string
-    is rejected rather than mapped to 0.
-    """
-    _check_bits(bits)
-    if "1" not in bits:
-        raise OutOfRange(value=bits, note="all-zero strings denote 0, outside (0, 1]")
-    return DyadicRational(int(bits, 2), len(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +207,10 @@ DEFAULT_DIGIT_BUDGET = 10_000
 
 
 # decimal digits that one call may ask for, as a digit budget or as printed
-# places: `series --name e --terms 20 --digits` this many takes 0.54 s wall
-# (5 runs, CPython 3.11.7, one Xeon core), most of it printing.  The series
-# sum has its own cap and runs first, so the costs add: with `--terms` at
-# `series._E_TERMS_CAP` the command takes 1.80-1.83 s wall
+# places: `series --name e --terms 20 --digits` this many takes 0.53-0.54 s
+# wall (5 runs, CPython 3.11.7, one Xeon core), most of it printing.  The
+# series sum has its own cap and runs first, so the costs add: with `--terms`
+# at `series._E_TERMS_CAP` the command takes 1.80-1.81 s wall
 _DIGITS_CAP = 150_000
 
 

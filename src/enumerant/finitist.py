@@ -244,8 +244,8 @@ def table1_row(n: int) -> Table1Row:
 # the u64 scale: row cells up to 19 digits print in full, 2**64 stays symbolic
 TABLE2_DIGIT_BUDGET = 19
 # row n prints n! and 1/n! in full, so rows 1..N take time about cubic in N:
-# `table --id 2 --rows` at this cap takes 0.51-0.52 s wall in plain and csv
-# and 0.54 s in json-lines (CPython 3.11.7, two shared Xeon cores, 5 runs each)
+# `table --id 2 --rows` at this cap takes 0.51 s wall in plain and csv and
+# 0.53-0.54 s in json-lines (CPython 3.11.7, two shared Xeon cores, 5 runs each)
 _TABLE2_ROWS_CAP = 1500
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Optional
 
 from . import _EXPORTS
 from .errors import DepthZero, _within
-from .exactnum import DyadicRational
+from .dyadic import DyadicRational
 from .series import _e_enclosure, _e_terms, _tau_enclosure, _tau_terms
 
 __all__ = _EXPORTS["reals"]

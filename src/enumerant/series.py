@@ -54,16 +54,16 @@ class OresmeBlock:
 # a growth guard on hi, the last denominator of a harmonic range, whose sieve
 # takes hi bytes: oresme_block(18) takes 0.09-0.12 s and block 19 would take
 # 0.26-0.29 s (5 runs, CPython 3.11), while `harmonic --blocks 18` takes
-# 1.41-1.74 s wall, most of it writing the sums out.  The golden
+# 1.04 s wall in each format, most of it writing the sums out.  The golden
 # `harmonic-blocks-19` transcripts record the refusal of block 19, so the cap
 # stays
 _HARMONIC_CAP = 1 << 18
-# `series --name geometric --terms 500000` takes 0.72-0.89 s wall in each
+# `series --name geometric --terms 500000` takes 0.53-0.55 s wall in each
 # format, most of it writing out the 2**n denominator
 _GEOMETRIC_CAP = 500_000
 # `series --name e --terms 24000` takes 0.50 s wall, most of it printing the
 # ends; with `--digits` at `exactnum._DIGITS_CAP` too, the two costs add:
-# 1.80-1.83 s wall in each format (5 runs, CPython 3.11.7, one Xeon core).
+# 1.80-1.81 s wall in each format (5 runs, CPython 3.11.7, one Xeon core).
 # The golden `series-name-e-terms-24001` transcripts record the refusal, so
 # the cap stays
 _E_TERMS_CAP = 24000

@@ -21,7 +21,7 @@ from hypothesis import example, given, strategies as st
 
 import enumerant
 from enumerant.cli import _CHUNK_CHARS, _emit, _text, build_parser, main
-from enumerant.exactnum import DyadicRational
+from enumerant.dyadic import DyadicRational
 
 
 def run(capsys, *argv):
@@ -502,7 +502,7 @@ class TestTable:
         # rows go out as they are built, as enum's do: 20000 rows held
         # at once would take about 5 MB
         argv = ["table", "--id", "1", "--format", fmt, "--rows"]
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
             main(argv + ["1"])  # first-use imports stay out of the peak
             tracemalloc.start()
             try:
@@ -517,7 +517,7 @@ class TestTable:
         # each row holds n! and 1/n! in full: 600 rows held at once would
         # take over 2 MB
         argv = ["table", "--id", "2", "--format", fmt, "--rows"]
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
             main(argv + ["1"])  # first-use imports stay out of the peak
             tracemalloc.start()
             try:
@@ -599,7 +599,7 @@ SRC = Path(enumerant.__file__).resolve().parent.parent
 
 def run_python(*args):
     """A fresh interpreter that imports the package from the source tree."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, encoding="utf-8",
                           timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
@@ -746,8 +746,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
 print(" ".join(sorted(set(sys.modules) - before)))
 """
-FINITIST_ONLY = {"errors", "exactnum", "finitist"}
-ENUMERATION_ONLY = {"errors", "exactnum", "enumeration"}
+# `exactnum` stands on `dyadic`, so whatever loads it loads both
+FINITIST_ONLY = {"errors", "dyadic", "exactnum", "finitist"}
+# `enumeration` with its value type, which loads no `exactnum` or `fractions`
+ENUMERATION_ONLY = {"errors", "dyadic", "enumeration"}
 # `enumeration` without the value types: the string and pairing bijections
 PAIRING_ONLY = {"errors", "enumeration"}
 # `dataclasses` and the modules it loads, compiled on every cold start
@@ -770,11 +772,12 @@ def loaded_modules(argv):
 class TestLoadSets:
     @pytest.mark.parametrize("argv, package", [
         (["enum", "--count", "3"], ENUMERATION_ONLY),
-        (["locate", "--value", "3/8"], ENUMERATION_ONLY),
+        # `exactnum` for `_DIGITS_CAP`, which bounds the value's exponent
+        (["locate", "--value", "3/8"], ENUMERATION_ONLY | {"exactnum"}),
         (["approx", "--real", "sqrt2", "--depth", "8"], ENUMERATION_ONLY | {"reals", "series"}),
         (["diag", "--count", "4"], PAIRING_ONLY | {"diagonal"}),
         (["harmonic", "--blocks", "3"], {"errors", "series"}),
-        (["series", "--name", "e", "--terms", "12"], {"errors", "exactnum", "series"}),
+        (["series", "--name", "e", "--terms", "12"], {"errors", "dyadic", "exactnum", "series"}),
         # no decimal to print, and a refusal before the decimal
         (["series", "--name", "geometric", "--terms", "5"], {"errors", "series"}),
         (["series", "--name", "tau", "--terms", "9"], {"errors", "series"}),
@@ -793,7 +796,8 @@ class TestLoadSets:
         assert ("fractions" in loaded) == bool(package & FRACTION_MODULES)
 
     @pytest.mark.parametrize("module", ["enumerant.cli", "enumerant.exactnum",
-                                        "enumerant.enumeration", "enumerant.diagonal"])
+                                        "enumerant.enumeration", "enumerant.diagonal",
+                                        "enumerant.dyadic"])
     def test_the_import_loads_no_dataclasses(self, module):
         proc = run_python("-c", f"import sys, {module}; print(' '.join(sys.modules))")
         assert proc.returncode == 0, proc.stderr

@@ -1,18 +1,26 @@
-"""The cyclic collector is paused while the three record builders run.
+"""The cyclic collector is paused while the three record builders run,
+and while a CLI process runs its command.
 
 `certify_absence`, `certificate_from_text` and `union_enumerate` each
 fill a container of `count` tracked objects before they return; with the
 collector on, every young pass would walk it again.  These tests pin
 that no pass starts inside them, that the collector's state is restored
 on every way out, and that the wrapper hides nothing a caller inspects.
+`cli.run` calls `main` through the same wrapper; `main` called in
+process leaves the collector to its caller.  The pause relies on no
+command leaving cyclic garbage behind per row, which the size checks
+at the end pin.
 """
 
+import contextlib
 import gc
 import inspect
+import io
 from itertools import count
 
 import pytest
 
+from enumerant import cli
 from enumerant.diagonal import (
     _STAGE_CAP,
     certificate_from_text,
@@ -177,3 +185,117 @@ def test_no_collection_runs_inside_the_builders():
     }
     counted = {name: _collections_during(call) for name, call in calls.items()}
     assert counted == dict.fromkeys(calls, 0)
+
+
+class _Stop(Exception):
+    """A crash inside `main`."""
+
+
+def _argparse_exit():
+    raise SystemExit(2)
+
+
+def _crash():
+    raise _Stop
+
+
+# what `main` does in place of a command: return a status, exit through
+# argparse, or crash
+MAIN_EXITS = {"status-0": lambda: 0, "status-1": lambda: 1,
+              "argparse": _argparse_exit, "crash": _crash}
+
+
+def _run_with(monkeypatch, end):
+    """`cli.run` around a `main` that notes the collector and ends with
+    `end`; the exit freeze is noted, not done, so this process keeps a
+    collectable heap."""
+    seen, frozen = [], []
+
+    def main():
+        seen.append(gc.isenabled())
+        return end()
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(gc.isenabled()))
+    with pytest.raises((SystemExit, _Stop)):
+        cli.run()
+    return seen, frozen
+
+
+@pytest.mark.parametrize("name", sorted(MAIN_EXITS))
+def test_run_calls_main_with_the_collector_paused(monkeypatch, name):
+    seen, frozen = _run_with(monkeypatch, MAIN_EXITS[name])
+    assert seen == [False]
+    # the collector is on again before the freeze and after the exit
+    assert frozen == [True]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", sorted(MAIN_EXITS))
+def test_run_leaves_a_collector_that_was_off_off(monkeypatch, name):
+    gc.disable()
+    try:
+        seen, frozen = _run_with(monkeypatch, MAIN_EXITS[name])
+        assert (seen, frozen) == ([False], [False])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv", [["pair", "--i", "1", "--j", "2"],
+                                  ["pair", "--unpair", "-1"],
+                                  ["locate", "--bits", "010"]])
+def test_main_in_process_keeps_its_callers_collector(monkeypatch, enabled, argv):
+    seen = []
+    command = cli._cmd_pair if argv[0] == "pair" else cli._cmd_locate
+
+    def noting(args):
+        seen.append(gc.isenabled())
+        return command(args)
+
+    monkeypatch.setattr(cli, command.__name__, noting)
+    if not enabled:
+        gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
+            cli.main(argv)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    # a usage error exits before the command runs
+    assert seen == ([] if argv[1] == "--unpair" else [enabled])
+
+
+# each command at a small size; the check runs it at ten times that too
+SIZED = {
+    "enum": (["enum", "--count"], 1000),
+    "diag": (["diag", "--count"], 1000),
+    "table": (["table", "--id", "2", "--rows"], 15),
+    "theorem": (["theorem", "--exhaustive"], 1),
+    "harmonic": (["harmonic", "--blocks"], 1),
+    "series": (["series", "--name", "e", "--terms"], 100),
+}
+
+
+def _cyclic_garbage_of(argv) -> int:
+    """What a collection finds after `main(argv)` ran with the collector
+    off: the cyclic garbage the command left."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_no_command_leaves_cyclic_garbage_per_row(name):
+    head, size = SIZED[name]
+    _cyclic_garbage_of(head + [str(size)])  # first-use imports stay out of the count
+    small = _cyclic_garbage_of(head + [str(size)])
+    large = _cyclic_garbage_of(head + [str(10 * size)])
+    assert small == large

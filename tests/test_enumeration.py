@@ -22,7 +22,7 @@ from enumerant.enumeration import (
     string_to_index,
 )
 from enumerant.errors import DepthZero, EmptyString, NotInImage, OutOfRange, ZeroIndex
-from enumerant.exactnum import DyadicRational, dyadic_from_string
+from enumerant.dyadic import DyadicRational, dyadic_from_string
 from enumerant.reals import RationalStream, SqrtStream
 
 # the enumeration starts, column by column, exactly like this

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from enumerant import exactnum
+from enumerant.dyadic import DyadicRational, dyadic_from_string
 from enumerant.errors import BudgetExceeded, EmptyString, OutOfRange, _check_bits
 from enumerant.exactnum import (
     DEFAULT_DIGIT_BUDGET,
-    DyadicRational,
     Exact,
     RationalInterval,
     Reciprocal,
@@ -24,7 +24,6 @@ from enumerant.exactnum import (
     canonicalize,
     decimal_digit,
     decimal_string,
-    dyadic_from_string,
     log2_interval,
     magnitude_cmp,
     pinned_decimals,

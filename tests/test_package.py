@@ -20,7 +20,7 @@ PUBLIC = [name for name in enumerant.__all__ if name != "__version__"]
 
 
 def run_python(code):
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -103,6 +103,6 @@ def test_the_records_the_bench_corrupts_stay_dataclasses():
     assert enumerant.ApproximationReport is reals.ApproximationReport
     # the ten `approx` columns, in the order the transcripts freeze them
     transcript = GOLDEN / "transcripts" / "approx-real-e-depth-1-format-csv.json"
-    header = json.loads(transcript.read_text())["stdout"].split("\n", 1)[0].split(",")
+    header = json.loads(transcript.read_text(encoding="utf-8"))["stdout"].split("\n", 1)[0].split(",")
     assert len(header) == 10
     assert enumerant.ApproximationReport.__match_args__ == tuple(header)

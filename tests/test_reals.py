@@ -6,7 +6,7 @@ import pytest
 
 from enumerant import reals
 from enumerant.errors import BudgetExceeded, DepthZero
-from enumerant.exactnum import DyadicRational
+from enumerant.dyadic import DyadicRational
 from enumerant.reals import (
     _DEPTH_CAP,
     ComputableReal,
