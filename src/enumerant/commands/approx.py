@@ -1,0 +1,26 @@
+"""``approx``: hunt a real through the enumeration to a depth."""
+
+from __future__ import annotations
+
+from . import _attrs, _emit, _positive
+
+
+def _cmd_approx(args) -> None:
+    from ..enumeration import approximate
+
+    report = approximate(args.real, args.depth)
+    _emit(report.__match_args__, [_attrs(report)], args.format, report=True)
+
+
+def parse_real(text: str):
+    """``--real`` type; argparse names this function in its error message."""
+    from ..reals import parse_real
+
+    return parse_real(text)
+
+
+def _fill_approx(p) -> None:
+    p.add_argument("--real", type=parse_real, required=True,
+                   help="sqrt2, e, tau, or rat:P/Q")
+    p.add_argument("--depth", type=_positive, required=True)
+    p.set_defaults(func=_cmd_approx)

@@ -1,0 +1,47 @@
+"""``diag``: a stage-N diagonal certificate, or the verdict on one."""
+
+from __future__ import annotations
+
+import sys
+
+from . import _emit, _positive
+
+
+def _cmd_diag(args) -> int | None:
+    from ..diagonal import (
+        _TEXT_CHARS,
+        MismatchRecord,
+        certificate_from_text,
+        certificate_to_text,
+        certify_absence,
+        verify_certificate,
+    )
+    from ..enumeration import all_strings
+
+    if args.verify is not None:
+        try:
+            with open(args.verify, "r", encoding="ascii") as fh:
+                # one character past the bound is enough to refuse the text
+                cert = certificate_from_text(fh.read(_TEXT_CHARS + 1))
+        except (OSError, ValueError) as err:
+            print(f"unreadable certificate: {err}", file=sys.stderr)
+            return 1
+        ok = verify_certificate(cert, all_strings)
+        _emit(("stage", "valid"), [(cert.stage, ok)], args.format)
+        return 0 if ok else 1
+    cert = certify_absence(all_strings, args.count)
+    if args.format == "plain":
+        sys.stdout.write(certificate_to_text(cert))
+        return
+    if args.format == "json-lines":
+        _emit(("stage", "pad", "diagonal", "ends_in_one", "occurs_in_prefix"),
+              [(cert.stage, cert.padding, cert.diagonal, cert.ends_in_one,
+                cert.occurs_in_prefix)], args.format)
+    _emit(MismatchRecord._fields, cert.records, args.format)
+
+
+def _fill_diag(p) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--count", type=_positive)
+    g.add_argument("--verify", metavar="FILE")
+    p.set_defaults(func=_cmd_diag)

@@ -1,0 +1,25 @@
+"""``pair``: the diagonal pairing code of (i, j), or its inverse."""
+
+from __future__ import annotations
+
+from . import _emit, _nonnegative
+
+
+def _cmd_pair(args) -> None:
+    from ..enumeration import cantor_pair, cantor_unpair
+
+    if args.unpair is not None:
+        if args.i is not None or args.j is not None:
+            args.parser.error("--unpair does not combine with --i/--j")
+        _emit(("i", "j"), [cantor_unpair(args.unpair)], args.format)
+        return
+    if args.i is None or args.j is None:
+        args.parser.error("pair needs either --unpair N or both --i and --j")
+    _emit(("code",), [(cantor_pair(args.i, args.j),)], args.format)
+
+
+def _fill_pair(p) -> None:
+    p.add_argument("--i", type=_nonnegative)
+    p.add_argument("--j", type=_nonnegative)
+    p.add_argument("--unpair", type=_nonnegative, metavar="N")
+    p.set_defaults(func=_cmd_pair, parser=p)

@@ -1,0 +1,47 @@
+"""``series``: exact partial sums and enclosures of e, tau and the
+geometric series."""
+
+from __future__ import annotations
+
+from . import _emit, _nonnegative, _positive
+
+
+def _cmd_series(args) -> None:
+    from ..series import e_enclosure, geometric_partial, liouville_partial
+
+    # only a printed decimal needs `exactnum`: geometric prints none
+    if args.name == "e":
+        from ..exactnum import decimal_string, pinned_decimals
+
+        enc = e_enclosure(args.terms)
+        iv = enc.interval
+        fields = ("terms", "lo", "hi", "lo_decimal", "hi_decimal", "pinned")
+        # an enclosure too wide to pin a digit prints "", in json too
+        row = (enc.n, iv.lo, iv.hi, decimal_string(iv.lo, args.digits),
+               decimal_string(iv.hi, args.digits), pinned_decimals(iv, args.digits) or "")
+    elif args.name == "tau":
+        part = liouville_partial(args.terms)
+        # after the sum, so a term count past the cap loads no `exactnum`
+        from math import factorial
+
+        from ..exactnum import decimal_string
+
+        fields = ("terms", "value", "decimal", "one_places", "tail_bound")
+        row = (part.m, part.value, decimal_string(part.value, args.digits),
+               part.one_places, f"2/10^{factorial(part.m + 1)}")
+    else:
+        value = geometric_partial(args.terms)
+        p, q = value.numerator, value.denominator
+        # the terms 2**-i, i = 1..n, summed as written: n one-bits over 2**n
+        written = p.bit_count() == p.bit_length() == q.bit_length() - 1 == args.terms
+        fields = ("terms", "value", "matches_closed_form")
+        row = (args.terms, value, written and not q & (q - 1))
+    _emit(fields, [row], args.format, report=True)
+
+
+def _fill_series(p) -> None:
+    p.add_argument("--name", choices=("e", "tau", "geometric"), required=True)
+    p.add_argument("--terms", type=_positive, required=True)
+    p.add_argument("--digits", type=_nonnegative, default=30,
+                   help="decimal places to print (truncated, default 30)")
+    p.set_defaults(func=_cmd_series)

@@ -1,0 +1,36 @@
+"""``theorem``: the even-set counting check, on one set or on every
+subset of {2, 4, ..., 2M}."""
+
+from __future__ import annotations
+
+import argparse
+
+from . import _attrs, _emit, _positive
+
+
+def _cmd_theorem(args) -> int | None:
+    from ..finitist import check_even_set, induction_trace
+
+    if args.set is not None:
+        report = check_even_set(args.set)
+        _emit(report.__match_args__, [_attrs(report)], args.format, report=True)
+        return
+    trace = induction_trace(args.exhaustive)
+    total = ("total", trace.total_checked, sum(lv.failures for lv in trace.levels))
+    _emit(("size", "checked", "failures"), [*trace.levels, total], args.format)
+    return 0 if trace.all_hold else 1
+
+
+def _even_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+
+
+def _fill_theorem(p) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--set", type=_even_list, metavar="E1,E2,...")
+    g.add_argument("--exhaustive", type=_positive, metavar="M",
+                   help="check every nonempty subset of {2, 4, ..., 2M}")
+    p.set_defaults(func=_cmd_theorem)

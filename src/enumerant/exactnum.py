@@ -34,7 +34,7 @@ from typing import Optional
 
 from . import _EXPORTS
 from .dyadic import _Immutable
-from .errors import _within
+from .errors import _DIGITS_CAP, _within
 
 __all__ = _EXPORTS["exactnum"]
 
@@ -204,14 +204,6 @@ class Tower(Magnitude):
 
 
 DEFAULT_DIGIT_BUDGET = 10_000
-
-
-# decimal digits that one call may ask for, as a digit budget or as printed
-# places: `series --name e --terms 20 --digits` this many takes 0.53-0.54 s
-# wall (5 runs, CPython 3.11.7, one Xeon core), most of it printing.  The
-# series sum has its own cap and runs first, so the costs add: with `--terms`
-# at `series._E_TERMS_CAP` the command takes 1.80-1.81 s wall
-_DIGITS_CAP = 150_000
 
 
 @lru_cache(maxsize=8)

@@ -62,7 +62,7 @@ _HARMONIC_CAP = 1 << 18
 # format, most of it writing out the 2**n denominator
 _GEOMETRIC_CAP = 500_000
 # `series --name e --terms 24000` takes 0.50 s wall, most of it printing the
-# ends; with `--digits` at `exactnum._DIGITS_CAP` too, the two costs add:
+# ends; with `--digits` at `errors._DIGITS_CAP` too, the two costs add:
 # 1.80-1.81 s wall in each format (5 runs, CPython 3.11.7, one Xeon core).
 # The golden `series-name-e-terms-24001` transcripts record the refusal, so
 # the cap stays

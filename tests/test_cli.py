@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import enumerant
-from enumerant.cli import _CHUNK_CHARS, _emit, _text, build_parser, main
+from enumerant.cli import build_parser, main
+from enumerant.commands import _CHUNK_CHARS, _emit, _text
 from enumerant.dyadic import DyadicRational
 
 
@@ -125,8 +126,9 @@ class TestLocate:
 
         # `_fraction` reads `fractions.Fraction` when it runs.  The modules
         # `locate --value` imports are loaded first, so none binds the recorder
+        import enumerant.commands.locate
+        import enumerant.dyadic
         import enumerant.enumeration
-        import enumerant.exactnum
 
         parsed = []
 
@@ -761,6 +763,33 @@ DATACLASS_MODULES = {"reals", "series", "finitist"}
 # `locate --bits` run none
 FRACTION_MODULES = {"exactnum", "series", "reals", "finitist"}
 CERT = str(Path(__file__).resolve().parent / "golden" / "inputs" / "cert.txt")
+# the parser alone on argv: its exit status, the stream it wrote to and the
+# package modules loaded
+PARSER_PROBE = """
+import contextlib, io, sys
+from enumerant.cli import build_parser
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        build_parser(sys.argv[1:]).parse_args(sys.argv[1:])
+    except SystemExit as stop:
+        status = stop.code
+print(status)
+print("out" if out.getvalue() and not err.getvalue() else "err")
+print(" ".join(m for m in sys.modules if m.startswith("enumerant.")))
+"""
+# `python -m enumerant.cli argv`, run the way `-m` runs it, then the exit
+# status and the package modules loaded
+MAIN_PROBE = """
+import contextlib, io, runpy, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("enumerant.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as stop:
+        status = stop.code
+print(status)
+print(" ".join(m for m in sys.modules if m.startswith("enumerant.")))
+"""
 
 
 def loaded_modules(argv):
@@ -772,8 +801,8 @@ def loaded_modules(argv):
 class TestLoadSets:
     @pytest.mark.parametrize("argv, package", [
         (["enum", "--count", "3"], ENUMERATION_ONLY),
-        # `exactnum` for `_DIGITS_CAP`, which bounds the value's exponent
-        (["locate", "--value", "3/8"], ENUMERATION_ONLY | {"exactnum"}),
+        # `errors._DIGITS_CAP` bounds the value's exponent: no `exactnum`
+        (["locate", "--value", "3/8"], ENUMERATION_ONLY),
         (["approx", "--real", "sqrt2", "--depth", "8"], ENUMERATION_ONLY | {"reals", "series"}),
         (["diag", "--count", "4"], PAIRING_ONLY | {"diagonal"}),
         (["harmonic", "--blocks", "3"], {"errors", "series"}),
@@ -790,10 +819,13 @@ class TestLoadSets:
     def test_a_plain_command_loads_only_what_it_runs(self, argv, package):
         loaded = loaded_modules(argv)
         submodules = {m.split(".", 1)[1] for m in loaded if m.startswith("enumerant.")}
-        assert submodules == package | {"cli"}
+        # the entry, the commands' shared module and the invoked command's own
+        assert submodules == package | {"cli", "commands", f"commands.{argv[0]}"}
         assert not loaded & {"csv", "json"}
         assert bool(loaded & DATACLASS_LOAD) == bool(package & DATACLASS_MODULES)
-        assert ("fractions" in loaded) == bool(package & FRACTION_MODULES)
+        # `locate --value` builds its `Fraction` in the command's own module
+        assert ("fractions" in loaded) == (bool(package & FRACTION_MODULES)
+                                           or "--value" in argv)
 
     @pytest.mark.parametrize("module", ["enumerant.cli", "enumerant.exactnum",
                                         "enumerant.enumeration", "enumerant.diagonal",
@@ -814,6 +846,44 @@ class TestLoadSets:
         assert proc.returncode == 0, proc.stderr
         loaded = {m for m in proc.stdout.split() if m.startswith("enumerant.")}
         assert loaded == {"enumerant.cli", "enumerant.errors"}
+
+    # the top-level help, usage and invalid-choice error come from the
+    # help lines of `cli._COMMANDS` alone
+    @pytest.mark.parametrize("argv, code, stream", [
+        ([], 2, "err"),
+        (["-h"], 0, "out"),
+        (["frobnicate"], 2, "err"),
+    ])
+    def test_a_call_that_names_no_command_loads_no_command_module(self, argv, code, stream):
+        proc = run_python("-c", PARSER_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        status, shown, loaded = proc.stdout.split("\n")[:3]
+        assert int(status) == code
+        assert shown == stream
+        assert set(loaded.split()) == {"enumerant.cli", "enumerant.errors"}
+
+    # one argv per command, run as `python -m` runs the module: as `__main__`
+    @pytest.mark.parametrize("argv", [
+        ["enum", "--count", "3"],
+        ["locate", "--value", "3/8"],
+        ["approx", "--real", "sqrt2", "--depth", "8"],
+        ["diag", "--count", "4"],
+        ["harmonic", "--blocks", "3"],
+        ["series", "--name", "e", "--terms", "12"],
+        ["theorem", "--set", "2,4,6"],
+        ["pair", "--i", "1", "--j", "2"],
+        ["table", "--id", "2", "--rows", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_the_module_route_loads_one_command_module_and_no_second_cli(self, argv):
+        proc = run_python("-c", MAIN_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        status, loaded = proc.stdout.split("\n")[:2]
+        loaded = set(loaded.split())
+        assert status == "0"
+        # a command module that imported `enumerant.cli` would add it here
+        assert "enumerant.cli" not in loaded
+        assert {m for m in loaded if m.startswith("enumerant.commands.")} == {
+            f"enumerant.commands.{argv[0]}"}
 
 
 class TestParser:

@@ -14,6 +14,7 @@ at the end pin.
 
 import contextlib
 import gc
+import importlib
 import inspect
 import io
 from itertools import count
@@ -248,13 +249,14 @@ def test_run_leaves_a_collector_that_was_off_off(monkeypatch, name):
                                   ["locate", "--bits", "010"]])
 def test_main_in_process_keeps_its_callers_collector(monkeypatch, enabled, argv):
     seen = []
-    command = cli._cmd_pair if argv[0] == "pair" else cli._cmd_locate
+    module = importlib.import_module(f"enumerant.commands.{argv[0]}")
+    command = getattr(module, f"_cmd_{argv[0]}")
 
     def noting(args):
         seen.append(gc.isenabled())
         return command(args)
 
-    monkeypatch.setattr(cli, command.__name__, noting)
+    monkeypatch.setattr(module, command.__name__, noting)
     if not enabled:
         gc.disable()
     try:

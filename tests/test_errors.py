@@ -1,6 +1,7 @@
 import pytest
 
-from enumerant import cli, diagonal, exactnum, finitist, reals, series
+from enumerant import diagonal, errors, exactnum, finitist, reals, series
+from enumerant.commands import locate
 from enumerant.errors import BudgetExceeded, DomainError, OutOfRange
 
 
@@ -28,7 +29,7 @@ def _reached(*args):
 # cap is cheap enough to run)
 GUARDS = {
     "log2_bits": (exactnum, "_LOG2_BITS_CAP", lambda n: exactnum.log2_interval(3, n), "_atanh_sum"),
-    "digits": (exactnum, "_DIGITS_CAP", lambda n: exactnum._ten_to(n), None),
+    "digits": (errors, "_DIGITS_CAP", lambda n: exactnum._ten_to(n), None),
     "harmonic": (series, "_HARMONIC_CAP", series.harmonic_partial, "isqrt"),
     "geometric": (series, "_GEOMETRIC_CAP", series.geometric_partial, None),
     "e_terms": (series, "_E_TERMS_CAP", series.e_enclosure, "_factorial_series"),
@@ -37,7 +38,7 @@ GUARDS = {
     # the source is read first, so it is the first step of work
     "stage": (diagonal, "_STAGE_CAP", lambda n: diagonal.certify_absence(_reached, n), None),
     "induction": (finitist, "_INDUCTION_CAP", finitist.induction_trace, "combinations"),
-    "value_exponent": (exactnum, "_DIGITS_CAP", lambda n: cli._fraction(f"1e{n}"), None),
+    "value_exponent": (errors, "_DIGITS_CAP", lambda n: locate._fraction(f"1e{n}"), None),
 }
 
 

@@ -12,14 +12,13 @@ from hypothesis import given, strategies as st
 
 from enumerant import exactnum
 from enumerant.dyadic import DyadicRational, dyadic_from_string
-from enumerant.errors import BudgetExceeded, EmptyString, OutOfRange, _check_bits
+from enumerant.errors import _DIGITS_CAP, BudgetExceeded, EmptyString, OutOfRange, _check_bits
 from enumerant.exactnum import (
     DEFAULT_DIGIT_BUDGET,
     Exact,
     RationalInterval,
     Reciprocal,
     Tower,
-    _DIGITS_CAP,
     _common_base,
     canonicalize,
     decimal_digit,
