@@ -16,34 +16,24 @@ a status of their own; every other command returns nothing, which is 0.
 
 A CLI call is mostly process start, import and exit.  This module holds
 the entry alone: the nine help lines, the parser, `main` and `run`.
-Each command's arguments and handler are in its own module,
-``commands/<name>.py``, and the parser lists all nine commands but
-imports and fills in the invoked one alone, so a call compiles and runs
-the code of one command.  No command module imports ``enumerant.cli``:
-under ``python -m enumerant.cli`` this module runs as ``__main__``, so
-such an import would compile and run it a second time.  Each command
-imports its own library modules when it runs.  The process entry,
-`run`, runs the command with the cyclic collector paused and freezes the
-collector on its way out, so neither the command's imports nor the
-interpreter's exit walk every object that start and import made.
+Each command is a module of its own, ``commands/<name>.py``, that
+defines the same two names: ``fill(p)`` adds the command's arguments to
+its subparser and ``run(args)`` runs it.  The parser lists all nine
+commands but imports the invoked one alone and binds its ``fill`` and
+``run``, so a call compiles and runs the code of one command.  This
+module's own `run`, the process entry, runs the command with the cyclic
+collector paused and freezes the collector on its way out, so neither
+the command's imports nor the interpreter's exit walk every object that
+start and import made.
 
-The module level imports only ``argparse``, ``gc`` (built in), ``sys``,
-``importlib`` (which the package loads) and the package's ``errors``.
-The commands themselves build a ``Fraction`` only in ``locate --value``
-and ``harmonic``, and import ``fractions`` there.  ``pair`` and ``locate``
-load ``enumeration`` alone, but ``locate --value`` adds ``dyadic``, and
-``diag`` adds ``diagonal``; ``locate --value`` bounds the value's
-exponent by ``errors._DIGITS_CAP``, so it loads no ``exactnum``.
-``enum`` loads ``enumeration`` and ``dyadic``, the home of
-``DyadicRational``, and no ``exactnum`` or ``fractions``.  ``approx``
-loads ``reals`` and ``series`` beside those two, but no ``exactnum``.
-``table`` loads ``finitist``, which loads ``exactnum`` and ``dyadic``,
-but no ``enumeration``.  Only the json-lines format imports ``json``.
-``harmonic`` loads ``series`` alone, and so does ``series`` but for e
-and tau, whose rows print decimals: it loads ``exactnum`` for those, and
-for no refused tau term count.  ``enum``, ``locate``, ``diag`` and
-``pair`` load no ``dataclasses``; the other five commands still do,
-through the report records of ``reals``, ``series`` and ``finitist``.
+Two rules keep each call's load set small, and no one module shows
+them.  No command module imports ``enumerant.cli``: under ``python -m
+enumerant.cli`` this module runs as ``__main__``, so such an import
+would compile and run it a second time.  And each command imports its
+library modules in the function that uses them, when it runs, not at
+its module level (``errors`` aside, which this module has loaded).
+Which modules each command loads is stated once, by ``TestLoadSets`` in
+``tests/test_cli.py``.
 """
 
 from __future__ import annotations
@@ -56,7 +46,7 @@ from importlib import import_module
 from .errors import DomainError, _paused_gc
 
 # each command's help line, in the order `enumerant -h` lists them; the
-# command's arguments and handler are in `commands/<name>.py`
+# command's `fill` and `run` are in `commands/<name>.py`
 _COMMANDS = {
     "enum": "first N entries with their dyadic values",
     "locate": "index of a bit string or of a dyadic value",
@@ -82,7 +72,10 @@ def build_parser(argv) -> argparse.ArgumentParser:
     unknown one is set aside), and a word before it that is not an
     option is refused as an invalid choice before any command parses.
     With no command word no command has arguments, and argparse's own
-    error, or the top-level help, is all that shows.
+    error, or the top-level help, is all that shows.  The invoked
+    command's subparser gets its module's `fill` and holds its `run` as
+    ``func`` and itself as ``parser``, for a usage error found past
+    parsing.
     """
     parser = argparse.ArgumentParser(
         prog="enumerant",
@@ -97,11 +90,29 @@ def build_parser(argv) -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("plain", "csv", "json-lines"),
                            default="plain", help="output shape (default plain)")
             module = import_module(f".commands.{name}", __package__)
-            getattr(module, f"_fill_{name}")(p)
+            module.fill(p)
+            p.set_defaults(func=module.run, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command line `argv` (default ``sys.argv[1:]``) in process
+    and return its exit status.
+
+    The status is 0 on success; 1 on a domain error, printed as one
+    typed line on stderr, or on a stdout closed before the output ended;
+    and 2 on a usage error.  argparse reports a usage error of its own,
+    and ``-h``, by raising `SystemExit` (2, or 0 for help), which reaches
+    the caller; a `ValueError` from the command returns 2.
+
+    The int->str digit limit is lifted while the command runs and
+    restored on every way out, `SystemExit` included.  The caller's
+    cyclic collector is left as it was: `main` neither pauses nor
+    freezes it, which only the process entry `run` does.  So each call
+    leaves the caller's collector about 200 objects of cyclic garbage:
+    the parser tree that `build_parser` makes, whose parsers, argument
+    groups and actions refer to each other.
+    """
     # printing exact values is the point: no int->str digit limit (0).  The
     # limit is process-wide; restore it on every exit, SystemExit included
     previous = sys.get_int_max_str_digits()

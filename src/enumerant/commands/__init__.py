@@ -1,12 +1,17 @@
 """The CLI's commands, one module each, and what they share.
 
-``commands/<name>.py`` holds the ``<name>`` command: ``_fill_<name>``,
-which adds its arguments, ``_cmd_<name>``, which runs it, and any
-argument type of its own.  `enumerant.cli.build_parser` imports only the
-invoked command's module.  This package holds what the commands share:
-the one emitter, `_emit`, with the text of a cell, `_text`, and the
-chunk size it writes in, `_CHUNK_CHARS`; `_attrs`, a record's fields in
-column order; and the count types `_positive` and `_nonnegative`.
+``commands/<name>.py`` holds the ``<name>`` command, and every such
+module defines the same two names: ``fill(p)``, which adds the command's
+arguments to its subparser ``p``, and ``run(args)``, which runs it and
+returns its exit status or nothing.  No command module binds its own
+handler: `enumerant.cli.build_parser` imports the invoked command's
+module alone, calls its ``fill``, and binds its ``run`` as the
+subparser's ``func``.  A command's own argument type keeps a name of its
+own, which argparse prints in its error message.  This package holds
+what the commands share: the one emitter, `_emit`, with the text of a
+cell, `_text`, and the chunk size it writes in, `_CHUNK_CHARS`;
+`_attrs`, a record's fields in column order; and the count types
+`_positive` and `_nonnegative`.
 
 Each output format is built here: plain (space-separated values, or
 key=value lines for a single report), csv (with a header row; a cell

@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import _attrs, _emit, _positive
 
 
-def _cmd_approx(args) -> None:
+def run(args) -> None:
     from ..enumeration import approximate
 
     report = approximate(args.real, args.depth)
@@ -19,8 +19,7 @@ def parse_real(text: str):
     return parse_real(text)
 
 
-def _fill_approx(p) -> None:
+def fill(p) -> None:
     p.add_argument("--real", type=parse_real, required=True,
                    help="sqrt2, e, tau, or rat:P/Q")
     p.add_argument("--depth", type=_positive, required=True)
-    p.set_defaults(func=_cmd_approx)

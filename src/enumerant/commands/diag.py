@@ -7,7 +7,7 @@ import sys
 from . import _emit, _positive
 
 
-def _cmd_diag(args) -> int | None:
+def run(args) -> int | None:
     from ..diagonal import (
         _TEXT_CHARS,
         MismatchRecord,
@@ -40,8 +40,7 @@ def _cmd_diag(args) -> int | None:
     _emit(MismatchRecord._fields, cert.records, args.format)
 
 
-def _fill_diag(p) -> None:
+def fill(p) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--count", type=_positive)
     g.add_argument("--verify", metavar="FILE")
-    p.set_defaults(func=_cmd_diag)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import _emit, _positive
 
 
-def _cmd_harmonic(args) -> None:
+def run(args) -> None:
     from fractions import Fraction
 
     from ..series import harmonic_partial, oresme_block
@@ -21,6 +21,5 @@ def _cmd_harmonic(args) -> None:
            "meets_bound"), rows, args.format)
 
 
-def _fill_harmonic(p) -> None:
+def fill(p) -> None:
     p.add_argument("--blocks", type=_positive, required=True)
-    p.set_defaults(func=_cmd_harmonic)

@@ -9,7 +9,7 @@ from ..errors import _DIGITS_CAP, _within
 from . import _emit
 
 
-def _cmd_locate(args) -> None:
+def run(args) -> None:
     from ..enumeration import locate_value, string_to_index
 
     if args.bits is not None:
@@ -44,8 +44,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
 
 
-def _fill_locate(p) -> None:
+def fill(p) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--bits")
     g.add_argument("--value", type=_fraction, help="dyadic rational like 3/8")
-    p.set_defaults(func=_cmd_locate)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import _emit, _nonnegative
 
 
-def _cmd_pair(args) -> None:
+def run(args) -> None:
     from ..enumeration import cantor_pair, cantor_unpair
 
     if args.unpair is not None:
@@ -18,8 +18,7 @@ def _cmd_pair(args) -> None:
     _emit(("code",), [(cantor_pair(args.i, args.j),)], args.format)
 
 
-def _fill_pair(p) -> None:
+def fill(p) -> None:
     p.add_argument("--i", type=_nonnegative)
     p.add_argument("--j", type=_nonnegative)
     p.add_argument("--unpair", type=_nonnegative, metavar="N")
-    p.set_defaults(func=_cmd_pair, parser=p)

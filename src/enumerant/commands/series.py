@@ -6,7 +6,7 @@ from __future__ import annotations
 from . import _emit, _nonnegative, _positive
 
 
-def _cmd_series(args) -> None:
+def run(args) -> None:
     from ..series import e_enclosure, geometric_partial, liouville_partial
 
     # only a printed decimal needs `exactnum`: geometric prints none
@@ -39,9 +39,8 @@ def _cmd_series(args) -> None:
     _emit(fields, [row], args.format, report=True)
 
 
-def _fill_series(p) -> None:
+def fill(p) -> None:
     p.add_argument("--name", choices=("e", "tau", "geometric"), required=True)
     p.add_argument("--terms", type=_positive, required=True)
     p.add_argument("--digits", type=_nonnegative, default=30,
                    help="decimal places to print (truncated, default 30)")
-    p.set_defaults(func=_cmd_series)

@@ -6,7 +6,7 @@ from ..errors import _within
 from . import _emit, _positive
 
 
-def _cmd_table(args) -> None:
+def run(args) -> None:
     from ..finitist import (
         _TABLE2_ROWS_CAP,
         TABLE2_DIGIT_BUDGET,
@@ -27,11 +27,10 @@ def _cmd_table(args) -> None:
            "two_pow_fact", "tower"), rows, args.format)
 
 
-def _fill_table(p) -> None:
+def fill(p) -> None:
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
     p.add_argument("--rows", type=_positive, required=True)
     p.add_argument("--digit-budget", type=_positive,
                    help="decimal digits past which table-2 cells stay symbolic")
     p.add_argument("--log2-bits", type=_positive, default=32,
                    help="fractional bits certified for the log2 column")
-    p.set_defaults(func=_cmd_table)

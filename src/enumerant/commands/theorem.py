@@ -8,7 +8,7 @@ import argparse
 from . import _attrs, _emit, _positive
 
 
-def _cmd_theorem(args) -> int | None:
+def run(args) -> int | None:
     from ..finitist import check_even_set, induction_trace
 
     if args.set is not None:
@@ -28,9 +28,8 @@ def _even_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _fill_theorem(p) -> None:
+def fill(p) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--set", type=_even_list, metavar="E1,E2,...")
     g.add_argument("--exhaustive", type=_positive, metavar="M",
                    help="check every nonempty subset of {2, 4, ..., 2M}")
-    p.set_defaults(func=_cmd_theorem)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import enumerant
-from enumerant.cli import build_parser, main
+from enumerant.cli import _COMMANDS, build_parser, main
 from enumerant.commands import _CHUNK_CHARS, _emit, _text
 from enumerant.dyadic import DyadicRational
 
@@ -895,6 +895,7 @@ class TestParser:
         (["--", "table", "--id", "1"], "table"),
         (["--help"], None),
         ([], None),
+        *[([name], name) for name in _COMMANDS],
     ])
     def test_only_the_first_command_word_gets_arguments(self, argv, filled):
         sub, = (action for action in build_parser(argv)._actions
@@ -904,6 +905,13 @@ class TestParser:
         # the other commands' parsers hold no argument, not even -h
         with_arguments = [name for name, p in sub.choices.items() if p._actions]
         assert with_arguments == ([filled] if filled else [])
+        if filled:
+            # the parser binds the command module's `run` and the subparser;
+            # the module binds no handler of its own
+            module, p = sys.modules[f"enumerant.commands.{filled}"], sub.choices[filled]
+            assert p.get_default("func") is module.run
+            assert p.get_default("parser") is p
+            assert not [n for n in vars(module) if n.startswith(("_fill_", "_cmd_"))]
 
 
 @pytest.fixture

@@ -250,13 +250,14 @@ def test_run_leaves_a_collector_that_was_off_off(monkeypatch, name):
 def test_main_in_process_keeps_its_callers_collector(monkeypatch, enabled, argv):
     seen = []
     module = importlib.import_module(f"enumerant.commands.{argv[0]}")
-    command = getattr(module, f"_cmd_{argv[0]}")
+    command = module.run
 
     def noting(args):
         seen.append(gc.isenabled())
         return command(args)
 
-    monkeypatch.setattr(module, command.__name__, noting)
+    # patched before `main` builds the parser, which binds `run`
+    monkeypatch.setattr(module, "run", noting)
     if not enabled:
         gc.disable()
     try:
