@@ -84,27 +84,31 @@ _EXPORTS = {
     ),
     "series": (
         "EulerEnclosure",
-        "LiouvillePartial",
-        "OresmeBlock",
         "e_enclosure",
         "geometric_partial",
         "harmonic_partial",
         "liouville_partial",
         "oresme_block",
     ),
+    "series_records": (
+        "LiouvillePartial",
+        "OresmeBlock",
+    ),
     "finitist": (
-        "EvenSetReport",
         "InductionLevel",
-        "InductionTrace",
         "TABLE2_DIGIT_BUDGET",
         "Table1Row",
-        "Table2Row",
         "UnionItem",
         "check_even_set",
         "induction_trace",
         "table1_row",
         "table2_row",
         "union_enumerate",
+    ),
+    "finitist_records": (
+        "EvenSetReport",
+        "InductionTrace",
+        "Table2Row",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -6,17 +6,21 @@ Everything is checked on concrete finite objects; the theorem checker
 returns the witnesses themselves, not just a verdict, and the exhaustive
 tracer really does enumerate every subset and checks each one through
 the witness kernel it shares with the checker.
+
+The module imports no `dataclasses`: the records `EvenSetReport`,
+`InductionTrace` and `Table2Row` live in `finitist_records`, and each
+loads with the function that builds it, after every check that can
+refuse, so `table --id 1` and every refused call load no `dataclasses`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
 from . import _EXPORTS
 from .errors import (
@@ -28,29 +32,20 @@ from .errors import (
 )
 from .exactnum import (
     Exact,
-    Magnitude,
-    RationalInterval,
     Reciprocal,
     Tower,
     canonicalize,
     log2_interval,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .finitist_records import EvenSetReport, InductionTrace, Table2Row
+
 __all__ = _EXPORTS["finitist"]
 
 
 # ---------------------------------------------------------------------------
 # the even-set theorem: |{e in E : e > |E|}| >= ceil(|E| / 2)
-
-
-@dataclass(frozen=True)
-class EvenSetReport:
-    elements: tuple[int, ...]  # sorted
-    cardinality: int
-    witnesses: tuple[int, ...]  # the elements exceeding the cardinality
-    witness_count: int
-    required: int  # ceil(cardinality / 2)
-    holds: bool
 
 
 def check_even_set(elements: Iterable[int]) -> EvenSetReport:
@@ -71,6 +66,8 @@ def check_even_set(elements: Iterable[int]) -> EvenSetReport:
         counts = Counter(items)
         dup = next(x for x in items if counts[x] > 1)  # first in input order
         raise NotEvenPositiveDistinct(offender=dup, repeated=True)
+    from .finitist_records import EvenSetReport
+
     ordered = tuple(sorted(items))
     m = len(ordered)
     witnesses = _witnesses(ordered, m)
@@ -94,15 +91,6 @@ class InductionLevel(NamedTuple):
     size: int
     subsets_checked: int
     failures: int
-
-
-@dataclass(frozen=True)
-class InductionTrace:
-    m: int
-    universe: tuple[int, ...]  # {2, 4, ..., 2m}
-    levels: tuple[InductionLevel, ...]
-    total_checked: int
-    all_hold: bool
 
 
 # m = 20 takes 0.23-0.43 s in process (10 runs, CPython 3.11, two shared Xeon
@@ -135,6 +123,8 @@ def induction_trace(m: int) -> InductionTrace:
                 failures += 1
         levels.append(InductionLevel(size, checked, failures))
         total += checked
+    from .finitist_records import InductionTrace
+
     return InductionTrace(
         m=m,
         universe=universe,
@@ -248,30 +238,6 @@ TABLE2_DIGIT_BUDGET = 19
 # 0.53-0.54 s in json-lines (CPython 3.11.7, two shared Xeon cores, 5 runs each)
 _TABLE2_ROWS_CAP = 1500
 
-@dataclass(frozen=True)
-class Table2Row:
-    """Row n of the fast-growth table, slowest column first:
-
-    1/2**(n!), 1/n!, log2(n), n, 2**n, n!, 2**(n!), 2**(2**(n!)).
-
-    Huge cells stay symbolic under the digit budget; log2(n) is only
-    ever exposed as a certified enclosure (exact for powers of two).
-    """
-
-    n: int
-    recip_two_pow_fact: Reciprocal
-    recip_fact: Fraction
-    log2_n: RationalInterval
-    n_value: Magnitude
-    two_pow: Magnitude
-    fact: Magnitude
-    two_pow_fact: Magnitude
-    tower: Magnitude  # 2**(2**(n!))
-
-    def cells(self) -> tuple[str, ...]:
-        # the fields after n, in declaration order, are the cells in order
-        return tuple(str(getattr(self, name)) for name in self.__match_args__[1:])
-
 
 def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
                log2_precision_bits: int = 32) -> Table2Row:
@@ -282,7 +248,9 @@ def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
     _within(n, _TABLE2_ROWS_CAP)
     log2_n = log2_interval(n, log2_precision_bits)  # checks its budget first
     f = factorial(n)
-    two_pow_fact = canonicalize(Tower(2, Exact(f)), digit_budget)
+    two_pow_fact = canonicalize(Tower(2, Exact(f)), digit_budget)  # checks the budget
+    from .finitist_records import Table2Row
+
     return Table2Row(
         n=n,
         recip_two_pow_fact=Reciprocal(two_pow_fact),

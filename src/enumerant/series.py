@@ -8,12 +8,15 @@ the tests.
 
 The module level imports no `exactnum`: `e_enclosure` imports its
 interval type, and `oresme_block` the symbolic towers of its refusal, in
-their bodies, so `harmonic` loads no `exactnum`.
+their bodies, so `harmonic` loads no `exactnum`.  Nor does it import
+`dataclasses`: the records `OresmeBlock` and `LiouvillePartial` live in
+`series_records`, and each loads with the function that builds it, after
+every check that can refuse, so `series --name e`, `series --name
+geometric` and every refused call load no `dataclasses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
 from math import factorial, gcd, isqrt, prod
@@ -24,31 +27,9 @@ from .errors import BudgetExceeded, _within
 
 if TYPE_CHECKING:  # pragma: no cover
     from .exactnum import RationalInterval
+    from .series_records import LiouvillePartial, OresmeBlock
 
 __all__ = _EXPORTS["series"]
-
-
-@dataclass(frozen=True)
-class OresmeBlock:
-    """The k-th doubling block of the harmonic series.
-
-    Block k sums 1/i for i in (2**(k-1), 2**k]; each of its 2**(k-1)
-    terms is at least 1/2**k, so the block total is at least 1/2, which
-    is what makes the partial sums pass every bound.
-    """
-
-    k: int
-    first: int
-    last: int
-    total: Fraction
-
-    @property
-    def terms(self) -> int:
-        return self.last - self.first + 1
-
-    @property
-    def at_least_half(self) -> bool:
-        return self.total >= Fraction(1, 2)
 
 
 # a growth guard on hi, the last denominator of a harmonic range, whose sieve
@@ -207,6 +188,8 @@ def oresme_block(k: int) -> OresmeBlock:
 
         hi = str(canonicalize(Tower(2, Exact(k))))
         raise BudgetExceeded(requested=hi, cap=_HARMONIC_CAP)
+    from .series_records import OresmeBlock
+
     first, last = (1 << (k - 1)) + 1, 1 << k
     return OresmeBlock(k, first, last, _harmonic_range(first, last))
 
@@ -302,17 +285,6 @@ def e_enclosure(n: int) -> EulerEnclosure:
                                               _coprime_fraction(hi + 2 * hi_den, hi_den)))
 
 
-@dataclass(frozen=True)
-class LiouvillePartial:
-    """Sum of 10**-(v!) for v in 1..m: decimal 1s exactly at the factorial
-    places 1, 2, 6, 24, ..., m!, and a tail strictly below 2*10**-((m+1)!)."""
-
-    m: int
-    value: Fraction
-    one_places: tuple[int, ...]
-    tail_bound: Fraction
-
-
 def _liouville_series(m: int) -> tuple[int, int]:
     """(p, q) with q = 10**(m!) and p/q the sum of 10**-(v!) over
     1 <= v <= m."""
@@ -343,6 +315,8 @@ def liouville_partial(m: int) -> LiouvillePartial:
     if m < 1:
         raise ValueError("need m >= 1")
     _within(m, _LIOUVILLE_CAP)
+    from .series_records import LiouvillePartial
+
     places = tuple(factorial(v) for v in range(1, m + 1))
     tail = Fraction(2, 10 ** factorial(m + 1))
     return LiouvillePartial(m, Fraction(*_liouville_series(m)), places, tail)

@@ -1,0 +1,51 @@
+"""The records of `series`: a harmonic doubling block and a partial sum
+of tau.
+
+Each record loads with the function that builds it: `oresme_block` and
+`liouville_partial` import theirs in their bodies, after every check that
+can refuse, so `series` imports no `dataclasses` and `series --name e`,
+`series --name geometric` and every refused call load none.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import _EXPORTS
+
+__all__ = _EXPORTS["series_records"]
+
+
+@dataclass(frozen=True)
+class OresmeBlock:
+    """The k-th doubling block of the harmonic series.
+
+    Block k sums 1/i for i in (2**(k-1), 2**k]; each of its 2**(k-1)
+    terms is at least 1/2**k, so the block total is at least 1/2, which
+    is what makes the partial sums pass every bound.
+    """
+
+    k: int
+    first: int
+    last: int
+    total: Fraction
+
+    @property
+    def terms(self) -> int:
+        return self.last - self.first + 1
+
+    @property
+    def at_least_half(self) -> bool:
+        return self.total >= Fraction(1, 2)
+
+
+@dataclass(frozen=True)
+class LiouvillePartial:
+    """Sum of 10**-(v!) for v in 1..m: decimal 1s exactly at the factorial
+    places 1, 2, 6, 24, ..., m!, and a tail strictly below 2*10**-((m+1)!)."""
+
+    m: int
+    value: Fraction
+    one_places: tuple[int, ...]
+    tail_bound: Fraction

@@ -756,12 +756,13 @@ ENUMERATION_ONLY = {"errors", "dyadic", "enumeration"}
 PAIRING_ONLY = {"errors", "enumeration"}
 # `dataclasses` and the modules it loads, compiled on every cold start
 DATACLASS_LOAD = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-# the modules that still define a dataclass: `enum`, `locate`, `diag` and
-# `pair` run none
-DATACLASS_MODULES = {"reals", "series", "finitist"}
+# the modules that still define a dataclass: `reals` and the two record
+# modules, which load only where a record is built
+DATACLASS_MODULES = {"reals", "series_records", "finitist_records"}
 # the modules that import `fractions` at module level: `pair`, `diag` and
 # `locate --bits` run none
-FRACTION_MODULES = {"exactnum", "series", "reals", "finitist"}
+FRACTION_MODULES = {"exactnum", "series", "series_records", "reals", "finitist",
+                    "finitist_records"}
 CERT = str(Path(__file__).resolve().parent / "golden" / "inputs" / "cert.txt")
 # the parser alone on argv: its exit status, the stream it wrote to and the
 # package modules loaded
@@ -805,16 +806,21 @@ class TestLoadSets:
         (["locate", "--value", "3/8"], ENUMERATION_ONLY),
         (["approx", "--real", "sqrt2", "--depth", "8"], ENUMERATION_ONLY | {"reals", "series"}),
         (["diag", "--count", "4"], PAIRING_ONLY | {"diagonal"}),
-        (["harmonic", "--blocks", "3"], {"errors", "series"}),
+        (["harmonic", "--blocks", "3"], {"errors", "series", "series_records"}),
         (["series", "--name", "e", "--terms", "12"], {"errors", "dyadic", "exactnum", "series"}),
         # no decimal to print, and a refusal before the decimal
         (["series", "--name", "geometric", "--terms", "5"], {"errors", "series"}),
         (["series", "--name", "tau", "--terms", "9"], {"errors", "series"}),
-        (["theorem", "--set", "2,4,6"], FINITIST_ONLY),
+        (["theorem", "--set", "2,4,6"], FINITIST_ONLY | {"finitist_records"}),
         (["pair", "--i", "1", "--j", "2"], PAIRING_ONLY),
-        (["table", "--id", "2", "--rows", "3"], FINITIST_ONLY),
+        (["table", "--id", "2", "--rows", "3"], FINITIST_ONLY | {"finitist_records"}),
         (["locate", "--bits", "0101"], PAIRING_ONLY),
         (["diag", "--verify", CERT], PAIRING_ONLY | {"diagonal"}),
+        # table 1 is a NamedTuple, and each refusal comes before its record
+        (["table", "--id", "1", "--rows", "3"], FINITIST_ONLY),
+        (["theorem", "--set", "2,4,5"], FINITIST_ONLY),
+        (["theorem", "--exhaustive", "21"], FINITIST_ONLY),
+        (["harmonic", "--blocks", "19"], {"errors", "dyadic", "exactnum", "series"}),
     ])
     def test_a_plain_command_loads_only_what_it_runs(self, argv, package):
         loaded = loaded_modules(argv)
@@ -829,7 +835,8 @@ class TestLoadSets:
 
     @pytest.mark.parametrize("module", ["enumerant.cli", "enumerant.exactnum",
                                         "enumerant.enumeration", "enumerant.diagonal",
-                                        "enumerant.dyadic"])
+                                        "enumerant.dyadic", "enumerant.series",
+                                        "enumerant.finitist"])
     def test_the_import_loads_no_dataclasses(self, module):
         proc = run_python("-c", f"import sys, {module}; print(' '.join(sys.modules))")
         assert proc.returncode == 0, proc.stderr

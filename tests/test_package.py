@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves from ``enumerant``,
 but ``import enumerant`` itself loads no submodule (PEP 562)."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -52,10 +53,13 @@ def test_names_once_left_out_of_the_package_resolve():
 
 
 def test_every_public_function_and_class_has_a_docstring():
-    # a record's generated signature text counts: its fields document it
+    # a NamedTuple's generated `Name(field, ...)` text counts, as its fields
+    # document it; a dataclass's does not, since building it calls
+    # `inspect.signature` when the class is made
     missing = [name for name in PUBLIC
                if (inspect.isfunction(obj := getattr(enumerant, name)) or inspect.isclass(obj))
-               and not obj.__doc__]
+               and (not obj.__doc__ or dataclasses.is_dataclass(obj)
+                    and obj.__doc__.startswith(f"{name}("))]
     assert missing == []
 
 
@@ -106,3 +110,69 @@ def test_the_records_the_bench_corrupts_stay_dataclasses():
     header = json.loads(transcript.read_text(encoding="utf-8"))["stdout"].split("\n", 1)[0].split(",")
     assert len(header) == 10
     assert enumerant.ApproximationReport.__match_args__ == tuple(header)
+
+
+# one record of each type that the bench corrupts, built through its public
+# function, with the field that `perfbench/inproc.py` rewrites and another
+# value for it
+def _corrupted_records():
+    return [
+        (enumerant.approximate(enumerant.RationalStream(1, 3), 8), "prefix", "01010100"),
+        (enumerant.oresme_block(3), "total", enumerant.oresme_block(3).total + 1),
+        (enumerant.liouville_partial(3), "value", enumerant.liouville_partial(3).value / 2),
+        (enumerant.check_even_set([2, 4, 6]), "witness_count", 3),
+        (enumerant.induction_trace(3), "total_checked", 8),
+        (enumerant.table2_row(3), "n_value", enumerant.Exact(4)),
+    ]
+
+
+def test_the_bench_fault_injection_reaches_every_record():
+    """`dataclasses.replace` with the same value gives an equal record and
+    with another value an unequal one, so the `TypeError` that
+    `perfbench/run.py` would count as a caught fault cannot occur, and the
+    self-checks see every corruption."""
+    records = _corrupted_records()
+    assert sorted(type(record).__name__ for record, _, _ in records) == sorted(BENCH_REBUILT)
+    for record, field, other in records:
+        assert dataclasses.replace(record, **{field: getattr(record, field)}) == record
+        corrupted = dataclasses.replace(record, **{field: other})
+        assert type(corrupted) is type(record)
+        assert corrupted != record, field
+
+
+def test_every_record_round_trips_under_its_module():
+    import copy
+    import pickle
+    import typing
+
+    for record, _, _ in _corrupted_records():
+        owner = f"enumerant.{enumerant._OWNER[type(record).__name__]}"
+        assert type(record).__module__ == owner
+        # every field's annotation resolves in the record's own module
+        assert list(typing.get_type_hints(type(record))) == list(record.__match_args__)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(twin) is type(record)
+            assert twin == record
+
+
+# `reals` keeps `ApproximationReport`, which `approx` always prints; the two
+# record modules load only where a record is built
+DATACLASS_IMPORTERS = {"reals.py", "series_records.py", "finitist_records.py"}
+
+
+def test_only_the_record_modules_import_dataclasses():
+    """A record defined back in `series` or `finitist` would load
+    `dataclasses` with `inspect`, `ast`, `dis` and `tokenize` in every
+    command that runs them, records or not."""
+    importers = set()
+    for path in sorted((SRC / "enumerant").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.add(path.relative_to(SRC / "enumerant").as_posix())
+    assert importers == DATACLASS_IMPORTERS
