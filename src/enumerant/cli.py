@@ -36,8 +36,6 @@ Which modules each command loads is stated once, by ``TestLoadSets`` in
 ``tests/test_cli.py``.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import sys

@@ -22,8 +22,6 @@ bools stay JSON numbers and booleans, a missing value is null, and
 everything else, exact rationals included, is its text, like "7/12").
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

@@ -1,7 +1,5 @@
 """``approx``: hunt a real through the enumeration to a depth."""
 
-from __future__ import annotations
-
 from . import _attrs, _emit, _positive
 
 

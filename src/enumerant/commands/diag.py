@@ -1,7 +1,5 @@
 """``diag``: a stage-N diagonal certificate, or the verdict on one."""
 
-from __future__ import annotations
-
 import sys
 
 from . import _emit, _positive

@@ -1,7 +1,5 @@
 """``enum``: the first N entries with their dyadic values."""
 
-from __future__ import annotations
-
 from . import _emit, _nonnegative
 
 

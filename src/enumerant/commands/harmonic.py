@@ -1,7 +1,5 @@
 """``harmonic``: the doubling blocks of the harmonic series."""
 
-from __future__ import annotations
-
 from . import _emit, _positive
 
 

@@ -1,7 +1,5 @@
 """``locate``: the index of a bit string or of a dyadic value."""
 
-from __future__ import annotations
-
 import argparse
 import re
 
@@ -21,7 +19,7 @@ def run(args) -> None:
     _emit(("index",), [(index,)], args.format)
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str) -> "Fraction":
     # Fraction("1/0") raises ZeroDivisionError, which argparse would let
     # through as a traceback; both faults get argparse's own wording.  The
     # grammar is that of Python 3.10's `Fraction` on every version: the "_"

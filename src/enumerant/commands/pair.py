@@ -1,7 +1,5 @@
 """``pair``: the diagonal pairing code of (i, j), or its inverse."""
 
-from __future__ import annotations
-
 from . import _emit, _nonnegative
 
 

@@ -1,8 +1,6 @@
 """``series``: exact partial sums and enclosures of e, tau and the
 geometric series."""
 
-from __future__ import annotations
-
 from . import _emit, _nonnegative, _positive
 
 

@@ -1,7 +1,5 @@
 """``table``: growth table 1 (n, 2n, n^2, 1/n) or 2 (the towers)."""
 
-from __future__ import annotations
-
 from ..errors import _within
 from . import _emit, _positive
 

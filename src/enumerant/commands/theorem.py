@@ -1,8 +1,6 @@
 """``theorem``: the even-set counting check, on one set or on every
 subset of {2, 4, ..., 2M}."""
 
-from __future__ import annotations
-
 import argparse
 
 from . import _attrs, _emit, _positive

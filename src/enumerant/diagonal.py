@@ -9,8 +9,6 @@ the enumeration alone; the verifier below deliberately shares no logic
 with the construction.
 """
 
-from __future__ import annotations
-
 from itertools import chain, count, islice, repeat, takewhile
 from operator import eq, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union

@@ -7,8 +7,6 @@ its own module so that `enum`, which prints one per row, loads neither
 ``Fraction``, and it imports ``fractions`` when it is read.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
@@ -78,7 +76,7 @@ class DyadicRational(_Immutable):
         object.__setattr__(self, "exponent", exponent)
 
     @classmethod
-    def from_fraction(cls, value: Fraction) -> "DyadicRational":
+    def from_fraction(cls, value: "Fraction") -> "DyadicRational":
         """Build from an exact rational; the denominator must be a power of 2."""
         den = value.denominator
         if den & (den - 1):
@@ -86,7 +84,7 @@ class DyadicRational(_Immutable):
         return cls(value.numerator, den.bit_length() - 1)
 
     @property
-    def value(self) -> Fraction:
+    def value(self) -> "Fraction":
         from fractions import Fraction
 
         return Fraction(self.numerator, 1 << self.exponent)

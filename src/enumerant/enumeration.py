@@ -22,8 +22,6 @@ and `approximate` import the value types in their bodies, so `pair`,
 loads neither `fractions` nor `exactnum`.
 """
 
-from __future__ import annotations
-
 from itertools import count, repeat
 from math import isqrt
 from operator import add
@@ -130,7 +128,7 @@ def column_entries(column: int) -> Iterator[str]:
 class Entry(NamedTuple):
     index: int
     bits: str
-    value: DyadicRational
+    value: "DyadicRational"
 
 
 # tuple.__new__ is all that Entry.__new__ does, minus its frame
@@ -160,12 +158,12 @@ def all_strings() -> Iterator[str]:
         yield from map(add, _LOW_BYTE, repeat(head))
 
 
-def locate_value(value: DyadicRational) -> int:
+def locate_value(value: "DyadicRational") -> int:
     """Index of the entry denoting `value`; the domain is (0, 1) dyadics."""
     return string_to_index(value.bits())  # value 1 is rejected by bits()
 
 
-def approximate(x: ComputableReal, depth: int) -> ApproximationReport:
+def approximate(x: "ComputableReal", depth: int) -> "ApproximationReport":
     """Search the enumeration for a real x in (0, 1) to a given depth.
 
     The depth-d prefix of x's certified bit stream pins x inside a

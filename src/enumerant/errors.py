@@ -6,8 +6,6 @@ prints on stderr before exiting with status 1.  Usage mistakes (bad
 flags, malformed numbers) are not domain errors and exit with status 2.
 """
 
-from __future__ import annotations
-
 import functools
 import gc
 

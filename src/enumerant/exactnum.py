@@ -26,8 +26,6 @@ enumeration's entries hold, so that `enum` loads neither this module nor
 ``fractions``.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional

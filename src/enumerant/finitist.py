@@ -13,8 +13,6 @@ loads with the function that builds it, after every check that can
 refuse, so `table --id 1` and every refused call load no `dataclasses`.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -48,7 +46,7 @@ __all__ = _EXPORTS["finitist"]
 # the even-set theorem: |{e in E : e > |E|}| >= ceil(|E| / 2)
 
 
-def check_even_set(elements: Iterable[int]) -> EvenSetReport:
+def check_even_set(elements: Iterable[int]) -> "EvenSetReport":
     """Count the elements of a finite set of distinct positive even
     numbers that exceed the set's size.
 
@@ -98,7 +96,7 @@ class InductionLevel(NamedTuple):
 _INDUCTION_CAP = 20
 
 
-def induction_trace(m: int) -> InductionTrace:
+def induction_trace(m: int) -> "InductionTrace":
     """Check every nonempty subset of {2, 4, ..., 2m}, smallest sizes
     first, mirroring how the statement climbs from the base case.  An m
     past `_INDUCTION_CAP` raises `BudgetExceeded` before any work.
@@ -240,7 +238,7 @@ _TABLE2_ROWS_CAP = 1500
 
 
 def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
-               log2_precision_bits: int = 32) -> Table2Row:
+               log2_precision_bits: int = 32) -> "Table2Row":
     """Row n; an n past `_TABLE2_ROWS_CAP` raises `BudgetExceeded` before
     any cell is built."""
     if n < 1:

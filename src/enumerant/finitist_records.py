@@ -7,10 +7,9 @@ every check that can refuse, so `finitist` imports no `dataclasses` and
 `table --id 1` and every refused `theorem` or `table` call load none.
 """
 
-from __future__ import annotations
-
-# the field types are imported, so that `typing.get_type_hints` resolves
-# every record; a builder has loaded them all before it imports its record
+# the class statements evaluate the field types, so a missing import fails
+# the import of this module; a builder has loaded them all before it
+# imports its record
 from dataclasses import dataclass
 from fractions import Fraction
 

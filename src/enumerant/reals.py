@@ -26,8 +26,6 @@ is defined here beside the streams, so that a command which never reads
 a stream loads no `dataclasses`.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt

@@ -15,8 +15,6 @@ every check that can refuse, so `series --name e`, `series --name
 geometric` and every refused call load no `dataclasses`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import accumulate, compress, count
 from math import factorial, gcd, isqrt, prod
@@ -176,7 +174,7 @@ def _harmonic_range(lo: int, hi: int) -> Fraction:
     return _coprime_fraction(*_lowest_terms(n // g, c * d // g, c))
 
 
-def oresme_block(k: int) -> OresmeBlock:
+def oresme_block(k: int) -> "OresmeBlock":
     """Block k of the harmonic series.  A last denominator 2**k past
     `_HARMONIC_CAP` raises `BudgetExceeded` before 2**k is built; its
     `requested` is the text of 2**k: digits within the default digit budget
@@ -216,7 +214,7 @@ class EulerEnclosure(NamedTuple):
     """S_n <= e <= S_n + 1/(n*n!) with S_n the factorial series through 1/n!."""
 
     n: int
-    interval: RationalInterval
+    interval: "RationalInterval"
 
 
 def _factorial_series(a: int, b: int) -> tuple[int, int]:
@@ -310,7 +308,7 @@ def _tau_terms(bits: int) -> int:
     return m
 
 
-def liouville_partial(m: int) -> LiouvillePartial:
+def liouville_partial(m: int) -> "LiouvillePartial":
     """Exact m-term partial sum; m past `_LIOUVILLE_CAP` raises `BudgetExceeded`."""
     if m < 1:
         raise ValueError("need m >= 1")

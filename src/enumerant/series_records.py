@@ -7,8 +7,6 @@ can refuse, so `series` imports no `dataclasses` and `series --name e`,
 `series --name geometric` and every refused call load none.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from fractions import Fraction
 

@@ -827,7 +827,7 @@ class TestLoadSets:
         submodules = {m.split(".", 1)[1] for m in loaded if m.startswith("enumerant.")}
         # the entry, the commands' shared module and the invoked command's own
         assert submodules == package | {"cli", "commands", f"commands.{argv[0]}"}
-        assert not loaded & {"csv", "json"}
+        assert not loaded & {"__future__", "csv", "json"}
         assert bool(loaded & DATACLASS_LOAD) == bool(package & DATACLASS_MODULES)
         # `locate --value` builds its `Fraction` in the command's own module
         assert ("fractions" in loaded) == (bool(package & FRACTION_MODULES)

@@ -176,3 +176,48 @@ def test_only_the_record_modules_import_dataclasses():
             if any(name.partition(".")[0] == "dataclasses" for name in names):
                 importers.add(path.relative_to(SRC / "enumerant").as_posix())
     assert importers == DATACLASS_IMPORTERS
+
+
+def test_no_module_imports_from_future():
+    """Annotations are evaluated where they are written; one that names a
+    type bound only under `TYPE_CHECKING` or in a function body is a
+    string, and `test_every_annotation_resolves` checks it."""
+    importers = [path.relative_to(SRC / "enumerant").as_posix()
+                 for path in sorted((SRC / "enumerant").rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom) and node.module == "__future__"]
+    assert importers == []
+
+
+def _annotated():
+    """Every public function and class with the methods its own module
+    defines, and every function of the CLI modules."""
+    from enumerant.cli import _COMMANDS
+
+    for name in PUBLIC:
+        obj = getattr(enumerant, name)
+        if inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                member = getattr(member, "fget", getattr(member, "__func__", member))
+                if inspect.isfunction(member) and member.__module__ == obj.__module__:
+                    yield member
+        elif inspect.isfunction(obj):
+            yield obj
+    for module in ["cli", "commands", *(f"commands.{command}" for command in _COMMANDS)]:
+        module = importlib.import_module(f"enumerant.{module}")
+        yield from (obj for obj in vars(module).values()
+                    if inspect.isfunction(obj) and obj.__module__ == module.__name__)
+
+
+def test_every_annotation_resolves():
+    # no interpreter evaluates a string annotation: each names a lazily
+    # loaded type, which `localns` supplies
+    import typing
+    from fractions import Fraction
+
+    names = {name: getattr(enumerant, name) for name in PUBLIC} | {"Fraction": Fraction}
+    annotated = list(_annotated())
+    assert len(annotated) > 150
+    for obj in annotated:
+        typing.get_type_hints(obj, localns=names)
