@@ -242,15 +242,11 @@ def canonicalize(m: Magnitude, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Magn
         raise TypeError(f"not a magnitude: {m!r}")
     exp = canonicalize(m.exponent, digit_budget)
     e = exp.value if isinstance(exp, Exact) else None
-    if m.base == 0:
-        return Exact(1) if e == 0 else Exact(0)
-    if m.base == 1:
-        return Exact(1)
     if m.base < 0:
         raise ValueError("magnitudes are naturals")
-    if e == 0:
+    if e == 0 or m.base == 1:
         return Exact(1)
-    if e == 1:
+    if e == 1 or m.base == 0:
         return Exact(m.base)
     if e is not None:
         value = _pow_vs_limit(m.base, e, _ten_to(digit_budget))

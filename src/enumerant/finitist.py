@@ -145,11 +145,13 @@ class UnionItem(NamedTuple):
 # the returned list holds `total` items, so the count bounds its memory and,
 # for a dense family, its time: a million items of `lambda k: count()` take
 # 0.24-0.25 s at a 142 MiB peak RSS, and 100 000 items 0.021-0.022 s at
-# 26 MiB (CPython 3.11.7, 2 shared Xeon cores, 5 runs each).  It does not
-# bound the diagonals that a sparse family walks, dead rows included: with
-# one live row, a million items take 0.47-0.50 s, and a family whose every
-# row is empty never ends.  The bench draws at most 30 000 items, the tests
-# a few hundred
+# 26 MiB (CPython 3.11.7, 2 shared Xeon cores, 5 runs each).  The same cap
+# bounds the rows the walk opens, dead rows included, so a sparse family ends
+# too: one that takes its million items from row 0 or 1 alone returns, one
+# whose every row is empty is refused after 0.34-0.56 s (same host, 5 runs),
+# and so is any call whose last item lies on a diagonal past the cap.  The
+# bench draws at most 30 000 items and opens fewer than 1 000 rows a call,
+# the tests a few hundred of each
 _UNION_CAP = 1_000_000
 _DRY = object()  # end-of-row marker: rows may yield any value, None included
 # tuple.__new__ is all that UnionItem.__new__ does, minus its frame
@@ -168,7 +170,9 @@ def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[Union
     within the diagonal.  Exhausted rows are dropped; a family with
     finitely many rows signals the end by raising IndexError for
     out-of-range rows, and once every row has run dry the union itself
-    is exhausted.
+    is exhausted.  A count past `_UNION_CAP` is refused with
+    `BudgetExceeded` before `family` is called, and so is a walk that
+    would open a row past it.
 
     The cyclic collector is paused for the call, `family` and its rows
     included, and on again when it returns or raises (left off if it was
@@ -187,6 +191,7 @@ def union_enumerate(family: Callable[[int], Iterable], total: int) -> list[Union
     bounded = False  # a family(k) raised IndexError: no row past k exists
     for s in count(0):
         if not bounded:
+            _within(s, _UNION_CAP)
             try:
                 live.insert(0, (s, iter(family(s))))
             except IndexError:

@@ -274,6 +274,13 @@ class TestTamperDetection:
         cert = certify_absence(all_strings, 30)
         assert not verify_certificate(cert, [index_to_string(n) for n in range(1, 10)])
 
+    def test_a_diagonal_its_records_do_not_spell(self):
+        cert = certify_absence(all_strings, 10)
+        assert cert.diagonal == "0011111111"
+        # a middle bit, so that no later check (the flags, the prefix scan) sees it
+        cert.diagonal = "0011101111"
+        assert not verify_certificate(cert, all_strings)
+
     def test_dishonest_flags(self):
         cert = certify_absence(all_strings, 10)
         lying = DiagonalCertificate(10, cert.records, ends_in_one=False)
@@ -330,6 +337,16 @@ class TestTextFormat:
         # a long header is refused by length too, not quoted back whole
         with pytest.raises(ValueError, match="^a line of"):
             certificate_from_text("N=" + "1" * 100 + " pad=zero\n")
+
+    def test_the_text_cap_is_four_mebi_characters(self):
+        # pinned, not read from `_TEXT_CHARS`: the module's comment times the
+        # worst text within this bound.  A text at it passes the text check
+        # and fails on its one line; one character more fails before any
+        # line is read
+        with pytest.raises(ValueError, match="^a line of 4194304 characters, over 80$"):
+            certificate_from_text("x" * 4_194_304)
+        with pytest.raises(ValueError, match="^certificate longer than 4194304 characters$"):
+            certificate_from_text("x" * 4_194_305)
 
     def test_a_stage_past_the_cap_is_refused_before_any_record_is_split(self):
         # the record line would be a ValueError if it were read

@@ -704,6 +704,21 @@ class TestMagnitudeCmp:
         with pytest.raises(ValueError):
             magnitude_cmp(a, b)
 
+    def test_a_fold_too_loose_to_decide_is_refused_not_inverted(self):
+        # 2**(16**2) = 2**256 against 4**(15**2) = 2**450, the exponents kept
+        # symbolic at budget 2: on the base 2 the larger tower 16**2 sits on
+        # the smaller scale, and `_above` folds the scale 2 in as
+        # bitlen(2 - 1) = 1 bit; a bit less and the sandwich calls
+        # 16**2 > 2 * 15**2.  Deciding the pair may come; inverting it may not
+        a = Tower(2, Tower(16, Exact(2)))
+        b = Tower(4, Tower(15, Exact(2)))
+        assert 16 ** 2 < 2 * 15 ** 2  # the int oracle on the powers of 2
+        for x, y, want in ((a, b, -1), (b, a, 1)):
+            try:
+                assert magnitude_cmp(x, y, 2) == want
+            except ValueError:
+                pass  # a refusal is not a wrong answer
+
     def test_symbolic_exponent_pairs_never_reach_log2(self, monkeypatch):
         # two tower exponents are settled by a sandwich or refused by its
         # fold: certified log2 is only entered with an exponent written out

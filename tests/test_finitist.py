@@ -258,6 +258,20 @@ class TestUnionEnumeration:
             union_enumerate(fam, _UNION_CAP + 1)
         assert exc.value.payload == {"requested": _UNION_CAP + 1, "cap": _UNION_CAP}
 
+    @pytest.mark.parametrize("live, total", [({}, 1), ({0: [7]}, 2)])
+    def test_a_family_whose_live_rows_run_dry_is_refused(self, live, total):
+        # no row raises IndexError, so only the cap on rows opened ends the walk
+        opened = []
+
+        def fam(k):
+            opened[:] = [k]
+            return live.get(k, [])
+
+        with pytest.raises(BudgetExceeded) as exc:
+            union_enumerate(fam, total)
+        assert exc.value.payload == {"requested": _UNION_CAP + 1, "cap": _UNION_CAP}
+        assert opened == [_UNION_CAP]  # row cap + 1 is refused before it is opened
+
     def test_items_are_union_items(self):
         def bounded(k):
             if k > 2:
