@@ -6,15 +6,15 @@ from . import _emit, _positive
 def run(args) -> None:
     from fractions import Fraction
 
-    from ..series import harmonic_partial, oresme_block
+    from ..series import _at_least_half, _block_terms, _oresme_fields, harmonic_partial
 
     # the last block first: past the budget it refuses before any block is summed
-    blocks = [oresme_block(k) for k in range(args.blocks, 0, -1)]
+    blocks = [_oresme_fields(k) for k in range(args.blocks, 0, -1)]
     rows = []
-    for block in reversed(blocks):
-        cumulative = harmonic_partial(block.last)
-        rows.append((block.k, block.first, block.last, block.terms, block.total, cumulative,
-                     block.at_least_half, cumulative >= 1 + Fraction(block.k, 2)))
+    for k, first, last, total in reversed(blocks):
+        cumulative = harmonic_partial(last)
+        rows.append((k, first, last, _block_terms(first, last), total, cumulative,
+                     _at_least_half(total), cumulative >= 1 + Fraction(k, 2)))
     _emit(("k", "first", "last", "terms", "block", "cumulative", "at_least_half",
            "meets_bound"), rows, args.format)
 

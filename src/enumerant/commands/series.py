@@ -5,7 +5,7 @@ from . import _emit, _nonnegative, _positive
 
 
 def run(args) -> None:
-    from ..series import e_enclosure, geometric_partial, liouville_partial
+    from ..series import _liouville_fields, e_enclosure, geometric_partial
 
     # only a printed decimal needs `exactnum`: geometric prints none
     if args.name == "e":
@@ -18,15 +18,15 @@ def run(args) -> None:
         row = (enc.n, iv.lo, iv.hi, decimal_string(iv.lo, args.digits),
                decimal_string(iv.hi, args.digits), pinned_decimals(iv, args.digits) or "")
     elif args.name == "tau":
-        part = liouville_partial(args.terms)
+        m, value, places, _ = _liouville_fields(args.terms)
         # after the sum, so a term count past the cap loads no `exactnum`
         from math import factorial
 
         from ..exactnum import decimal_string
 
         fields = ("terms", "value", "decimal", "one_places", "tail_bound")
-        row = (part.m, part.value, decimal_string(part.value, args.digits),
-               part.one_places, f"2/10^{factorial(part.m + 1)}")
+        row = (m, value, decimal_string(value, args.digits), places,
+               f"2/10^{factorial(m + 1)}")
     else:
         value = geometric_partial(args.terms)
         p, q = value.numerator, value.denominator

@@ -9,8 +9,9 @@ def run(args) -> None:
         _TABLE2_ROWS_CAP,
         TABLE2_DIGIT_BUDGET,
         Table1Row,
+        _table2_cells,
+        _table2_fields,
         table1_row,
-        table2_row,
     )
 
     span = range(1, args.rows + 1)
@@ -20,7 +21,7 @@ def run(args) -> None:
     _within(args.rows, _TABLE2_ROWS_CAP)
     budget = TABLE2_DIGIT_BUDGET if args.digit_budget is None else args.digit_budget
     # every other budget refuses on row 1, before `_emit` writes its first chunk
-    rows = (table2_row(n, budget, args.log2_bits).cells() for n in span)
+    rows = (_table2_cells(_table2_fields(n, budget, args.log2_bits)) for n in span)
     _emit(("recip_two_pow_fact", "recip_fact", "log2_n", "n", "two_pow", "fact",
            "two_pow_fact", "tower"), rows, args.format)
 

@@ -7,16 +7,16 @@ from . import _attrs, _emit, _positive
 
 
 def run(args) -> int | None:
-    from ..finitist import check_even_set, induction_trace
+    from ..finitist import _induction_fields, check_even_set
 
     if args.set is not None:
         report = check_even_set(args.set)
         _emit(report.__match_args__, [_attrs(report)], args.format, report=True)
         return
-    trace = induction_trace(args.exhaustive)
-    total = ("total", trace.total_checked, sum(lv.failures for lv in trace.levels))
-    _emit(("size", "checked", "failures"), [*trace.levels, total], args.format)
-    return 0 if trace.all_hold else 1
+    _, _, levels, checked, all_hold = _induction_fields(args.exhaustive)
+    total = ("total", checked, sum(lv.failures for lv in levels))
+    _emit(("size", "checked", "failures"), [*levels, total], args.format)
+    return 0 if all_hold else 1
 
 
 def _even_list(text: str) -> list[int]:

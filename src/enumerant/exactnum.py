@@ -247,7 +247,7 @@ def canonicalize(m: Magnitude, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Magn
     if e == 0 or m.base == 1:
         return Exact(1)
     if e == 1 or m.base == 0:
-        return Exact(m.base)
+        return Exact(int(m.base))  # a False base is 0, and prints 0
     if e is not None:
         value = _pow_vs_limit(m.base, e, _ten_to(digit_budget))
         if value is not None:

@@ -10,7 +10,11 @@ the witness kernel it shares with the checker.
 The module imports no `dataclasses`: the records `EvenSetReport`,
 `InductionTrace` and `Table2Row` live in `finitist_records`, and each
 loads with the function that builds it, after every check that can
-refuse, so `table --id 1` and every refused call load no `dataclasses`.
+refuse.  `induction_trace` and `table2_row` wrap `_induction_fields`
+and `_table2_fields`, which return the record's fields, and `theorem
+--exhaustive` and `table --id 2` print from those, so of the commands
+only `theorem --set`, which prints `check_even_set`'s record, loads
+`dataclasses` through this module.
 """
 
 from bisect import bisect_right
@@ -96,10 +100,11 @@ class InductionLevel(NamedTuple):
 _INDUCTION_CAP = 20
 
 
-def induction_trace(m: int) -> "InductionTrace":
-    """Check every nonempty subset of {2, 4, ..., 2m}, smallest sizes
-    first, mirroring how the statement climbs from the base case.  An m
-    past `_INDUCTION_CAP` raises `BudgetExceeded` before any work.
+def _induction_fields(m: int) -> tuple[int, tuple[int, ...], tuple[InductionLevel, ...],
+                                       int, bool]:
+    """The fields of `induction_trace(m)` in field order, (m, universe,
+    levels, total_checked, all_hold).  An m past `_INDUCTION_CAP` raises
+    `BudgetExceeded` before any work.
 
     Each subset is counted through `_witnesses`, the kernel of
     `check_even_set`.  `combinations` of the ascending universe yields
@@ -121,15 +126,17 @@ def induction_trace(m: int) -> "InductionTrace":
                 failures += 1
         levels.append(InductionLevel(size, checked, failures))
         total += checked
+    return m, universe, tuple(levels), total, all(lv.failures == 0 for lv in levels)
+
+
+def induction_trace(m: int) -> "InductionTrace":
+    """Check every nonempty subset of {2, 4, ..., 2m}, smallest sizes
+    first, mirroring how the statement climbs from the base case; refused
+    as `_induction_fields` refuses."""
+    fields = _induction_fields(m)
     from .finitist_records import InductionTrace
 
-    return InductionTrace(
-        m=m,
-        universe=universe,
-        levels=tuple(levels),
-        total_checked=total,
-        all_hold=all(lv.failures == 0 for lv in levels),
-    )
+    return InductionTrace(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +249,31 @@ TABLE2_DIGIT_BUDGET = 19
 _TABLE2_ROWS_CAP = 1500
 
 
-def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
-               log2_precision_bits: int = 32) -> "Table2Row":
-    """Row n; an n past `_TABLE2_ROWS_CAP` raises `BudgetExceeded` before
-    any cell is built."""
+def _table2_fields(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
+                   log2_precision_bits: int = 32) -> tuple:
+    """The fields of `table2_row` in field order: n, then the cells.  An n
+    past `_TABLE2_ROWS_CAP` raises `BudgetExceeded` before any cell is
+    built."""
     if n < 1:
         raise ValueError("rows start at n=1")
     _within(n, _TABLE2_ROWS_CAP)
     log2_n = log2_interval(n, log2_precision_bits)  # checks its budget first
     f = factorial(n)
     two_pow_fact = canonicalize(Tower(2, Exact(f)), digit_budget)  # checks the budget
+    return (n, Reciprocal(two_pow_fact), Fraction(1, f), log2_n, Exact(n),
+            canonicalize(Tower(2, Exact(n)), digit_budget), Exact(f), two_pow_fact,
+            canonicalize(Tower(2, two_pow_fact), digit_budget))
+
+
+def _table2_cells(fields: tuple) -> tuple[str, ...]:
+    """A table-2 row's printed cells: the fields after n, in field order."""
+    return tuple(map(str, fields[1:]))
+
+
+def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
+               log2_precision_bits: int = 32) -> "Table2Row":
+    """Row n, refused as `_table2_fields` refuses."""
+    fields = _table2_fields(n, digit_budget, log2_precision_bits)
     from .finitist_records import Table2Row
 
-    return Table2Row(
-        n=n,
-        recip_two_pow_fact=Reciprocal(two_pow_fact),
-        recip_fact=Fraction(1, f),
-        log2_n=log2_n,
-        n_value=Exact(n),
-        two_pow=canonicalize(Tower(2, Exact(n)), digit_budget),
-        fact=Exact(f),
-        two_pow_fact=two_pow_fact,
-        tower=canonicalize(Tower(2, two_pow_fact), digit_budget),
-    )
+    return Table2Row(*fields)

@@ -3,8 +3,11 @@ and a row of growth table 2.
 
 Each record loads with the function that builds it: `check_even_set`,
 `induction_trace` and `table2_row` import theirs in their bodies, after
-every check that can refuse, so `finitist` imports no `dataclasses` and
-`table --id 1` and every refused `theorem` or `table` call load none.
+every check that can refuse, so `finitist` imports no `dataclasses`.  Of
+the commands only `theorem --set` loads this module: `theorem
+--exhaustive` and `table --id 2` print the fields that
+`finitist._induction_fields` and `finitist._table2_fields` return, and
+`Table2Row.cells()` is `finitist._table2_cells`, which `table` calls too.
 """
 
 # the class statements evaluate the field types, so a missing import fails
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from . import _EXPORTS
 from .exactnum import Magnitude, RationalInterval, Reciprocal
-from .finitist import InductionLevel
+from .finitist import InductionLevel, _table2_cells
 
 __all__ = _EXPORTS["finitist_records"]
 
@@ -71,5 +74,4 @@ class Table2Row:
     tower: Magnitude  # 2**(2**(n!))
 
     def cells(self) -> tuple[str, ...]:
-        # the fields after n, in declaration order, are the cells in order
-        return tuple(str(getattr(self, name)) for name in self.__match_args__[1:])
+        return _table2_cells([getattr(self, name) for name in self.__match_args__])

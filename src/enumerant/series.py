@@ -7,12 +7,15 @@ summation, binary splitting) is checked against an independent route in
 the tests.
 
 The module level imports no `exactnum`: `e_enclosure` imports its
-interval type, and `oresme_block` the symbolic towers of its refusal, in
-their bodies, so `harmonic` loads no `exactnum`.  Nor does it import
+interval type, and `_oresme_fields` the symbolic towers of its refusal,
+in their bodies, so `harmonic` loads no `exactnum`.  Nor does it import
 `dataclasses`: the records `OresmeBlock` and `LiouvillePartial` live in
 `series_records`, and each loads with the function that builds it, after
-every check that can refuse, so `series --name e`, `series --name
-geometric` and every refused call load no `dataclasses`.
+every check that can refuse.  `oresme_block` and `liouville_partial`
+wrap `_oresme_fields` and `_liouville_fields`, which return the record's
+fields, and `harmonic` and `series --name tau` print from those, so no
+command loads `dataclasses` through this module: only a library call of
+`oresme_block` or `liouville_partial` does.
 """
 
 from fractions import Fraction
@@ -174,11 +177,11 @@ def _harmonic_range(lo: int, hi: int) -> Fraction:
     return _coprime_fraction(*_lowest_terms(n // g, c * d // g, c))
 
 
-def oresme_block(k: int) -> "OresmeBlock":
-    """Block k of the harmonic series.  A last denominator 2**k past
-    `_HARMONIC_CAP` raises `BudgetExceeded` before 2**k is built; its
-    `requested` is the text of 2**k: digits within the default digit budget
-    and 2^(k) past it."""
+def _oresme_fields(k: int) -> tuple[int, int, int, Fraction]:
+    """The fields of `oresme_block(k)` in field order, (k, first, last,
+    total).  A last denominator 2**k past `_HARMONIC_CAP` raises
+    `BudgetExceeded` before 2**k is built; its `requested` is the text of
+    2**k: digits within the default digit budget and 2^(k) past it."""
     if k < 1:
         raise ValueError("blocks start at k=1")
     if k >= _HARMONIC_CAP.bit_length():
@@ -186,10 +189,26 @@ def oresme_block(k: int) -> "OresmeBlock":
 
         hi = str(canonicalize(Tower(2, Exact(k))))
         raise BudgetExceeded(requested=hi, cap=_HARMONIC_CAP)
+    first, last = (1 << (k - 1)) + 1, 1 << k
+    return k, first, last, _harmonic_range(first, last)
+
+
+def _block_terms(first: int, last: int) -> int:
+    """The number of terms of the block that runs from 1/first to 1/last."""
+    return last - first + 1
+
+
+def _at_least_half(total: Fraction) -> bool:
+    """Whether a block's total is at least 1/2, as Oresme's argument says."""
+    return total >= Fraction(1, 2)
+
+
+def oresme_block(k: int) -> "OresmeBlock":
+    """Block k of the harmonic series, refused as `_oresme_fields` refuses."""
+    fields = _oresme_fields(k)
     from .series_records import OresmeBlock
 
-    first, last = (1 << (k - 1)) + 1, 1 << k
-    return OresmeBlock(k, first, last, _harmonic_range(first, last))
+    return OresmeBlock(*fields)
 
 
 def harmonic_partial(n: int) -> Fraction:
@@ -308,13 +327,20 @@ def _tau_terms(bits: int) -> int:
     return m
 
 
-def liouville_partial(m: int) -> "LiouvillePartial":
-    """Exact m-term partial sum; m past `_LIOUVILLE_CAP` raises `BudgetExceeded`."""
+def _liouville_fields(m: int) -> tuple[int, Fraction, tuple[int, ...], Fraction]:
+    """The fields of `liouville_partial(m)` in field order, (m, value,
+    one_places, tail_bound); m past `_LIOUVILLE_CAP` raises `BudgetExceeded`."""
     if m < 1:
         raise ValueError("need m >= 1")
     _within(m, _LIOUVILLE_CAP)
-    from .series_records import LiouvillePartial
-
     places = tuple(factorial(v) for v in range(1, m + 1))
     tail = Fraction(2, 10 ** factorial(m + 1))
-    return LiouvillePartial(m, Fraction(*_liouville_series(m)), places, tail)
+    return m, Fraction(*_liouville_series(m)), places, tail
+
+
+def liouville_partial(m: int) -> "LiouvillePartial":
+    """Exact m-term partial sum, refused as `_liouville_fields` refuses."""
+    fields = _liouville_fields(m)
+    from .series_records import LiouvillePartial
+
+    return LiouvillePartial(*fields)

@@ -3,14 +3,18 @@ of tau.
 
 Each record loads with the function that builds it: `oresme_block` and
 `liouville_partial` import theirs in their bodies, after every check that
-can refuse, so `series` imports no `dataclasses` and `series --name e`,
-`series --name geometric` and every refused call load none.
+can refuse, so `series` imports no `dataclasses`.  No command loads this
+module: `harmonic` and `series --name tau` print the fields that
+`series._oresme_fields` and `series._liouville_fields` return, and the
+block's rules, `terms` and `at_least_half`, are the functions of `series`
+that the command calls too.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _EXPORTS
+from .series import _at_least_half, _block_terms
 
 __all__ = _EXPORTS["series_records"]
 
@@ -31,11 +35,11 @@ class OresmeBlock:
 
     @property
     def terms(self) -> int:
-        return self.last - self.first + 1
+        return _block_terms(self.first, self.last)
 
     @property
     def at_least_half(self) -> bool:
-        return self.total >= Fraction(1, 2)
+        return _at_least_half(self.total)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,11 @@ Write the files that are missing:
 Existing files are never overwritten: they are frozen values that
 ``tests/test_golden.py`` replays.  To record one again, delete it first
 and say why in CHANGES.md.
+
+Replay every file with that test's loop, on an interpreter without
+pytest; it exits 1 if any transcript does not match:
+
+    PYTHONPATH=src python3 tests/golden/record.py --check
 """
 
 from __future__ import annotations
@@ -296,7 +301,40 @@ def transcribe(argv) -> dict:
     }
 
 
-def main() -> int:
+def recorded_elsewhere(want: dict) -> bool:
+    """Whether a transcript holds argparse's text under another Python:
+    its wording moves between versions, so such a file is not replayed."""
+    return want["by_argparse"] and want["python"] != "%d.%d" % sys.version_info[:2]
+
+
+def replay(want: dict) -> dict:
+    """The transcript of ``want``'s argv now, under ``want``'s Python."""
+    return {**transcribe(want["argv"]), "python": want["python"]}
+
+
+def check() -> int:
+    """Replay every transcript; 1 if any differs, else 0."""
+    matched = mismatched = skipped = 0
+    for path in sorted(TRANSCRIPTS.glob("*.json")):
+        want = json.loads(path.read_text(encoding="utf-8"))
+        if recorded_elsewhere(want):
+            skipped += 1
+        elif replay(want) == want:
+            matched += 1
+        else:
+            mismatched += 1
+            print(f"mismatch: {path.stem}", file=sys.stderr)
+    print(f"{matched} matched, {mismatched} mismatched, {skipped} skipped "
+          f"(argparse text of another Python), Python {sys.version.split()[0]}",
+          file=sys.stderr)
+    return 1 if mismatched else 0
+
+
+def main(args: list[str]) -> int:
+    if args == ["--check"]:
+        return check()
+    if args:
+        raise SystemExit("usage: record.py [--check]")
     names = [name_of(argv) for argv in INVOCATIONS]
     if len(set(names)) != len(names):
         raise SystemExit("two invocations share a file name")
@@ -315,4 +353,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

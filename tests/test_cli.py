@@ -351,13 +351,14 @@ class TestHarmonic:
     def test_budget_refuses_before_the_first_block(self, capsys, monkeypatch):
         import enumerant.series as series
 
-        summed, oresme_block = [], series.oresme_block
+        # the command sums its blocks through `_oresme_fields`, not `oresme_block`
+        summed, oresme_fields = [], series._oresme_fields
 
         def counting(k):
             summed.append(k)
-            return oresme_block(k)
+            return oresme_fields(k)
 
-        monkeypatch.setattr(series, "oresme_block", counting)
+        monkeypatch.setattr(series, "_oresme_fields", counting)
         rc, out, err = run(capsys, "harmonic", "--blocks", "19")
         assert (rc, out) == (1, "")
         assert err == "BudgetExceeded requested=524288 cap=262144\n"
@@ -534,8 +535,9 @@ class TestTable:
                                                                  fmt):
         import enumerant.finitist as finitist
 
+        # the command builds its rows through `_table2_fields`, not `table2_row`
         built = []
-        monkeypatch.setattr(finitist, "table2_row", lambda n, *rest: built.append(n))
+        monkeypatch.setattr(finitist, "_table2_fields", lambda n, *rest: built.append(n))
         cap = finitist._TABLE2_ROWS_CAP
         rc, out, err = run(capsys, "table", "--id", "2", "--rows", str(cap + 1),
                            "--format", fmt)
@@ -757,7 +759,8 @@ PAIRING_ONLY = {"errors", "enumeration"}
 # `dataclasses` and the modules it loads, compiled on every cold start
 DATACLASS_LOAD = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 # the modules that still define a dataclass: `reals` and the two record
-# modules, which load only where a record is built
+# modules, which load only where a record is built: `approx` and `theorem
+# --set`, as the other commands print their builders' fields
 DATACLASS_MODULES = {"reals", "series_records", "finitist_records"}
 # the modules that import `fractions` at module level: `pair`, `diag` and
 # `locate --bits` run none
@@ -806,14 +809,17 @@ class TestLoadSets:
         (["locate", "--value", "3/8"], ENUMERATION_ONLY),
         (["approx", "--real", "sqrt2", "--depth", "8"], ENUMERATION_ONLY | {"reals", "series"}),
         (["diag", "--count", "4"], PAIRING_ONLY | {"diagonal"}),
-        (["harmonic", "--blocks", "3"], {"errors", "series", "series_records"}),
+        # the block commands print their builders' fields: no record, no `dataclasses`
+        (["harmonic", "--blocks", "3"], {"errors", "series"}),
         (["series", "--name", "e", "--terms", "12"], {"errors", "dyadic", "exactnum", "series"}),
         # no decimal to print, and a refusal before the decimal
         (["series", "--name", "geometric", "--terms", "5"], {"errors", "series"}),
         (["series", "--name", "tau", "--terms", "9"], {"errors", "series"}),
+        (["series", "--name", "tau", "--terms", "3"], {"errors", "dyadic", "exactnum", "series"}),
         (["theorem", "--set", "2,4,6"], FINITIST_ONLY | {"finitist_records"}),
         (["pair", "--i", "1", "--j", "2"], PAIRING_ONLY),
-        (["table", "--id", "2", "--rows", "3"], FINITIST_ONLY | {"finitist_records"}),
+        (["table", "--id", "2", "--rows", "3"], FINITIST_ONLY),
+        (["theorem", "--exhaustive", "3"], FINITIST_ONLY),
         (["locate", "--bits", "0101"], PAIRING_ONLY),
         (["diag", "--verify", CERT], PAIRING_ONLY | {"diagonal"}),
         # table 1 is a NamedTuple, and each refusal comes before its record

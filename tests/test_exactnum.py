@@ -453,6 +453,9 @@ class TestCanonicalize:
         assert canonicalize(Tower(1, Tower(9, Exact(9)))) == Exact(1)
         assert canonicalize(Tower(7, Exact(0))) == Exact(1)
         assert canonicalize(Tower(7, Exact(1))) == Exact(7)
+        # Exact(False) == Exact(0), so only the text tells a bool base apart
+        assert str(canonicalize(Tower(False, Exact(5)))) == "0"
+        assert str(canonicalize(Tower(False, Exact(1)))) == "0"
 
     def test_budget_is_an_iff(self):
         # 10**4 has five digits: out at budget 4, in at budget 5

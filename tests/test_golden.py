@@ -7,7 +7,6 @@ once by ``tests/golden/record.py``; this test only reads them.
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,6 @@ def test_every_invocation_has_a_transcript():
 @pytest.mark.parametrize("path", FILES, ids=[path.stem for path in FILES])
 def test_replay(path):
     want = json.loads(path.read_text(encoding="utf-8"))
-    if want["by_argparse"] and want["python"] != "%d.%d" % sys.version_info[:2]:
+    if record.recorded_elsewhere(want):
         pytest.skip(f"argparse text recorded under Python {want['python']}")
-    got = record.transcribe(want["argv"])
-    assert {**got, "python": want["python"]} == want
+    assert record.replay(want) == want

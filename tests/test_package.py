@@ -9,11 +9,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import enumerant
+from enumerant import finitist, series
 
 SRC = Path(enumerant.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -153,6 +155,73 @@ def test_every_record_round_trips_under_its_module():
         for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
             assert type(twin) is type(record)
             assert twin == record
+
+
+def _outcome(build, *args):
+    """A call's fields in field order, or its refusal's type and text."""
+    try:
+        result = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result if type(result) is tuple else tuple(
+        getattr(result, name) for name in result.__match_args__)
+
+
+# `harmonic`, `series --name tau`, `table --id 2` and `theorem --exhaustive`
+# print from each builder's private field function, the library from the
+# record that wraps its fields: the two must agree on every call
+BUILDERS = {
+    "oresme_block": (series.oresme_block, series._oresme_fields),
+    "liouville_partial": (series.liouville_partial, series._liouville_fields),
+    "table2_row": (finitist.table2_row, finitist._table2_fields),
+    "induction_trace": (finitist.induction_trace, finitist._induction_fields),
+}
+
+
+GRIDS = {
+    "oresme_block": [(k,) for k in range(1, 15)],
+    "liouville_partial": [(m,) for m in range(1, 8)],
+    "table2_row": [(n, budget, bits) for n in range(1, 31)
+                   for budget in (19, 40, 10 ** 4) for bits in (16, 32, 64)],
+    "induction_trace": [(m,) for m in range(1, 11)],
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_each_record_holds_its_field_functions_fields(builder):
+    build, fields = BUILDERS[builder]
+    for args in GRIDS[builder]:
+        got = _outcome(fields, *args)
+        assert type(got[0]) is int, args
+        assert _outcome(build, *args) == got, args
+
+
+@pytest.mark.parametrize("builder, args", [
+    *(("oresme_block", (k,)) for k in (19, 0, -1)),
+    *(("liouville_partial", (m,)) for m in (8, 0, -1)),
+    *(("table2_row", args) for args in (
+        (finitist._TABLE2_ROWS_CAP + 1, 19, 32), (0, 19, 32), (-1, 19, 32),
+        (3, 19, 0), (3, 19, -1), (3, -1, 32))),
+    *(("induction_trace", (m,)) for m in (21, 0, -1)),
+], ids=lambda value: value if isinstance(value, str) else ",".join(map(str, value)))
+def test_each_builder_refuses_as_its_field_function(builder, args):
+    build, fields = BUILDERS[builder]
+    refusal = _outcome(fields, *args)
+    assert issubclass(refusal[0], Exception)
+    assert _outcome(build, *args) == refusal
+
+
+def test_the_commands_and_the_records_share_each_rule():
+    for k in range(1, 15):
+        block = series.oresme_block(k)
+        assert block.terms == series._block_terms(block.first, block.last) == 1 << (k - 1)
+        assert block.at_least_half is series._at_least_half(block.total) is True
+    assert not series._at_least_half(Fraction(49, 100))
+    for n in range(1, 31):
+        row = finitist.table2_row(n, 40, 16)
+        assert row.cells() == finitist._table2_cells(finitist._table2_fields(n, 40, 16))
+    # a zero digit budget is no refusal: every power stays symbolic in both
+    assert _outcome(finitist.table2_row, 3, 0) == finitist._table2_fields(3, 0)
 
 
 # `reals` keeps `ApproximationReport`, which `approx` always prints; the two
