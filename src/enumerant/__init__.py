@@ -64,7 +64,6 @@ _EXPORTS = {
         "string_to_index",
     ),
     "reals": (
-        "ApproximationReport",
         "ComputableReal",
         "EulerStream",
         "LiouvilleStream",
@@ -90,10 +89,6 @@ _EXPORTS = {
         "liouville_partial",
         "oresme_block",
     ),
-    "series_records": (
-        "LiouvillePartial",
-        "OresmeBlock",
-    ),
     "finitist": (
         "InductionLevel",
         "TABLE2_DIGIT_BUDGET",
@@ -105,9 +100,12 @@ _EXPORTS = {
         "table2_row",
         "union_enumerate",
     ),
-    "finitist_records": (
+    "records": (
+        "ApproximationReport",
         "EvenSetReport",
         "InductionTrace",
+        "LiouvillePartial",
+        "OresmeBlock",
         "Table2Row",
     ),
 }

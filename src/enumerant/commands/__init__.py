@@ -9,9 +9,8 @@ module alone, calls its ``fill``, and binds its ``run`` as the
 subparser's ``func``.  A command's own argument type keeps a name of its
 own, which argparse prints in its error message.  This package holds
 what the commands share: the one emitter, `_emit`, with the text of a
-cell, `_text`, and the chunk size it writes in, `_CHUNK_CHARS`;
-`_attrs`, a record's fields in column order; and the count types
-`_positive` and `_nonnegative`.
+cell, `_text`, and the chunk size it writes in, `_CHUNK_CHARS`; and the
+count types `_positive` and `_nonnegative`.
 
 Each output format is built here: plain (space-separated values, or
 key=value lines for a single report), csv (with a header row; a cell
@@ -91,11 +90,6 @@ def _emit(fields, rows, fmt, report=False) -> None:
             write("".join(chunk))
             chunk, size = [], 0
     write("".join(chunk))
-
-
-def _attrs(record) -> tuple:
-    """A record's fields in column order: its ``__match_args__``."""
-    return tuple(getattr(record, f) for f in record.__match_args__)
 
 
 def _positive(text: str) -> int:

@@ -1,13 +1,15 @@
 """``approx``: hunt a real through the enumeration to a depth."""
 
-from . import _attrs, _emit, _positive
+from . import _emit, _positive
 
 
 def run(args) -> None:
-    from ..enumeration import approximate
+    from ..enumeration import _approximate_fields
 
-    report = approximate(args.real, args.depth)
-    _emit(report.__match_args__, [_attrs(report)], args.format, report=True)
+    # the fields of `ApproximationReport`, which `approx` never builds
+    _emit(("target", "depth", "prefix", "verdict", "member_index", "reason", "best_index",
+           "best_bits", "best_value", "error_bound"),
+          [_approximate_fields(args.real, args.depth)], args.format, report=True)
 
 
 def parse_real(text: str):

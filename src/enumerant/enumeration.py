@@ -13,11 +13,15 @@ bijection.
 
 `approximate` runs the enumeration against a certified real bit stream:
 dyadic targets get their exact index, everything else gets a refutation
-plus the nearest enumerated value at the requested depth.
+plus the nearest enumerated value at the requested depth.  It wraps
+`_approximate_fields`, which returns the report's fields, in
+`ApproximationReport`, which it imports from `records` in its body after
+every refusal; `approx` prints those fields, so it loads no `records`
+and no `dataclasses`.
 
 The module level imports neither `dyadic` nor `fractions`: `entries`
-and `approximate` import the value types in their bodies, so `pair`,
-`diag` and `locate --bits` load neither.  `entries` takes
+and `_approximate_fields` import the value types in their bodies, so
+`pair`, `diag` and `locate --bits` load neither.  `entries` takes
 `DyadicRational` from `dyadic`, which loads no `fractions`, so `enum`
 loads neither `fractions` nor `exactnum`.
 """
@@ -32,7 +36,8 @@ from .errors import DepthZero, NotInImage, ZeroIndex, _check_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dyadic import DyadicRational
-    from .reals import ApproximationReport, ComputableReal
+    from .reals import ComputableReal
+    from .records import ApproximationReport
 
 __all__ = _EXPORTS["enumeration"]
 
@@ -163,17 +168,15 @@ def locate_value(value: "DyadicRational") -> int:
     return string_to_index(value.bits())  # value 1 is rejected by bits()
 
 
-def approximate(x: "ComputableReal", depth: int) -> "ApproximationReport":
-    """Search the enumeration for a real x in (0, 1) to a given depth.
-
-    The depth-d prefix of x's certified bit stream pins x inside a
-    half-open dyadic interval of width 2**-d; one extra bit picks the
-    nearer endpoint as the best enumerated approximation.
-    """
-    # the report is a dataclass beside the streams, so that the rest of
-    # this module loads no `dataclasses`.  `reals` binds the two value types
-    # too: one statement costs a shallow call less than one per module
-    from .reals import ApproximationReport, DyadicRational, Fraction
+def _approximate_fields(x: "ComputableReal", depth: int) -> tuple:
+    """The fields of `approximate(x, depth)` in field order, (target, depth,
+    prefix, verdict, member_index, reason, best_index, best_bits,
+    best_value, error_bound).  A depth below 1 raises `DepthZero` before
+    any bit is read; the stream reads depth + 1 bits, so it raises
+    `BudgetExceeded` from a depth of `reals._DEPTH_CAP` on."""
+    # `reals` binds the two value types: one statement costs a shallow call
+    # less than one per module
+    from .reals import DyadicRational, Fraction
 
     if depth < 1:
         raise DepthZero(depth=depth)
@@ -194,17 +197,23 @@ def approximate(x: "ComputableReal", depth: int) -> "ApproximationReport":
         bound = Fraction(1, top if scaled in (0, top - 1) else 2 * top)
     best_bits = best.bits()
     index = string_to_index(best_bits)
-    return ApproximationReport(
-        target=x.name,
-        depth=depth,
-        prefix=prefix,
-        verdict="exact-member" if member else "no-finite-index",
-        member_index=index if member else None,
-        reason=None if member else (
-            "every enumerated entry is a terminating binary fraction; "
-            f"the target is certified distinct from every dyadic of exponent <= {depth}"),
-        best_index=index,
-        best_bits=best_bits,
-        best_value=best,
-        error_bound=bound,
-    )
+    return (x.name, depth, prefix, "exact-member" if member else "no-finite-index",
+            index if member else None,
+            None if member else (
+                "every enumerated entry is a terminating binary fraction; "
+                f"the target is certified distinct from every dyadic of exponent <= {depth}"),
+            index, best_bits, best, bound)
+
+
+def approximate(x: "ComputableReal", depth: int) -> "ApproximationReport":
+    """Search the enumeration for a real x in (0, 1) to a given depth.
+
+    The depth-d prefix of x's certified bit stream pins x inside a
+    half-open dyadic interval of width 2**-d; one extra bit picks the
+    nearer endpoint as the best enumerated approximation.  Refused as
+    `_approximate_fields` refuses.
+    """
+    fields = _approximate_fields(x, depth)
+    from .records import ApproximationReport
+
+    return ApproximationReport(*fields)

@@ -8,13 +8,13 @@ tracer really does enumerate every subset and checks each one through
 the witness kernel it shares with the checker.
 
 The module imports no `dataclasses`: the records `EvenSetReport`,
-`InductionTrace` and `Table2Row` live in `finitist_records`, and each
-loads with the function that builds it, after every check that can
-refuse.  `induction_trace` and `table2_row` wrap `_induction_fields`
-and `_table2_fields`, which return the record's fields, and `theorem
---exhaustive` and `table --id 2` print from those, so of the commands
-only `theorem --set`, which prints `check_even_set`'s record, loads
-`dataclasses` through this module.
+`InductionTrace` and `Table2Row` live in `records`, and each loads with
+the function that builds it, after every check that can refuse.
+`check_even_set`, `induction_trace` and `table2_row` wrap
+`_even_set_fields`, `_induction_fields` and `_table2_fields`, which
+return the record's fields, and `theorem --set`, `theorem --exhaustive`
+and `table --id 2` print from those, so no command loads `dataclasses`
+through this module.
 """
 
 from bisect import bisect_right
@@ -41,7 +41,7 @@ from .exactnum import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .finitist_records import EvenSetReport, InductionTrace, Table2Row
+    from .records import EvenSetReport, InductionTrace, Table2Row
 
 __all__ = _EXPORTS["finitist"]
 
@@ -50,14 +50,13 @@ __all__ = _EXPORTS["finitist"]
 # the even-set theorem: |{e in E : e > |E|}| >= ceil(|E| / 2)
 
 
-def check_even_set(elements: Iterable[int]) -> "EvenSetReport":
-    """Count the elements of a finite set of distinct positive even
-    numbers that exceed the set's size.
-
-    Sorted, the i-th smallest element is at least 2i, so everything from
-    position floor(m/2)+1 on exceeds m; the checker just counts and
-    reports rather than trusting that argument.
-    """
+def _even_set_fields(elements: Iterable[int]) -> tuple[tuple[int, ...], int, tuple[int, ...],
+                                                      int, int, bool]:
+    """The fields of `check_even_set(elements)` in field order, (elements,
+    cardinality, witnesses, witness_count, required, holds).  An empty set
+    raises `EmptySet`; an element that is not an int, is a bool, is not
+    positive or is odd, or the first repeated one in input order, raises
+    `NotEvenPositiveDistinct`."""
     items = list(elements)
     if not items:
         raise EmptySet()
@@ -68,20 +67,26 @@ def check_even_set(elements: Iterable[int]) -> "EvenSetReport":
         counts = Counter(items)
         dup = next(x for x in items if counts[x] > 1)  # first in input order
         raise NotEvenPositiveDistinct(offender=dup, repeated=True)
-    from .finitist_records import EvenSetReport
-
     ordered = tuple(sorted(items))
     m = len(ordered)
     witnesses = _witnesses(ordered, m)
     required = (m + 1) // 2
-    return EvenSetReport(
-        elements=ordered,
-        cardinality=m,
-        witnesses=witnesses,
-        witness_count=len(witnesses),
-        required=required,
-        holds=len(witnesses) >= required,
-    )
+    return ordered, m, witnesses, len(witnesses), required, len(witnesses) >= required
+
+
+def check_even_set(elements: Iterable[int]) -> "EvenSetReport":
+    """Count the elements of a finite set of distinct positive even
+    numbers that exceed the set's size.
+
+    Sorted, the i-th smallest element is at least 2i, so everything from
+    position floor(m/2)+1 on exceeds m; the checker just counts and
+    reports rather than trusting that argument.  Refused as
+    `_even_set_fields` refuses.
+    """
+    fields = _even_set_fields(elements)
+    from .records import EvenSetReport
+
+    return EvenSetReport(*fields)
 
 
 def _witnesses(ordered: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -134,7 +139,7 @@ def induction_trace(m: int) -> "InductionTrace":
     first, mirroring how the statement climbs from the base case; refused
     as `_induction_fields` refuses."""
     fields = _induction_fields(m)
-    from .finitist_records import InductionTrace
+    from .records import InductionTrace
 
     return InductionTrace(*fields)
 
@@ -274,6 +279,6 @@ def table2_row(n: int, digit_budget: int = TABLE2_DIGIT_BUDGET,
                log2_precision_bits: int = 32) -> "Table2Row":
     """Row n, refused as `_table2_fields` refuses."""
     fields = _table2_fields(n, digit_budget, log2_precision_bits)
-    from .finitist_records import Table2Row
+    from .records import Table2Row
 
     return Table2Row(*fields)

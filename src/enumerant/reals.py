@@ -21,12 +21,11 @@ call, so every route to a deeper depth passes the same depth checks.  Each
 kind's pure `_holds` is its certificate; it never reads `_floor`'s answer,
 so a wrong `_floor` cannot certify itself.
 
-`ApproximationReport`, what `enumeration.approximate` finds for a stream,
-is defined here beside the streams, so that a command which never reads
-a stream loads no `dataclasses`.
+The module imports no `dataclasses`: `ApproximationReport`, what
+`enumeration.approximate` finds for a stream, lives in `records`, and
+`approx` prints the fields of `enumeration._approximate_fields` instead.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional
@@ -238,25 +237,3 @@ def parse_real(text: str) -> ComputableReal:
             return RationalStream(int(num), int(den))
         raise ValueError(f"malformed rational: {text!r}")
     raise ValueError(f"unknown real name: {text!r}")
-
-
-@dataclass(frozen=True)
-class ApproximationReport:
-    """Outcome of hunting a real number through the enumeration.
-
-    `verdict` is "exact-member" when the target is a dyadic rational in
-    (0, 1) (then `member_index` is its index), else "no-finite-index"
-    with a `reason`.  In both cases `best_*` give the enumerated value
-    nearest the target at the examined depth, with a proven error bound.
-    """
-
-    target: str
-    depth: int
-    prefix: str
-    verdict: str
-    member_index: Optional[int]
-    reason: Optional[str]
-    best_index: int
-    best_bits: str
-    best_value: DyadicRational
-    error_bound: Fraction

@@ -10,8 +10,8 @@ The module level imports no `exactnum`: `e_enclosure` imports its
 interval type, and `_oresme_fields` the symbolic towers of its refusal,
 in their bodies, so `harmonic` loads no `exactnum`.  Nor does it import
 `dataclasses`: the records `OresmeBlock` and `LiouvillePartial` live in
-`series_records`, and each loads with the function that builds it, after
-every check that can refuse.  `oresme_block` and `liouville_partial`
+`records`, and each loads with the function that builds it, after every
+check that can refuse.  `oresme_block` and `liouville_partial`
 wrap `_oresme_fields` and `_liouville_fields`, which return the record's
 fields, and `harmonic` and `series --name tau` print from those, so no
 command loads `dataclasses` through this module: only a library call of
@@ -28,7 +28,7 @@ from .errors import BudgetExceeded, _within
 
 if TYPE_CHECKING:  # pragma: no cover
     from .exactnum import RationalInterval
-    from .series_records import LiouvillePartial, OresmeBlock
+    from .records import LiouvillePartial, OresmeBlock
 
 __all__ = _EXPORTS["series"]
 
@@ -206,7 +206,7 @@ def _at_least_half(total: Fraction) -> bool:
 def oresme_block(k: int) -> "OresmeBlock":
     """Block k of the harmonic series, refused as `_oresme_fields` refuses."""
     fields = _oresme_fields(k)
-    from .series_records import OresmeBlock
+    from .records import OresmeBlock
 
     return OresmeBlock(*fields)
 
@@ -341,6 +341,6 @@ def _liouville_fields(m: int) -> tuple[int, Fraction, tuple[int, ...], Fraction]
 def liouville_partial(m: int) -> "LiouvillePartial":
     """Exact m-term partial sum, refused as `_liouville_fields` refuses."""
     fields = _liouville_fields(m)
-    from .series_records import LiouvillePartial
+    from .records import LiouvillePartial
 
     return LiouvillePartial(*fields)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import enumerant
-from enumerant import finitist, series
+from enumerant import enumeration, finitist, reals, series
 
 SRC = Path(enumerant.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,16 +102,29 @@ def test_the_records_the_bench_corrupts_stay_dataclasses():
     type as a caught fault.  Turned into a `NamedTuple`, each type would so
     hollow its self-check with no visible failure; it stays a dataclass
     until the bench rebuilds records from their ``__match_args__``."""
-    from enumerant import reals
+    from enumerant import records
 
     for name in BENCH_REBUILT:
         assert dataclasses.is_dataclass(getattr(enumerant, name)), name
-    assert enumerant.ApproximationReport is reals.ApproximationReport
-    # the ten `approx` columns, in the order the transcripts freeze them
-    transcript = GOLDEN / "transcripts" / "approx-real-e-depth-1-format-csv.json"
-    header = json.loads(transcript.read_text(encoding="utf-8"))["stdout"].split("\n", 1)[0].split(",")
-    assert len(header) == 10
-    assert enumerant.ApproximationReport.__match_args__ == tuple(header)
+        assert getattr(enumerant, name) is getattr(records, name)
+
+
+# `approx` and `theorem --set` print their builders' fields under columns
+# written in the command, in the order the transcripts freeze them
+@pytest.mark.parametrize("argv, record, transcript", [
+    (["approx", "--real", "rat:1/3", "--depth", "7"], "ApproximationReport",
+     "approx-real-e-depth-1-format-csv"),
+    (["theorem", "--set", "4,2"], "EvenSetReport", "theorem-set-2-4-6-format-csv"),
+])
+def test_each_report_command_prints_its_records_fields(capsys, argv, record, transcript):
+    from enumerant.cli import main
+
+    assert main([*argv, "--format", "csv"]) == 0
+    header = capsys.readouterr().out.split("\n", 1)[0]
+    path = GOLDEN / "transcripts" / f"{transcript}.json"
+    frozen = json.loads(path.read_text(encoding="utf-8"))["stdout"].split("\n", 1)[0]
+    assert tuple(header.split(",")) == getattr(enumerant, record).__match_args__
+    assert header == frozen
 
 
 # one record of each type that the bench corrupts, built through its public
@@ -148,8 +161,7 @@ def test_every_record_round_trips_under_its_module():
     import typing
 
     for record, _, _ in _corrupted_records():
-        owner = f"enumerant.{enumerant._OWNER[type(record).__name__]}"
-        assert type(record).__module__ == owner
+        assert type(record).__module__ == "enumerant.records"
         # every field's annotation resolves in the record's own module
         assert list(typing.get_type_hints(type(record))) == list(record.__match_args__)
         for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
@@ -167,20 +179,38 @@ def _outcome(build, *args):
         getattr(result, name) for name in result.__match_args__)
 
 
-# `harmonic`, `series --name tau`, `table --id 2` and `theorem --exhaustive`
-# print from each builder's private field function, the library from the
-# record that wraps its fields: the two must agree on every call
+def _on_a_new_stream(build):
+    """`build` on a stream that `parse_real` makes afresh from its name, so
+    that no call reads a prefix that an earlier call certified."""
+    return lambda real, depth: build(enumerant.parse_real(real), depth)
+
+
+# every command prints from its builder's private field function, the
+# library from the record that wraps its fields: the two must agree on
+# every call
 BUILDERS = {
+    "approximate": (_on_a_new_stream(enumeration.approximate),
+                    _on_a_new_stream(enumeration._approximate_fields)),
     "oresme_block": (series.oresme_block, series._oresme_fields),
     "liouville_partial": (series.liouville_partial, series._liouville_fields),
+    "check_even_set": (finitist.check_even_set, finitist._even_set_fields),
     "table2_row": (finitist.table2_row, finitist._table2_fields),
     "induction_trace": (finitist.induction_trace, finitist._induction_fields),
 }
 
 
 GRIDS = {
+    # every kind of stream: a root, e, tau, and dyadic and other rationals
+    "approximate": [(real, depth) for real in ("sqrt2", "e", "tau", "rat:1/2", "rat:3/8",
+                                               "rat:5/64", "rat:1/3", "rat:2/7", "rat:999/1000")
+                    for depth in range(1, 65)],
     "oresme_block": [(k,) for k in range(1, 15)],
     "liouville_partial": [(m,) for m in range(1, 8)],
+    # sorted and shuffled sets where the theorem holds with room and exactly
+    "check_even_set": [(elements,) for elements in (
+        [2], [4], [2, 4], [4, 2], [2, 4, 6], [6, 2, 4], [8, 2, 12, 10], [2, 4, 6, 8, 10],
+        list(range(2, 42, 2)), list(range(40, 0, -2)), [100, 2, 6, 1000, 8], (2, 4),
+        range(2, 12, 2))],
     "table2_row": [(n, budget, bits) for n in range(1, 31)
                    for budget in (19, 40, 10 ** 4) for bits in (16, 32, 64)],
     "induction_trace": [(m,) for m in range(1, 11)],
@@ -192,17 +222,24 @@ def test_each_record_holds_its_field_functions_fields(builder):
     build, fields = BUILDERS[builder]
     for args in GRIDS[builder]:
         got = _outcome(fields, *args)
-        assert type(got[0]) is int, args
+        assert not (isinstance(got[0], type) and issubclass(got[0], Exception)), (args, got)
         assert _outcome(build, *args) == got, args
 
 
 @pytest.mark.parametrize("builder, args", [
+    *(("approximate", ("e", depth)) for depth in (0, -1, reals._DEPTH_CAP, reals._DEPTH_CAP + 1)),
+    *(("approximate", ("rat:1/3", depth)) for depth in (0, reals._DEPTH_CAP)),
     *(("oresme_block", (k,)) for k in (19, 0, -1)),
     *(("liouville_partial", (m,)) for m in (8, 0, -1)),
     *(("table2_row", args) for args in (
         (finitist._TABLE2_ROWS_CAP + 1, 19, 32), (0, 19, 32), (-1, 19, 32),
         (3, 19, 0), (3, 19, -1), (3, -1, 32))),
     *(("induction_trace", (m,)) for m in (21, 0, -1)),
+    # empty; odd, zero, negative and bool elements; a repeat, reported as
+    # the first repeated element in input order, not the least
+    *(("check_even_set", (elements,)) for elements in (
+        [], (), [2, 3], [3, 2], [0], [2, 0], [-2], [2, -4], [2, True], [False], [2.0],
+        ["2"], [2, 4, 2], [6, 2, 4, 2, 6], [8, 4, 4, 8])),
 ], ids=lambda value: value if isinstance(value, str) else ",".join(map(str, value)))
 def test_each_builder_refuses_as_its_field_function(builder, args):
     build, fields = BUILDERS[builder]
@@ -224,13 +261,12 @@ def test_the_commands_and_the_records_share_each_rule():
     assert _outcome(finitist.table2_row, 3, 0) == finitist._table2_fields(3, 0)
 
 
-# `reals` keeps `ApproximationReport`, which `approx` always prints; the two
-# record modules load only where a record is built
-DATACLASS_IMPORTERS = {"reals.py", "series_records.py", "finitist_records.py"}
+# the one record module, which loads only where a record is built
+DATACLASS_IMPORTERS = {"records.py"}
 
 
 def test_only_the_record_modules_import_dataclasses():
-    """A record defined back in `series` or `finitist` would load
+    """A record defined back in `reals`, `series` or `finitist` would load
     `dataclasses` with `inspect`, `ast`, `dis` and `tokenize` in every
     command that runs them, records or not."""
     importers = set()
