@@ -6,7 +6,7 @@ and rows, each row a tuple in header order, most of them straight from
 the library's records; one emitter, `commands._emit`, prints them in the
 ``--format`` chosen: plain, csv or json-lines.  Decimals are truncated,
 never rounded; the library refuses a negative value or digit count,
-which argparse already keeps out.
+which the count types already keep out.
 
 Exit codes: 0 success, 1 domain error (a typed one-line report on
 stderr, e.g. ``NotInImage equivalent=1``) or a stdout closed before the
@@ -15,16 +15,32 @@ verdict can fail, ``diag --verify`` and ``theorem --exhaustive``, return
 a status of their own; every other command returns nothing, which is 0.
 
 A CLI call is mostly process start, import and exit.  This module holds
-the entry alone: the nine help lines, the parser, `main` and `run`.
-Each command is a module of its own, ``commands/<name>.py``, that
-defines the same two names: ``fill(p)`` adds the command's arguments to
-its subparser and ``run(args)`` runs it.  The parser lists all nine
-commands but imports the invoked one alone and binds its ``fill`` and
-``run``, so a call compiles and runs the code of one command.  This
-module's own `run`, the process entry, runs the command with the cyclic
-collector paused and freezes the collector on its way out, so neither
-the command's imports nor the interpreter's exit walk every object that
-start and import made.
+the entry alone: the nine help lines, the reader, the parser, `main` and
+`run`.  Each command is a module of its own, ``commands/<name>.py``,
+that declares its options once, as data (``OPTIONS``, and ``ONE_OF``
+for an either-or pair), and defines ``run(args)``.  A line takes one of
+two routes, and both read those declarations:
+
+- `_read` reads the canonical form alone: the command word, then
+  ``--flag value`` pairs of that command's flags or ``--format``, each at
+  most once, no value starting with ``-``.  It converts the values with
+  the declared types and returns the namespace argparse would, without
+  loading argparse, ``gettext`` and ``locale`` or building a parser:
+  about 4.5 ms of a 61 ms median cold call (the ``cli`` bench, CPython
+  3.11).
+- Any other line, and any value a type refuses, goes to argparse:
+  `build_parser` and its ``parse_args``, unchanged.  So help, usage
+  errors and every form the reader leaves alone (``--flag=value``, an
+  abbreviated or repeated flag, ``--``) keep argparse's bytes.
+  argparse is the CLI's grammar and its only error reporter; the reader
+  is tested against it.
+
+Either route imports the invoked command's module alone, so a call
+compiles and runs the code of one command.  This module's own `run`,
+the process entry, runs the command with the cyclic collector paused
+and freezes the collector on its way out, so neither the command's
+imports nor the interpreter's exit walk every object that start and
+import made.
 
 Two rules keep each call's load set small, and no one module shows
 them.  No command module imports ``enumerant.cli``: under ``python -m
@@ -36,15 +52,15 @@ Which modules each command loads is stated once, by ``TestLoadSets`` in
 ``tests/test_cli.py``.
 """
 
-import argparse
 import gc
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from .errors import DomainError, _paused_gc
 
 # each command's help line, in the order `enumerant -h` lists them; the
-# command's `fill` and `run` are in `commands/<name>.py`
+# command's options and `run` are in `commands/<name>.py`
 _COMMANDS = {
     "enum": "first N entries with their dyadic values",
     "locate": "index of a bit string or of a dyadic value",
@@ -57,8 +73,74 @@ _COMMANDS = {
     "table": "growth tables: 1 (n, 2n, n^2, 1/n) or 2 (towers)",
 }
 
+# the option every command takes, first in its usage line
+_FORMAT = {"--format": {"choices": ("plain", "csv", "json-lines"), "default": "plain",
+                        "help": "output shape (default plain)"}}
 
-def build_parser(argv) -> argparse.ArgumentParser:
+
+def _declared(name):
+    """The module of command `name`, its options with ``--format`` first,
+    as ``add_argument`` keywords by flag, and its either-or flags."""
+    module = import_module(f".commands.{name}", __package__)
+    return module, _FORMAT | module.OPTIONS, getattr(module, "ONE_OF", ())
+
+
+def _read(argv):
+    """The namespace that ``build_parser(argv).parse_args(argv)`` returns,
+    read without argparse, or None.
+
+    Only the canonical form is read: a command word, then ``--flag value``
+    pairs, each flag one of that command's or ``--format`` and given at
+    most once, every required flag and one of an either-or pair present,
+    and no value starting with ``-`` (argparse reads every other value
+    as a value, the empty one too).  The values are converted in argv
+    order with the declared types and checked against their choices;
+    the flags not given take their defaults.  A `DomainError` from a type
+    propagates at once, as it does from argparse, which would meet it
+    first too: nothing before it fails.  Any other form or failure
+    returns None, and argparse reads the line from the start.  The
+    namespace's ``parser`` is built only if the command asks it for a
+    usage error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    module, options, one_of = _declared(argv[0])
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if (len(argv) != 2 * len(given) + 1 or not given.keys() <= options.keys()
+            or any(value.startswith("-") for value in given.values())
+            or one_of and len(given.keys() & one_of) != 1
+            or any(spec.get("required") and flag not in given
+                   for flag, spec in options.items())):
+        return None
+    values = {flag: spec.get("default") for flag, spec in options.items()}
+    for flag, text in given.items():
+        spec = options[flag]
+        try:
+            values[flag] = spec.get("type", str)(text)
+        except DomainError:
+            raise
+        except Exception:  # argparse runs the type again, and reports or raises
+            return None
+        if "choices" in spec and values[flag] not in spec["choices"]:
+            return None
+    return SimpleNamespace(command=argv[0], func=module.run, parser=_Subparser(argv),
+                           **{flag[2:].replace("-", "_"): value
+                              for flag, value in values.items()})
+
+
+class _Subparser:
+    """The ``parser`` of a namespace that `_read` made: a usage error that
+    the command finds past parsing (``pair``'s) builds argparse's parser of
+    the same line then, and reports through it."""
+
+    def __init__(self, argv):
+        self.argv = argv
+
+    def error(self, message: str) -> None:
+        build_parser(self.argv).parse_args(self.argv).parser.error(message)
+
+
+def build_parser(argv) -> "argparse.ArgumentParser":
     """The parser of the command line `argv`.
 
     Every command is registered with its help line, so the top-level help,
@@ -71,10 +153,12 @@ def build_parser(argv) -> argparse.ArgumentParser:
     option is refused as an invalid choice before any command parses.
     With no command word no command has arguments, and argparse's own
     error, or the top-level help, is all that shows.  The invoked
-    command's subparser gets its module's `fill` and holds its `run` as
-    ``func`` and itself as ``parser``, for a usage error found past
-    parsing.
+    command's subparser gets its module's declared options and holds its
+    `run` as ``func`` and itself as ``parser``, for a usage error found
+    past parsing.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="enumerant",
         description="Exact arithmetic around a breadth-first enumeration of "
@@ -85,10 +169,10 @@ def build_parser(argv) -> argparse.ArgumentParser:
     for name, summary in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, add_help=name == command)
         if name == command:
-            p.add_argument("--format", choices=("plain", "csv", "json-lines"),
-                           default="plain", help="output shape (default plain)")
-            module = import_module(f".commands.{name}", __package__)
-            module.fill(p)
+            module, options, one_of = _declared(name)
+            group = p.add_mutually_exclusive_group(required=True) if one_of else p
+            for flag, spec in options.items():
+                (group if flag in one_of else p).add_argument(flag, **spec)
             p.set_defaults(func=module.run, parser=p)
     return parser
 
@@ -106,10 +190,11 @@ def main(argv=None) -> int:
     The int->str digit limit is lifted while the command runs and
     restored on every way out, `SystemExit` included.  The caller's
     cyclic collector is left as it was: `main` neither pauses nor
-    freezes it, which only the process entry `run` does.  So each call
-    leaves the caller's collector about 200 objects of cyclic garbage:
-    the parser tree that `build_parser` makes, whose parsers, argument
-    groups and actions refer to each other.
+    freezes it, which only the process entry `run` does.  A line that
+    `_read` reads leaves it no cyclic garbage.  A line that goes to
+    argparse leaves it about 200 objects: the parser tree that
+    `build_parser` makes, whose parsers, argument groups and actions
+    refer to each other.
     """
     # printing exact values is the point: no int->str digit limit (0).  The
     # limit is process-wide; restore it on every exit, SystemExit included
@@ -118,7 +203,7 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
         # a type function's budget refuses during parsing, as a DomainError
-        args = build_parser(argv).parse_args(argv)
+        args = _read(argv) or build_parser(argv).parse_args(argv)
         # only a command whose verdict can fail returns a status
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit

@@ -1,16 +1,22 @@
 """The CLI's commands, one module each, and what they share.
 
 ``commands/<name>.py`` holds the ``<name>`` command, and every such
-module defines the same two names: ``fill(p)``, which adds the command's
-arguments to its subparser ``p``, and ``run(args)``, which runs it and
-returns its exit status or nothing.  No command module binds its own
-handler: `enumerant.cli.build_parser` imports the invoked command's
-module alone, calls its ``fill``, and binds its ``run`` as the
-subparser's ``func``.  A command's own argument type keeps a name of its
-own, which argparse prints in its error message.  This package holds
-what the commands share: the one emitter, `_emit`, with the text of a
-cell, `_text`, and the chunk size it writes in, `_CHUNK_CHARS`; and the
-count types `_positive` and `_nonnegative`.
+module defines the same two names: ``OPTIONS``, the command's flags
+with their ``add_argument`` keywords, in the order its usage lists
+them, and ``run(args)``, which runs it and returns its exit status or
+nothing.  A command whose flags are an either-or pair, exactly one of
+them required, names them in ``ONE_OF`` too.  These declarations are
+data, read by both of `enumerant.cli`'s routes: its reader, which reads
+a well-formed line without argparse, and `enumerant.cli.build_parser`,
+which adds them to the invoked command's subparser for every other
+line.  Either route imports the invoked command's module alone and
+binds its ``run``; no command module binds its own handler.  A type
+function runs on both routes, so it imports argparse only to raise its
+`ArgumentTypeError`, whose text argparse prints as it stands; and it
+keeps a name of its own, which argparse prints for a `ValueError`.
+This package holds what the commands share: the one emitter, `_emit`,
+with the text of a cell, `_text`, and the chunk size it writes in,
+`_CHUNK_CHARS`; and the count types `_positive` and `_nonnegative`.
 
 Each output format is built here: plain (space-separated values, or
 key=value lines for a single report), csv (with a header row; a cell
@@ -21,7 +27,6 @@ bools stay JSON numbers and booleans, a missing value is null, and
 everything else, exact rationals included, is its text, like "7/12").
 """
 
-import argparse
 import sys
 
 # a cell's text by its exact type; a type not listed is its `str`
@@ -95,6 +100,8 @@ def _emit(fields, rows, fmt, report=False) -> None:
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
 
@@ -102,5 +109,7 @@ def _positive(text: str) -> int:
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value

@@ -19,7 +19,5 @@ def parse_real(text: str):
     return parse_real(text)
 
 
-def fill(p) -> None:
-    p.add_argument("--real", type=parse_real, required=True,
-                   help="sqrt2, e, tau, or rat:P/Q")
-    p.add_argument("--depth", type=_positive, required=True)
+OPTIONS = {"--real": {"type": parse_real, "required": True, "help": "sqrt2, e, tau, or rat:P/Q"},
+           "--depth": {"type": _positive, "required": True}}

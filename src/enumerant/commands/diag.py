@@ -38,7 +38,5 @@ def run(args) -> int | None:
     _emit(MismatchRecord._fields, cert.records, args.format)
 
 
-def fill(p) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--count", type=_positive)
-    g.add_argument("--verify", metavar="FILE")
+OPTIONS = {"--count": {"type": _positive}, "--verify": {"metavar": "FILE"}}
+ONE_OF = ("--count", "--verify")

@@ -9,5 +9,4 @@ def run(args) -> None:
     _emit(Entry._fields, entries(args.count), args.format)
 
 
-def fill(p) -> None:
-    p.add_argument("--count", type=_nonnegative, required=True)
+OPTIONS = {"--count": {"type": _nonnegative, "required": True}}

@@ -19,5 +19,4 @@ def run(args) -> None:
            "meets_bound"), rows, args.format)
 
 
-def fill(p) -> None:
-    p.add_argument("--blocks", type=_positive, required=True)
+OPTIONS = {"--blocks": {"type": _positive, "required": True}}

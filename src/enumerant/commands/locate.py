@@ -1,6 +1,5 @@
 """``locate``: the index of a bit string or of a dyadic value."""
 
-import argparse
 import re
 
 from ..errors import _DIGITS_CAP, _within
@@ -39,10 +38,10 @@ def _fraction(text: str) -> "Fraction":
             _within(abs(int(exponent[1])), _DIGITS_CAP)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
 
 
-def fill(p) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--bits")
-    g.add_argument("--value", type=_fraction, help="dyadic rational like 3/8")
+OPTIONS = {"--bits": {}, "--value": {"type": _fraction, "help": "dyadic rational like 3/8"}}
+ONE_OF = ("--bits", "--value")

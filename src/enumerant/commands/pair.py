@@ -16,7 +16,7 @@ def run(args) -> None:
     _emit(("code",), [(cantor_pair(args.i, args.j),)], args.format)
 
 
-def fill(p) -> None:
-    p.add_argument("--i", type=_nonnegative)
-    p.add_argument("--j", type=_nonnegative)
-    p.add_argument("--unpair", type=_nonnegative, metavar="N")
+# either --unpair or both --i and --j, which `run` checks: argparse has no
+# group for that
+OPTIONS = {"--i": {"type": _nonnegative}, "--j": {"type": _nonnegative},
+           "--unpair": {"type": _nonnegative, "metavar": "N"}}

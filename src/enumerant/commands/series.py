@@ -37,8 +37,7 @@ def run(args) -> None:
     _emit(fields, [row], args.format, report=True)
 
 
-def fill(p) -> None:
-    p.add_argument("--name", choices=("e", "tau", "geometric"), required=True)
-    p.add_argument("--terms", type=_positive, required=True)
-    p.add_argument("--digits", type=_nonnegative, default=30,
-                   help="decimal places to print (truncated, default 30)")
+OPTIONS = {"--name": {"choices": ("e", "tau", "geometric"), "required": True},
+           "--terms": {"type": _positive, "required": True},
+           "--digits": {"type": _nonnegative, "default": 30,
+                        "help": "decimal places to print (truncated, default 30)"}}

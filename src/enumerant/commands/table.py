@@ -26,10 +26,9 @@ def run(args) -> None:
            "two_pow_fact", "tower"), rows, args.format)
 
 
-def fill(p) -> None:
-    p.add_argument("--id", type=int, choices=(1, 2), required=True)
-    p.add_argument("--rows", type=_positive, required=True)
-    p.add_argument("--digit-budget", type=_positive,
-                   help="decimal digits past which table-2 cells stay symbolic")
-    p.add_argument("--log2-bits", type=_positive, default=32,
-                   help="fractional bits certified for the log2 column")
+OPTIONS = {"--id": {"type": int, "choices": (1, 2), "required": True},
+           "--rows": {"type": _positive, "required": True},
+           "--digit-budget": {"type": _positive,
+                              "help": "decimal digits past which table-2 cells stay symbolic"},
+           "--log2-bits": {"type": _positive, "default": 32,
+                           "help": "fractional bits certified for the log2 column"}}

@@ -1,8 +1,6 @@
 """``theorem``: the even-set counting check, on one set or on every
 subset of {2, 4, ..., 2M}."""
 
-import argparse
-
 from . import _emit, _positive
 
 
@@ -24,11 +22,12 @@ def _even_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def fill(p) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--set", type=_even_list, metavar="E1,E2,...")
-    g.add_argument("--exhaustive", type=_positive, metavar="M",
-                   help="check every nonempty subset of {2, 4, ..., 2M}")
+OPTIONS = {"--set": {"type": _even_list, "metavar": "E1,E2,..."},
+           "--exhaustive": {"type": _positive, "metavar": "M",
+                            "help": "check every nonempty subset of {2, 4, ..., 2M}"}}
+ONE_OF = ("--set", "--exhaustive")

@@ -4,6 +4,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import importlib.util
 import io
 import json
@@ -20,9 +21,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import enumerant
-from enumerant.cli import _COMMANDS, build_parser, main
+from enumerant.cli import _COMMANDS, _read, build_parser, main
 from enumerant.commands import _CHUNK_CHARS, _emit, _text
 from enumerant.dyadic import DyadicRational
+from enumerant.errors import DomainError
 
 
 def run(capsys, *argv):
@@ -760,6 +762,10 @@ PAIRING_ONLY = {"errors", "enumeration"}
 # command loads them, as every command prints its builder's fields and never
 # builds a record
 DATACLASS_LOAD = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# argparse and the modules its first message loads, a few milliseconds
+# cold: only help and usage errors load them, as a well-formed line is read
+# without argparse
+ARGPARSE_LOAD = {"argparse", "gettext", "locale"}
 # the modules that import `fractions` at module level: `pair`, `diag` and
 # `locate --bits` run none
 FRACTION_MODULES = {"exactnum", "series", "reals", "finitist", "records"}
@@ -790,6 +796,21 @@ with contextlib.redirect_stdout(io.StringIO()):
         status = stop.code
 print(status)
 print(" ".join(m for m in sys.modules if m.startswith("enumerant.")))
+"""
+
+
+# main(argv) in a fresh interpreter: its status, what it wrote and whether
+# it loaded argparse
+ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+from enumerant.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        status = main(sys.argv[1:])
+    except SystemExit as stop:
+        status = stop.code
+print(json.dumps([status, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
 """
 
 
@@ -839,9 +860,46 @@ class TestLoadSets:
         assert submodules == package | {"cli", "commands", f"commands.{argv[0]}"}
         assert not loaded & {"__future__", "csv", "json"}
         assert not loaded & DATACLASS_LOAD
+        assert not loaded & ARGPARSE_LOAD
         # `locate --value` builds its `Fraction` in the command's own module
         assert ("fractions" in loaded) == (bool(package & FRACTION_MODULES)
                                            or "--value" in argv)
+
+    # the bench's call shapes that the cases above leave out: a flag with a
+    # default, the other branch of `pair`, every format, and the failures
+    # found past parsing (a domain error, or a usage error of the command's)
+    @pytest.mark.parametrize("argv, code", [pytest.param(*case, id=" ".join(case[0])) for case in [
+        (["series", "--name", "e", "--terms", "12", "--digits", "9", "--format", "csv"], 0),
+        (["pair", "--unpair", "8", "--format", "json-lines"], 0),
+        (["table", "--id", "2", "--rows", "3", "--digit-budget", "25", "--log2-bits", "40"], 0),
+        (["theorem", "--exhaustive", "3", "--format", "json-lines"], 0),
+        (["locate", "--bits", "0110"], 1),
+        (["locate", "--value", "1/3"], 1),
+        (["locate", "--bits", "01x1"], 2),
+    ]])
+    def test_a_well_formed_line_loads_no_argparse(self, argv, code):
+        proc = run_python("-c", ARGPARSE_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        status, _, _, loaded = json.loads(proc.stdout)
+        assert (status, loaded) == (code, False)
+
+    # help, argparse's usage errors and `pair`'s own, which builds its parser
+    # past the command, load it and print the recorded bytes
+    @pytest.mark.parametrize("argv, transcript", [pytest.param(*case, id=" ".join(case[0]))
+                                                  for case in [
+        (["enum", "--count", "-1"], "enum-count-1"),
+        (["pair", "-h"], "pair-help"),
+        (["pair", "--i", "1"], "pair-i-1"),
+    ]])
+    def test_help_and_usage_errors_load_argparse(self, argv, transcript):
+        want = json.loads((record.TRANSCRIPTS / f"{transcript}.json").read_text(encoding="utf-8"))
+        proc = subprocess.run([sys.executable, "-c", ARGPARSE_PROBE, *argv],
+                              capture_output=True, encoding="utf-8", timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS=record.COLUMNS))
+        status, out, err, loaded = json.loads(proc.stdout)
+        assert loaded
+        if not record.recorded_elsewhere(want):
+            assert (status, out, err) == (want["exit"], want["stdout"], want["stderr"])
 
     @pytest.mark.parametrize("module", ["enumerant.cli", "enumerant.exactnum",
                                         "enumerant.enumeration", "enumerant.diagonal",
@@ -1069,6 +1127,98 @@ class TestFuzz:
             assert "false" in out.getvalue().splitlines()[-1], argv
         elif code == 1:
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+
+
+# forms that only argparse reads, each made from one flag of a line: the
+# flag and its value as one word, the flag abbreviated, the flag given
+# twice, first with a value no type reads, or a value that starts with "-"
+# (argparse reads "-3" and "-" as values, "-1/2" as an unknown option), and
+# values that both read as they stand
+_ODD_VALUES = st.sampled_from(["-3", "-1/2", "-", "", " 1"])
+
+
+@st.composite
+def _lines(draw):
+    """An invocation, as is or with one form that only argparse reads, and
+    whether it was left as is."""
+    argv = draw(_invocations())
+    flags = [i for i, word in enumerate(argv[:-1]) if word.startswith("--") and word != "--"]
+    form = draw(st.sampled_from([None] * 3 + ["joined", "abbreviated", "repeated", "value",
+                                             "inserted"]))
+    if form == "inserted":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--", "-h"])))
+    elif form and flags:
+        i = draw(st.sampled_from(flags))
+        if form == "joined":
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif form == "abbreviated":
+            argv[i] = argv[i][:draw(st.integers(3, max(3, len(argv[i]) - 1)))]
+        elif form == "repeated":
+            argv[i:i] = [argv[i], "x"]
+        else:
+            argv[i + 1] = draw(_ODD_VALUES)
+    return argv, form is None
+
+
+def _fields(args):
+    """A namespace's fields, each stream by its name, and no ``parser``."""
+    return {key: getattr(value, "name", value) for key, value in vars(args).items()
+            if key != "parser"}
+
+
+def _parsed(argv):
+    """argparse's outcome on `argv`: its namespace's `_fields`, a domain
+    error by its type and text, or its `SystemExit` status."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except DomainError as err:
+            return type(err), str(err)
+        except SystemExit as stop:
+            return stop.code
+    return _fields(args)
+
+
+class TestReader:
+    @given(_lines())
+    @example((["enum", "--count=3"], False))
+    @example((["enum", "--cou", "3"], False))
+    @example((["enum", "--count", "3", "--count", "4"], False))
+    @example((["enum", "--count", "-3"], False))
+    @example((["locate", "--value", "-1/2"], False))
+    @example((["theorem", "--set", ""], True))
+    @example((["table", "--id", " 1", "--rows", "2"], True))
+    @example((["locate", "--value", "1e10000000", "--bits", "1"], False))
+    def test_the_reader_returns_argparses_namespace_or_none(self, line):
+        argv, as_is = line
+        try:
+            read = _read(argv)
+        except DomainError as err:
+            # argparse meets the same refusal first
+            assert _parsed(argv) == (type(err), str(err)), argv
+            return
+        parsed = _parsed(argv)
+        if read is None:
+            # a line argparse takes as it stands, with no value that starts
+            # with "-", is the reader's
+            assert not (as_is and isinstance(parsed, dict) and argv[0] in _COMMANDS
+                        and not any(value.startswith("-") for value in argv[2::2])), argv
+            return
+        assert _fields(read) == parsed, argv
+
+    def test_a_read_line_leaves_no_cyclic_garbage(self, capsys):
+        argv = ["pair", "--i", "1", "--j", "2"]
+        main(argv)  # the command's modules load first
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0
 
 
 # Cells of every kind a row carries, and some no command prints yet: ints

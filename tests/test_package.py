@@ -317,11 +317,13 @@ def _annotated():
 
 def test_every_annotation_resolves():
     # no interpreter evaluates a string annotation: each names a lazily
-    # loaded type, which `localns` supplies
+    # loaded type or module, which `localns` supplies
+    import argparse
     import typing
     from fractions import Fraction
 
-    names = {name: getattr(enumerant, name) for name in PUBLIC} | {"Fraction": Fraction}
+    names = {name: getattr(enumerant, name) for name in PUBLIC} | {"Fraction": Fraction,
+                                                                  "argparse": argparse}
     annotated = list(_annotated())
     assert len(annotated) > 150
     for obj in annotated:

@@ -1,5 +1,6 @@
 """README.md examples stay true: every ``$ enumerant …`` transcript runs
-through ``main(argv)`` and the ``pycon`` block runs under doctest."""
+through ``main(argv)``, on the route that reads it without argparse, and
+the ``pycon`` block runs under doctest."""
 
 import doctest
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from enumerant.cli import main
+from enumerant.cli import _read, main
 
 _ROOT = Path(__file__).resolve().parent.parent
 _README = _ROOT / "README.md"
@@ -48,6 +49,8 @@ def test_every_command_has_an_example():
 @pytest.mark.parametrize("argv, lines", _EXAMPLES, ids=[" ".join(a) for a, _ in _EXAMPLES])
 def test_cli_example(argv, lines, capsys, monkeypatch):
     monkeypatch.chdir(_INPUTS)  # `diag --verify cert.txt` reads the golden input
+    # every example is a well-formed line, which argparse never reads
+    assert _read(argv) is not None
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert re.fullmatch(_pattern(lines), out), out
