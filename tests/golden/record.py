@@ -301,10 +301,29 @@ def transcribe(argv) -> dict:
     }
 
 
+# argparse's wording moves between Pythons.  Of the transcripts recorded
+# under one Python, keyed (recording Python, replaying Python), those that
+# the other writes differently: 3.10 and 3.12 write every 3.11 file alike,
+# and 3.13 wraps these usage lines elsewhere (and orders `series`' usage
+# otherwise).  A pair not listed here replays no argparse text
+ARGPARSE_DIFFERS = {
+    ("3.11", "3.10"): frozenset(),
+    ("3.11", "3.12"): frozenset(),
+    ("3.11", "3.13"): frozenset({
+        "bogus-pair-i-1-j-2", "dashdash-enum-count-1", "diag-help", "enum-count-1-locate",
+        "foo-enum-count-1", "frobnicate", "h-enum", "harmonic-help", "help",
+        "locate-bits-1-value-1-2", "locate-help", "locate-value-1-0", "locate-value-abc",
+        "no-arguments", "series-help", "series-name-e-terms-0"}),
+}
+
+
 def recorded_elsewhere(want: dict) -> bool:
-    """Whether a transcript holds argparse's text under another Python:
-    its wording moves between versions, so such a file is not replayed."""
-    return want["by_argparse"] and want["python"] != "%d.%d" % sys.version_info[:2]
+    """Whether a transcript holds argparse's text as another Python wrote
+    it and this one would not: such a file is not replayed."""
+    here = "%d.%d" % sys.version_info[:2]
+    differs = ARGPARSE_DIFFERS.get((want["python"], here))
+    return (want["by_argparse"] and want["python"] != here
+            and (differs is None or name_of(want["argv"]) in differs))
 
 
 def replay(want: dict) -> dict:
@@ -325,7 +344,8 @@ def check() -> int:
             mismatched += 1
             print(f"mismatch: {path.stem}", file=sys.stderr)
     print(f"{matched} matched, {mismatched} mismatched, {skipped} skipped "
-          f"(argparse text of another Python), Python {sys.version.split()[0]}",
+          f"(argparse text that this Python writes otherwise), "
+          f"Python {sys.version.split()[0]}",
           file=sys.stderr)
     return 1 if mismatched else 0
 

@@ -2,6 +2,7 @@
 ``main(argv)`` and asserts on captured stdout/stderr plus the exit code."""
 
 import argparse
+import atexit
 import contextlib
 import csv
 import gc
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import enumerant
-from enumerant.cli import _COMMANDS, _read, build_parser, main
+from enumerant.cli import _COMMANDS, _read, build_parser, entry, main
 from enumerant.commands import _CHUNK_CHARS, _emit, _text
 from enumerant.dyadic import DyadicRational
 from enumerant.errors import DomainError
@@ -743,6 +744,96 @@ class TestClosedStdout:
         assert (proc.returncode, code, after) == (0, "1", before)
 
 
+def main_bytes(capsys, argv):
+    """`main(argv)` in process: its status and its stdout and stderr bytes."""
+    try:
+        status = main(list(argv))
+    except SystemExit as stop:
+        status = stop.code
+    captured = capsys.readouterr()
+    return status, captured.out.encode(), captured.err.encode()
+
+
+# `entry()` in a fresh interpreter, on the command line after the first
+# word, which names what watches the process: nothing, a trace or profile
+# function, a `sys.monitoring` tool, or a stderr whose flush fails.  An
+# atexit callback is registered before the command, and a `SystemExit`
+# that leaves `entry` is printed on its way out
+EXIT_PROBE = """
+import atexit, io, sys
+atexit.register(print, "atexit")
+watcher, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+from enumerant.cli import entry
+if watcher == "settrace":
+    sys.settrace(lambda *args: None)
+elif watcher == "setprofile":
+    sys.setprofile(lambda *args: None)
+elif watcher == "monitoring":
+    sys.monitoring.use_tool_id(5, "probe")
+elif watcher == "unflushable":
+    class Unflushable(io.StringIO):
+        def flush(self):
+            raise OSError("flush")
+    sys.stderr = Unflushable()
+try:
+    entry()
+except SystemExit as stop:
+    print("SystemExit", stop.code)
+    raise
+"""
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("argv, status", [
+        (["pair", "--i", "1", "--j", "2"], 0),
+        (["locate", "--bits", "0110"], 1),
+        (["enum", "--count", "-1"], 2),
+    ])
+    def test_the_module_route_exits_with_mains_status_and_bytes(self, capsys, monkeypatch,
+                                                                 argv, status):
+        monkeypatch.setenv("COLUMNS", record.COLUMNS)
+        proc = subprocess.run([sys.executable, "-m", "enumerant.cli", *argv],
+                              capture_output=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == main_bytes(capsys, argv)
+        assert proc.returncode == status
+
+    def test_a_long_output_through_a_pipe_is_mains(self, capsys):
+        argv = ["enum", "--count", "200000"]
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout.encode(), proc.stderr.encode()) == (
+            main_bytes(capsys, argv))
+
+    # unwatched, the process ends at `os._exit` and no `SystemExit` leaves
+    # `entry`; watched, it leaves, and the profiler or tracer around the
+    # entry still reports.  Either way the atexit callback runs once
+    @pytest.mark.parametrize("watcher, code, out", [
+        ("none", 0, "8\natexit\n"),
+        ("settrace", 0, "8\nSystemExit 0\natexit\n"),
+        ("setprofile", 0, "8\nSystemExit 0\natexit\n"),
+        pytest.param("monitoring", 0, "8\nSystemExit 0\natexit\n",
+                     marks=pytest.mark.skipif(sys.version_info < (3, 12),
+                                              reason="sys.monitoring is 3.12+")),
+        # the callbacks ran before the failed flush; the interpreter's exit
+        # flushes again and, as for any process, exits 120
+        ("unflushable", 120, "8\natexit\nSystemExit 0\n"),
+    ])
+    def test_the_exit_path(self, watcher, code, out):
+        proc = run_python("-c", EXIT_PROBE, watcher, "pair", "--i", "1", "--j", "2")
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+    def test_a_status_that_is_no_int_keeps_the_interpreters_exit(self, monkeypatch):
+        def run():
+            sys.exit("stopped")
+
+        monkeypatch.setattr(enumerant.cli, "run", run)
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: pytest.fail("atexit ran"))
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit ran"))
+        with pytest.raises(SystemExit) as stop:
+            entry()
+        assert stop.value.code == "stopped"
+
+
 # runs main(argv) in a fresh interpreter and prints the modules it loaded
 LOAD_PROBE = """
 import contextlib, io, sys
@@ -786,9 +877,11 @@ print("out" if out.getvalue() and not err.getvalue() else "err")
 print(" ".join(m for m in sys.modules if m.startswith("enumerant.")))
 """
 # `python -m enumerant.cli argv`, run the way `-m` runs it, then the exit
-# status and the package modules loaded
+# status and the package modules loaded; `os._exit`, where the entry ends
+# an unwatched process, raises `SystemExit` here, so the probe lives on
 MAIN_PROBE = """
-import contextlib, io, runpy, sys
+import contextlib, io, os, runpy, sys
+os._exit = sys.exit
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("enumerant.cli", run_name="__main__", alter_sys=True)

@@ -29,5 +29,6 @@ def test_every_invocation_has_a_transcript():
 def test_replay(path):
     want = json.loads(path.read_text(encoding="utf-8"))
     if record.recorded_elsewhere(want):
-        pytest.skip(f"argparse text recorded under Python {want['python']}")
+        pytest.skip(f"argparse text recorded under Python {want['python']}, "
+                    f"which this Python writes otherwise")
     assert record.replay(want) == want
