@@ -16,7 +16,7 @@ a status of their own; every other command returns nothing, which is 0.
 
 A CLI call is mostly process start, import and exit.  This module holds
 the entry alone: the nine help lines, the reader, the parser, `main` and
-`run`.  Each command is a module of its own, ``commands/<name>.py``,
+`entry`.  Each command is a module of its own, ``commands/<name>.py``,
 that declares its options once, as data (``OPTIONS``, and ``ONE_OF``
 for an either-or pair), and defines ``run(args)``.  A line takes one of
 two routes, and both read those declarations:
@@ -37,13 +37,14 @@ two routes, and both read those declarations:
 
 Either route imports the invoked command's module alone, so a call
 compiles and runs the code of one command.  The process entry, `entry`,
-calls `run`, which runs the command with the cyclic collector paused
-and freezes the collector on its way out, so no collection walks every
-object that start and import made.  Then, unless a profiler, tracer or
-monitoring tool watches the process, `entry` runs the atexit callbacks,
+runs `main` with the cyclic collector paused and freezes the collector
+on its way out, so no collection walks every object that start and
+import made.  Then, unless a profiler, tracer, monitoring tool or
+debugger watches the process, `entry` runs the atexit callbacks,
 flushes stdout and stderr and ends the process by `os._exit`, so the
 interpreter does not tear its modules down either.  Called in process,
-`main` still returns the status and `run` still raises `SystemExit`.
+`main` ends no process: it returns the status, and argparse's own
+`SystemExit` reaches its caller.
 
 Two rules keep each call's load set small, and no one module shows
 them.  No command module imports ``enumerant.cli``: under ``python -m
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
     The int->str digit limit is lifted while the command runs and
     restored on every way out, `SystemExit` included.  The caller's
     cyclic collector is left as it was: `main` neither pauses nor
-    freezes it, which only the process entry `run` does.  A line that
+    freezes it, which only the process entry, `entry`, does.  A line that
     `_read` reads leaves it no cyclic garbage.  A line that goes to
     argparse leaves it about 200 objects: the parser tree that
     `build_parser` makes, whose parsers, argument groups and actions
@@ -230,62 +231,55 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(previous)
 
 
-def run() -> None:
-    """Exit with `main`'s status, by `SystemExit`.
+def entry() -> None:
+    """The process entry of the ``enumerant`` script and of ``python -m
+    enumerant.cli``: `main` on ``sys.argv``, then the end of the process,
+    with `main`'s status, at its last flush.
 
     `main` runs with the cyclic collector paused (`errors._paused_gc`),
     so no collection walks the modules the command imports, nor the
     records it builds: no command leaves cyclic garbage behind per row,
-    so the pause frees nothing late.  On every way out (a status,
-    argparse's own `SystemExit` or a crash) the collector is on again
-    and the objects still tracked move to its permanent generation, so
-    the interpreter's last collections do not walk them either.  `run`
-    ends the process only if its caller lets the `SystemExit` through,
-    as `entry` does when something watches the process; `main` called in
-    process neither pauses nor freezes, so its caller keeps its own
-    collector and a collectable heap.
+    so the pause frees nothing late.  argparse's own `SystemExit` gives
+    the status too: 0 after help, 2 after a usage error.  On every way
+    out, a crash included, the collector is on again and the objects
+    still tracked move to its permanent generation, so the next
+    allocation does not start a young collection over everything the
+    command made, nor do the interpreter's last collections walk it.
+
+    Then the atexit callbacks run, stdout and stderr are flushed and the
+    process ends by `os._exit`, so the interpreter does not tear its
+    modules down: work that every call paid after its last byte was
+    written.  The CLI starts no thread and writes no file but the two
+    streams, so the teardown has nothing left to finish.
+
+    The interpreter's own exit is kept, by `sys.exit`, when something
+    watches the process, since its report or prompt comes from code
+    that runs after the `SystemExit`: a profile or trace function, a
+    `sys.monitoring` tool (cProfile is one on 3.12 and later), or a
+    loaded `bdb`, the debugger under pdb, whose ``continue`` with no
+    breakpoint clears the trace function.  No CLI call loads `bdb` of
+    its own.  It is kept, too, when a flush raises: the exit flushes
+    again and reports the failure, with status 120, as it always has.
+    A crash propagates as it did.
     """
     try:
-        sys.exit(_paused_gc(main)())
+        status = _paused_gc(main)()
+    except SystemExit as stop:
+        status = stop.code
     finally:
         gc.freeze()
-
-
-def entry() -> None:
-    """The process entry of the ``enumerant`` script and of ``python -m
-    enumerant.cli``: `run`, then the end of the process at its last flush.
-
-    When `run` exits with an int status, the atexit callbacks run, stdout
-    and stderr are flushed and the process ends with that status by
-    `os._exit`, so the interpreter does not tear its modules down: work
-    that every call paid after its last byte was written.  The CLI
-    starts no thread and writes no file but the two streams, so the
-    teardown has nothing left to finish.
-
-    The interpreter's own exit is kept, with the `SystemExit` let
-    through, in three cases.  A profile or trace function is set, or a
-    `sys.monitoring` tool is registered (cProfile is one on 3.12 and
-    later): their report comes from the code around the entry, after
-    the `SystemExit`.  The status is not an int.  Or a flush raises: the
-    exit flushes again and reports the failure, with status 120, as it
-    always has.  A crash propagates as it did.
-    """
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
+    if (sys.getprofile() is not None or sys.gettrace() is not None or "bdb" in sys.modules
+            or monitoring is not None
+            and any(monitoring.get_tool(tool) is not None for tool in range(6))):
+        sys.exit(status)
+    atexit._run_exitfuncs()  # it clears them: none runs twice
     try:
-        run()
-    except SystemExit as stop:
-        monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
-        if (not isinstance(stop.code, int)
-                or sys.getprofile() is not None or sys.gettrace() is not None
-                or monitoring is not None
-                and any(monitoring.get_tool(tool) is not None for tool in range(6))):
-            raise
-        atexit._run_exitfuncs()  # it clears them: none runs twice
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except (OSError, ValueError):
-            raise stop from None
-        os._exit(stop.code)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

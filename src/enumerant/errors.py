@@ -113,7 +113,7 @@ def _paused_gc(fn):
     they return: CPython starts a young pass every few hundred to few
     thousand tracked allocations, and each pass (every tenth an older one)
     walks the container still being filled.  The records the package
-    builds form no cycles, so the pause frees nothing late.  `cli.run`
+    builds form no cycles, so the pause frees nothing late.  `cli.entry`
     pauses a whole CLI command this way, imports and output included,
     since no command leaves cyclic garbage behind per row.  A call made
     while the collector is already off, by a caller or by an outer paused

@@ -257,12 +257,30 @@ MISPLACED = [
 HELP = [["--help"]] + [[command, "--help"] for command in (
     "enum", "locate", "approx", "diag", "harmonic", "series", "theorem", "pair", "table")]
 
+# line forms that the reader leaves to argparse: ``--flag=value``, an
+# abbreviated flag, a repeated flag, a missing value, ``--``, an unknown
+# flag, a type's refusal, both flags of an either-or pair and ``-h`` after
+# a command word; and two refusals whose usage lines no other file holds
+ARGPARSE_FORMS = [
+    ["enum", "--count=3"],
+    ["enum", "--cou", "3"],
+    ["enum", "--count", "3", "--count", "4"],
+    ["enum", "--count"],
+    ["enum", "--", "--count", "1"],
+    ["enum", "--count", "1", "--bogus"],
+    ["table", "--id", "x", "--rows", "1"],
+    ["enum", "--count", "1", "-h"],
+    ["theorem", "--set", "2", "--exhaustive", "3"],
+    ["diag", "--count", "0"],
+    ["harmonic", "--blocks", "0"],
+]
+
 INVOCATIONS = ([argv + ["--format", fmt] for argv in EACH_FORMAT for fmt in FORMATS]
                + PLAIN
                + [argv + ["--format", fmt] for argv in EACH_TABULAR for fmt in FORMATS[1:]]
                + FAILURE + [argv + ["--format", "json-lines"] for argv in FAILURE_JSON]
                + [argv + ["--format", fmt] for argv in FAILURE_TABULAR for fmt in FORMATS[1:]]
-               + LONG + MISPLACED + HELP)
+               + LONG + MISPLACED + HELP + ARGPARSE_FORMS)
 
 
 def name_of(argv) -> str:
@@ -310,10 +328,11 @@ ARGPARSE_DIFFERS = {
     ("3.11", "3.10"): frozenset(),
     ("3.11", "3.12"): frozenset(),
     ("3.11", "3.13"): frozenset({
-        "bogus-pair-i-1-j-2", "dashdash-enum-count-1", "diag-help", "enum-count-1-locate",
-        "foo-enum-count-1", "frobnicate", "h-enum", "harmonic-help", "help",
-        "locate-bits-1-value-1-2", "locate-help", "locate-value-1-0", "locate-value-abc",
-        "no-arguments", "series-help", "series-name-e-terms-0"}),
+        "bogus-pair-i-1-j-2", "dashdash-enum-count-1", "diag-count-0", "diag-help",
+        "enum-count-1-bogus", "enum-count-1-locate", "foo-enum-count-1", "frobnicate",
+        "h-enum", "harmonic-blocks-0", "harmonic-help", "help", "locate-bits-1-value-1-2",
+        "locate-help", "locate-value-1-0", "locate-value-abc", "no-arguments",
+        "series-help", "series-name-e-terms-0"}),
 }
 
 

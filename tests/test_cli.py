@@ -2,7 +2,6 @@
 ``main(argv)`` and asserts on captured stdout/stderr plus the exit code."""
 
 import argparse
-import atexit
 import contextlib
 import csv
 import gc
@@ -22,7 +21,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import enumerant
-from enumerant.cli import _COMMANDS, _read, build_parser, entry, main
+from enumerant.cli import _COMMANDS, _read, build_parser, main
 from enumerant.commands import _CHUNK_CHARS, _emit, _text
 from enumerant.dyadic import DyadicRational
 from enumerant.errors import DomainError
@@ -622,12 +621,13 @@ _spec.loader.exec_module(record)
 
 def _one_transcript_per_command_and_format():
     """The first golden transcript, by name, of each command in each
-    format, among those whose text is not argparse's."""
+    format, among those whose text is not argparse's, leaving out the
+    line forms that only argparse reads (`record.ARGPARSE_FORMS`)."""
     chosen = {}
     for path in sorted(record.TRANSCRIPTS.glob("*.json")):
         want = json.loads(path.read_text(encoding="utf-8"))
         argv = want["argv"]
-        if not want["by_argparse"]:
+        if not want["by_argparse"] and argv not in record.ARGPARSE_FORMS:
             fmt = argv[argv.index("--format") + 1] if "--format" in argv else "plain"
             chosen.setdefault((argv[0], fmt), path)
     return sorted(chosen.values())
@@ -635,10 +635,13 @@ def _one_transcript_per_command_and_format():
 
 ROUTE_TRANSCRIPTS = _one_transcript_per_command_and_format()
 
-# main(argv) in a fresh interpreter, then run() on the same arguments
-RUN_PROBE = """
-import contextlib, gc, io, sys
-from enumerant.cli import main, run
+# main(argv) in a fresh interpreter, then entry() on the same arguments;
+# `os._exit`, where the entry ends an unwatched process, raises
+# `SystemExit` here, so the probe lives on
+ENTRY_PROBE = """
+import contextlib, gc, io, os, sys
+from enumerant.cli import entry, main
+os._exit = sys.exit
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         status = main(sys.argv[1:])
@@ -646,7 +649,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         status = stop.code
     frozen = gc.get_freeze_count()
     try:
-        run()
+        entry()
     except SystemExit as stop:
         code = stop.code
 print(status, frozen, code, gc.get_freeze_count() > 0)
@@ -672,8 +675,8 @@ class TestModuleRoute:
         (["locate", "--bits", "0110"], 1),
         (["enum", "--count", "-1"], 2),
     ])
-    def test_run_exits_with_mains_status_and_only_run_freezes(self, argv, status):
-        proc = run_python("-c", RUN_PROBE, *argv)
+    def test_entry_exits_with_mains_status_and_only_entry_freezes(self, argv, status):
+        proc = run_python("-c", ENTRY_PROBE, *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{status} 0 {status} True\n"
 
@@ -783,6 +786,19 @@ except SystemExit as stop:
 """
 
 
+# `python -m enumerant.cli` on the command line, run the way `-m` runs it
+# under a pdb whose one command is `c`; a `SystemExit` that leaves the
+# debugger is printed
+DEBUG_PROBE = """
+import io, pdb, runpy
+debugger = pdb.Pdb(stdin=io.StringIO("c\\n"), stdout=io.StringIO(), readrc=False)
+try:
+    debugger.runcall(runpy.run_module, "enumerant.cli", run_name="__main__")
+except SystemExit as stop:
+    print("SystemExit", stop.code)
+"""
+
+
 class TestProcessExit:
     @pytest.mark.parametrize("argv, status", [
         (["pair", "--i", "1", "--j", "2"], 0),
@@ -822,16 +838,11 @@ class TestProcessExit:
         proc = run_python("-c", EXIT_PROBE, watcher, "pair", "--i", "1", "--j", "2")
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
 
-    def test_a_status_that_is_no_int_keeps_the_interpreters_exit(self, monkeypatch):
-        def run():
-            sys.exit("stopped")
-
-        monkeypatch.setattr(enumerant.cli, "run", run)
-        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: pytest.fail("atexit ran"))
-        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit ran"))
-        with pytest.raises(SystemExit) as stop:
-            entry()
-        assert stop.value.code == "stopped"
+    # pdb's `c` with no breakpoint clears the trace function, but pdb runs
+    # on after the program's `SystemExit`, and reports it
+    def test_a_debugger_keeps_the_interpreters_exit(self):
+        proc = run_python("-c", DEBUG_PROBE, "pair", "--i", "1", "--j", "2")
+        assert (proc.returncode, proc.stdout) == (0, "8\nSystemExit 0\n"), proc.stderr
 
 
 # runs main(argv) in a fresh interpreter and prints the modules it loaded
@@ -913,8 +924,16 @@ def loaded_modules(argv):
     return set(proc.stdout.split())
 
 
+def argv_id(argv):
+    """A case's id built from its argv, so that it names its command: the
+    words without their leading dashes, a path by its file name."""
+    return "-".join(Path(word).name if Path(word).is_absolute() else word.lstrip("-")
+                    for word in argv)
+
+
 class TestLoadSets:
-    @pytest.mark.parametrize("argv, package", [
+    @pytest.mark.parametrize("argv, package", [pytest.param(*case, id=argv_id(case[0]))
+                                               for case in [
         (["enum", "--count", "3"], ENUMERATION_ONLY),
         # `errors._DIGITS_CAP` bounds the value's exponent: no `exactnum`
         (["locate", "--value", "3/8"], ENUMERATION_ONLY),
@@ -938,20 +957,16 @@ class TestLoadSets:
         (["theorem", "--set", "2,4,5"], FINITIST_ONLY),
         (["theorem", "--exhaustive", "21"], FINITIST_ONLY),
         (["harmonic", "--blocks", "19"], {"errors", "dyadic", "exactnum", "series"}),
-        # the ids of the cases above are kept as they were; a case added here
-        # goes at the end, with an id built from its argv, so that no id
-        # moves to another command
-        *(pytest.param(argv, ENUMERATION_ONLY | {"reals", "series"},
-                       id="-".join(word.lstrip("-") for word in argv))
-          for argv in (["approx", "--real", real, "--depth", "8"]
-                       for real in ("e", "tau", "rat:1/3"))),
-    ])
+        *((["approx", "--real", real, "--depth", "8"], ENUMERATION_ONLY | {"reals", "series"})
+          for real in ("e", "tau", "rat:1/3")),
+    ]])
     def test_a_plain_command_loads_only_what_it_runs(self, argv, package):
         loaded = loaded_modules(argv)
         submodules = {m.split(".", 1)[1] for m in loaded if m.startswith("enumerant.")}
         # the entry, the commands' shared module and the invoked command's own
         assert submodules == package | {"cli", "commands", f"commands.{argv[0]}"}
-        assert not loaded & {"__future__", "csv", "json"}
+        # nor `bdb`, which the entry reads as a debugger that watches it
+        assert not loaded & {"__future__", "csv", "json", "bdb"}
         assert not loaded & DATACLASS_LOAD
         assert not loaded & ARGPARSE_LOAD
         # `locate --value` builds its `Fraction` in the command's own module

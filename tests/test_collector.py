@@ -6,17 +6,20 @@ fill a container of `count` tracked objects before they return; with the
 collector on, every young pass would walk it again.  These tests pin
 that no pass starts inside them, that the collector's state is restored
 on every way out, and that the wrapper hides nothing a caller inspects.
-`cli.run` calls `main` through the same wrapper; `main` called in
+`cli.entry` calls `main` through the same wrapper; `main` called in
 process leaves the collector to its caller.  The pause relies on no
 command leaving cyclic garbage behind per row, which the size checks
 at the end pin.
 """
 
+import atexit
 import contextlib
 import gc
 import importlib
 import inspect
 import io
+import os
+import sys
 from itertools import count
 
 import pytest
@@ -201,15 +204,18 @@ def _crash():
 
 
 # what `main` does in place of a command: return a status, exit through
-# argparse, or crash
-MAIN_EXITS = {"status-0": lambda: 0, "status-1": lambda: 1,
-              "argparse": _argparse_exit, "crash": _crash}
+# argparse, or crash; and the exit status of each, None for the crash
+MAIN_EXITS = {"status-0": (lambda: 0, 0), "status-1": (lambda: 1, 1),
+              "argparse": (_argparse_exit, 2), "crash": (_crash, None)}
 
 
-def _run_with(monkeypatch, end):
-    """`cli.run` around a `main` that notes the collector and ends with
-    `end`; the exit freeze is noted, not done, so this process keeps a
-    collectable heap."""
+def _entry_with(monkeypatch, name):
+    """`cli.entry` around a `main` that notes the collector and ends as
+    `MAIN_EXITS[name]` says, checked against its status; the exit freeze
+    is noted, not done, so this process keeps a collectable heap, and the
+    process is not ended: no atexit callback runs, and `os._exit` raises
+    `SystemExit` as `sys.exit` does."""
+    end, status = MAIN_EXITS[name]
     seen, frozen = [], []
 
     def main():
@@ -218,14 +224,17 @@ def _run_with(monkeypatch, end):
 
     monkeypatch.setattr(cli, "main", main)
     monkeypatch.setattr(gc, "freeze", lambda: frozen.append(gc.isenabled()))
-    with pytest.raises((SystemExit, _Stop)):
-        cli.run()
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)
+    monkeypatch.setattr(os, "_exit", sys.exit)
+    with pytest.raises((SystemExit, _Stop)) as stop:
+        cli.entry()
+    assert getattr(stop.value, "code", None) == status
     return seen, frozen
 
 
 @pytest.mark.parametrize("name", sorted(MAIN_EXITS))
-def test_run_calls_main_with_the_collector_paused(monkeypatch, name):
-    seen, frozen = _run_with(monkeypatch, MAIN_EXITS[name])
+def test_entry_calls_main_with_the_collector_paused(monkeypatch, name):
+    seen, frozen = _entry_with(monkeypatch, name)
     assert seen == [False]
     # the collector is on again before the freeze and after the exit
     assert frozen == [True]
@@ -233,10 +242,10 @@ def test_run_calls_main_with_the_collector_paused(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(MAIN_EXITS))
-def test_run_leaves_a_collector_that_was_off_off(monkeypatch, name):
+def test_entry_leaves_a_collector_that_was_off_off(monkeypatch, name):
     gc.disable()
     try:
-        seen, frozen = _run_with(monkeypatch, MAIN_EXITS[name])
+        seen, frozen = _entry_with(monkeypatch, name)
         assert (seen, frozen) == ([False], [False])
         assert not gc.isenabled()
     finally:

@@ -8,7 +8,7 @@ from math import gcd, isqrt, log2
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from enumerant import exactnum
 from enumerant.dyadic import DyadicRational, dyadic_from_string
@@ -170,6 +170,16 @@ class TestRationalInterval:
         assert outer.encloses(iv)
         assert outer.strictly_encloses(iv)
         assert not iv.encloses(outer)
+
+    def test_predicates_at_a_shared_endpoint(self):
+        # every predicate but the strict one holds at an endpoint
+        iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
+        assert iv.contains(iv.lo) and iv.contains(iv.hi)
+        assert iv.encloses(iv)
+        for other in (RationalInterval(iv.lo, Fraction(2, 5)),
+                      RationalInterval(Fraction(2, 5), iv.hi)):
+            assert iv.encloses(other)
+            assert not iv.strictly_encloses(other)
 
     def test_render(self):
         assert str(RationalInterval(Fraction(2), Fraction(2))) == "2"
@@ -390,14 +400,33 @@ class TestLog2Interval:
     def test_same_cell_as_squaring_deep(self, n, p):
         assert log2_interval(n, p) == log2_by_squaring(n, p)
 
+    def test_default_precision_is_32_bits(self):
+        assert log2_interval(3) == log2_interval(3, 32)
+        assert log2_interval(3).width == Fraction(1, 1 << 32)
+
     def test_domain(self):
-        with pytest.raises(ValueError):
+        # n = 0 is refused by its own check, before any shift by k = -1
+        with pytest.raises(ValueError, match="^log2 needs n >= 1$"):
             log2_interval(0)
         with pytest.raises(ValueError):
             log2_interval(3, 0)
         with pytest.raises(BudgetExceeded) as exc:
             log2_interval(3, (1 << 15) + 1)
         assert str(exc.value) == "BudgetExceeded requested=32769 cap=32768"
+
+
+@given(st.integers(1, 10**6).flatmap(lambda b: st.tuples(st.integers(0, b // 3), st.just(b))),
+       st.integers(0, 300))
+@example((0, 1), 0)  # no term: S = 0 = 2**w * atanh(0)
+@example((24, 97), 2)  # no term, as 4 * 24 < 97, yet 2**w * atanh(a/b) > 1
+def test_atanh_sum_brackets_the_scaled_series(ab, w):
+    # (S, E) = _atanh_sum(a, b, w) has S <= 2**w * atanh(a/b) < S + E
+    a, b = ab
+    total, err = exactnum._atanh_sum(a, b, w)
+    assert err >= 2
+    with mpmath.workprec(w + 128):
+        scaled = mpmath.ldexp(mpmath.atanh(mpmath.mpf(a) / b), w)
+        assert total <= scaled < total + err, (a, b, w)
 
 
 def _prime_exponents(n: int) -> dict:
@@ -456,12 +485,19 @@ class TestCanonicalize:
         # Exact(False) == Exact(0), so only the text tells a bool base apart
         assert str(canonicalize(Tower(False, Exact(5)))) == "0"
         assert str(canonicalize(Tower(False, Exact(1)))) == "0"
+        # a first power is its base, held in full whatever the budget
+        assert canonicalize(Tower(10 ** 20, Exact(1)), 5) == Exact(10 ** 20)
 
     def test_budget_is_an_iff(self):
         # 10**4 has five digits: out at budget 4, in at budget 5
         assert canonicalize(Tower(10, Exact(4)), 4) == Tower(10, Exact(4))
         assert canonicalize(Tower(10, Exact(4)), 5) == Exact(10_000)
         assert canonicalize(Tower(10, Exact(4))) == Exact(10_000)
+
+    def test_the_default_budget_is_ten_thousand_digits(self):
+        # 10**9999 has 10 000 digits, 10**10000 one more
+        assert canonicalize(Tower(10, Exact(9999))) == Exact(10 ** 9999)
+        assert canonicalize(Tower(10, Exact(10_000))) == Tower(10, Exact(10_000))
 
     def test_nested_exponents_materialize_bottom_up(self):
         assert canonicalize(Tower(2, Tower(2, Exact(4)))) == Exact(65536)
@@ -475,8 +511,9 @@ class TestCanonicalize:
     def test_rejects_negatives(self):
         with pytest.raises(ValueError):
             canonicalize(Exact(-1))
-        with pytest.raises(ValueError):
-            canonicalize(Tower(-2, Exact(3)))
+        for base in (-2, -1):
+            with pytest.raises(ValueError):
+                canonicalize(Tower(base, Exact(3)))
 
     def test_rejects_a_non_magnitude(self):
         with pytest.raises(TypeError):
